@@ -117,6 +117,14 @@ echo "== attack-matrix smoke + robustness floors (vdsms eval-attacks) =="
 grep -q "floor check passed" "$tmp/matrix_err.txt" \
   || { echo "expected a floor-check confirmation"; cat "$tmp/matrix_err.txt"; exit 1; }
 
+echo "== benchmark builds and smoke-runs (its own workspace) =="
+# Tier-1 never compiles benchmark/, so a rename that breaks its
+# `src/sut.rs` would otherwise surface only when the pipeline runs the
+# benchmark. Its tests include a --quick pass of all four workloads with
+# their oracle checks, against the daemon built above. The `cd` matters:
+# benchmark/.cargo/config.toml is found from the working directory.
+(cd benchmark && cargo test -q --offline)
+
 echo "== clippy =="
 cargo clippy --all-targets -- -D warnings
 

@@ -2,30 +2,25 @@
 //! detections, through the whole front-end (partial decode → feature
 //! extraction → fingerprint) and the detector fleet behind it.
 //!
-//! Two front-end variants are measured over the identical byte streams:
+//! The front-end is the fused streaming pipeline: `FingerprintStream`
+//! yields `(frame_index, cell_id)` straight from the bytes with pooled
+//! buffers and a memoized `RegionPlan` (steady-state allocation-free).
+//! It is measured alone (`fused_frontend_only`) and in front of a
+//! [`Fleet`] at `shards` = 1 (inline) and 4 (worker threads), both fed by
+//! synchronous `push_batch`. Fleets persist across iterations with
+//! shifted frame indices, so numbers are steady-state streaming
+//! throughput in key frames per second. Two streams periodically re-air
+//! catalogue clips, so real detections (and their event allocations) are
+//! part of the measured work.
 //!
-//! * `legacy` — the materializing pipeline: `PartialDecoder::decode_all`
-//!   into a `Vec<DcFrame>`, then `FeatureExtractor::fingerprint_sequence`,
-//!   then batch feeding. One heap-allocated DC buffer per key frame plus
-//!   per-frame region-overlap recomputation.
-//! * `fused` — the streaming pipeline: `FingerprintStream` yields
-//!   `(frame_index, cell_id)` straight from the bytes with pooled
-//!   buffers and a memoized `RegionPlan` (steady-state allocation-free).
-//!
-//! Both run serial (`Fleet`) and sharded (`ParallelFleet`, 4 shards,
-//! pipelined ingestion). Fleets persist across iterations with shifted
-//! frame indices, so numbers are steady-state streaming throughput in
-//! key frames per second. Two streams periodically re-air catalogue
-//! clips, so real detections (and their event allocations) are part of
-//! the measured work.
-//!
-//! `BENCH_ingest.json` records the before/after numbers for the fused
-//! front-end PR.
+//! `BENCH_ingest.json` is the historical record of these rows (and of the
+//! retired materializing `legacy_*` rows they replaced); the repository
+//! benchmark under `benchmark/` is what changes are judged by now.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use vdsms_codec::{Encoder, EncoderConfig, PartialDecoder};
-use vdsms_core::{AnyFleet, Detector, DetectorConfig, Query, StreamId};
+use vdsms_core::{Detector, DetectorConfig, Fleet, Query, StreamId};
 use vdsms_features::{FeatureConfig, FeatureExtractor, FingerprintStream};
 use vdsms_video::source::{ClipGenerator, SourceSpec};
 use vdsms_video::Fps;
@@ -93,8 +88,8 @@ fn catalogue(cfg: &DetectorConfig, extractor: &FeatureExtractor, query_bytes: &[
         .collect()
 }
 
-fn fleet_for(cfg: DetectorConfig, queries: &[Query]) -> AnyFleet {
-    let mut fleet = AnyFleet::new(cfg);
+fn fleet_for(cfg: DetectorConfig, queries: &[Query]) -> Fleet {
+    let mut fleet = Fleet::new(cfg);
     for s in 0..STREAMS {
         fleet.add_stream(s as StreamId).unwrap();
     }
@@ -114,44 +109,12 @@ fn keyframes_per_stream(bytes: &[u8]) -> u64 {
     n
 }
 
-/// The pre-PR front-end: materialize every DC frame, fingerprint the
-/// sequence, then interleave round-robin (the CLI `monitor` shape).
-fn run_legacy(
-    streams: &[Vec<u8>],
-    extractor: &FeatureExtractor,
-    fleet: &mut AnyFleet,
-    frame_offset: u64,
-    batch: &mut Vec<(StreamId, u64, u64)>,
-) -> usize {
-    let mut detections = 0;
-    let per_stream: Vec<Vec<(u64, u64)>> = streams
-        .iter()
-        .map(|bytes| {
-            let dcs = PartialDecoder::new(bytes).unwrap().decode_all().unwrap();
-            let cells = extractor.fingerprint_sequence(&dcs);
-            dcs.iter().zip(cells).map(|(d, c)| (d.frame_index, c)).collect()
-        })
-        .collect();
-    let rounds = per_stream.iter().map(Vec::len).max().unwrap_or(0);
-    for round in 0..rounds {
-        batch.clear();
-        for (i, cells) in per_stream.iter().enumerate() {
-            if let Some(&(frame_index, cell)) = cells.get(round) {
-                batch.push((i as StreamId, frame_offset + frame_index, cell));
-            }
-        }
-        detections += fleet.push_batch(batch).unwrap().len();
-    }
-    detections
-}
-
 /// The fused front-end: each stream's bytes flow through a persistent
 /// `FingerprintStream` (pooled DC frame, memoized region plan); batches
-/// are built by pulling one key frame per stream per round. Identical
-/// batch ordering to [`run_legacy`], so detections are bit-identical.
+/// are built by pulling one key frame per stream per round.
 fn run_fused(
     ingests: &mut [FingerprintStream<'_>],
-    fleet: &mut AnyFleet,
+    fleet: &mut Fleet,
     frame_offset: u64,
     batch: &mut Vec<(StreamId, u64, u64)>,
 ) -> usize {
@@ -182,27 +145,6 @@ fn bench_ingest(c: &mut Criterion) {
     let mut g = c.benchmark_group("ingest_end_to_end");
     g.sample_size(10);
     g.throughput(Throughput::Elements(kf_per_iter));
-
-    for (name, shards) in [("legacy_serial", 1usize), ("legacy_sharded4", 4)] {
-        let cfg = cfg(shards);
-        let queries = catalogue(&cfg, &extractor, &query_bytes);
-        let mut fleet = fleet_for(cfg, &queries);
-        let mut batch = Vec::with_capacity(STREAMS as usize);
-        let mut epoch = 0u64;
-        g.bench_function(name, |bench| {
-            bench.iter(|| {
-                let dets = run_legacy(
-                    &streams,
-                    &extractor,
-                    &mut fleet,
-                    epoch * frames_per_epoch,
-                    &mut batch,
-                );
-                epoch += 1;
-                black_box(dets)
-            });
-        });
-    }
 
     // Front-end only: decode → fingerprint with no fleet behind it. The
     // gap between this and `fused_serial` is the detector-side cost

@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use vdsms_codec::bitio::ByteReader;
 use vdsms_codec::{DcFrame, Encoder, EncoderConfig, IngestHealth, PartialDecoder, StreamHeader};
 use vdsms_core::{
-    load_queries, save_queries, AnyFleet, Detector, DetectorConfig, Query, QuerySet, Stats,
+    load_queries, save_queries, Detector, DetectorConfig, Fleet, Query, QuerySet, Stats,
     StreamId,
 };
 use vdsms_features::{FeatureConfig, FeatureExtractor, FingerprintStream};
@@ -287,10 +287,11 @@ impl MonitorOutcome {
 /// Monitor any number of concurrent stream bitstreams against a persisted
 /// query set. Stream `i` of `streams` reports as `stream_id == i`.
 ///
-/// The fleet is serial or sharded according to `detector.shards` (the
-/// CLI's `--shards` flag); the detections are identical either way. Key
-/// frames are interleaved round-robin across streams, emulating live
-/// concurrent broadcasts, and fed in batches of one key frame per stream.
+/// The fleet runs inline or on worker threads according to
+/// `detector.shards` (the CLI's `--shards` flag); the detections are
+/// identical either way. Key frames are interleaved round-robin across
+/// streams, emulating live concurrent broadcasts, and fed in batches of
+/// one key frame per stream.
 ///
 /// Errs only when no stream could be monitored at all (or the query file
 /// itself is bad); partial failures are tolerated — see
@@ -328,7 +329,7 @@ pub fn monitor_streams_opts(
         return Err(CliError::new("no stream bitstreams given"));
     }
     let extractor = FeatureExtractor::new(*features);
-    let mut fleet = AnyFleet::new(*detector);
+    let mut fleet = Fleet::new(*detector);
     for query in queries.iter() {
         fleet.subscribe(query.clone())?;
     }

@@ -53,11 +53,10 @@ pub struct DetectorConfig {
     /// Whether Lemma-2 pruning is applied (always on in the paper; the
     /// ablation experiment switches it off to measure its contribution).
     pub enable_pruning: bool,
-    /// Number of fleet shards (worker threads). `1` keeps the serial
-    /// [`crate::Fleet`]; `> 1` selects the sharded
-    /// [`crate::ParallelFleet`] when constructing via
-    /// [`crate::AnyFleet::new`]. Detection results are independent of the
-    /// shard count.
+    /// Number of [`crate::Fleet`] shards. `1` runs every stream inline on
+    /// the caller's thread (no thread, channel or lock); `> 1` hash-shards
+    /// the streams onto that many supervised worker threads. Detection
+    /// results are independent of the shard count.
     pub shards: usize,
 }
 

@@ -10,7 +10,9 @@
 
 use crate::fleet::StreamId;
 
-/// An error from a [`crate::Fleet`] / [`crate::ParallelFleet`] operation.
+/// An error from a [`crate::Fleet`] operation. The inline executor
+/// (`shards <= 1`) can only report the two stream-id errors; the other two
+/// concern worker threads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetError {
     /// A key frame or command referenced a stream id that is not
@@ -19,14 +21,16 @@ pub enum FleetError {
     /// [`crate::Fleet::add_stream`] was called with an id that is already
     /// monitored.
     StreamAlreadyMonitored(StreamId),
-    /// A shard worker thread of a [`crate::ParallelFleet`] terminated
-    /// (it panicked or its channel closed); the fleet can no longer
-    /// guarantee complete detection coverage and should be rebuilt.
+    /// A worker thread is gone for good: it died and could not be
+    /// restarted, or the fleet was already [`crate::Fleet::drain`]ed. The
+    /// fleet can no longer guarantee complete detection coverage and
+    /// should be rebuilt. (A worker that merely panicked is restarted
+    /// without an error; see [`crate::Stats::shard_restarts`].)
     ShardDied {
         /// Index of the dead shard.
         shard: usize,
     },
-    /// A graceful drain ([`crate::ParallelFleet::drain`]) exceeded its
+    /// A graceful drain ([`crate::Fleet::drain`]) exceeded its
     /// configured join deadline: some workers were still running and
     /// have been detached. The process can still exit safely, but the
     /// shutdown was not clean and a serving layer should report it.

@@ -55,7 +55,7 @@ pub struct Stats {
     pub bytes_skipped: u64,
     /// Degradation: successful decoder resynchronizations.
     pub resyncs: u64,
-    /// Degradation: shard workers restarted after a panic (parallel fleet
+    /// Degradation: shard workers restarted after a panic (worker fleet
     /// supervision).
     pub shard_restarts: u64,
     /// Degradation: upper bound on key frames whose detector-state effect

@@ -1,14 +1,13 @@
-//! Serial/parallel fleet equivalence: for arbitrary interleaved
-//! multi-stream workloads — including subscription churn mid-stream — the
-//! sharded [`ParallelFleet`] must emit exactly the detection set of the
-//! serial [`Fleet`], at every shard count, with identical aggregate
-//! statistics. Plus the merge-algebra properties that make per-shard
+//! Fleet equivalence: for arbitrary interleaved multi-stream workloads —
+//! including subscription churn mid-stream — the [`Fleet`] must emit, at
+//! every shard count, exactly the detection set and aggregate statistics
+//! of one plain [`Detector`] per stream (a reference that shares no fleet
+//! code). Plus the merge-algebra properties that make per-shard
 //! aggregation well-defined.
 
 use proptest::prelude::*;
 use vdsms_core::{
-    AnyFleet, Detector, DetectorConfig, Fleet, ParallelFleet, Query, Stats, StreamDetection,
-    StreamId,
+    Detection, Detector, DetectorConfig, Fleet, Query, QuerySet, Stats, StreamDetection, StreamId,
 };
 
 const K: usize = 64;
@@ -57,20 +56,22 @@ fn sort_key(d: &StreamDetection) -> DetKey {
     )
 }
 
-/// Run the op sequence on any fleet; returns the sorted detection keys
-/// and the aggregate stats. Duplicate subscribes are skipped (both sides
-/// identically) so the sequence is valid.
-fn apply(fleet: &mut AnyFleet, n_streams: u8, ops: &[Op]) -> (Vec<DetKey>, Stats) {
+/// An op sequence made concrete: frame indices assigned per stream,
+/// duplicate subscribes dropped, so every step is valid on any monitor.
+enum Step {
+    Batch(Vec<(StreamId, u64, u64)>),
+    Subscribe(Query),
+    Unsubscribe(u32),
+}
+
+fn script(n_streams: u8, ops: &[Op]) -> Vec<Step> {
     let mut subscribed = std::collections::HashSet::new();
     let mut next_frame = vec![0u64; usize::from(n_streams)];
-    for s in 0..n_streams {
-        fleet.add_stream(StreamId::from(s)).unwrap();
-    }
-    let mut dets: Vec<StreamDetection> = Vec::new();
+    let mut steps = Vec::new();
     for op in ops {
         match op {
-            Op::Batch(frames) => {
-                let batch: Vec<(StreamId, u64, u64)> = frames
+            Op::Batch(frames) => steps.push(Step::Batch(
+                frames
                     .iter()
                     .map(|&(s, cell)| {
                         let s = s % n_streams; // ops are drawn for the max stream count
@@ -78,25 +79,79 @@ fn apply(fleet: &mut AnyFleet, n_streams: u8, ops: &[Op]) -> (Vec<DetKey>, Stats
                         next_frame[usize::from(s)] += 1;
                         (StreamId::from(s), f, cell)
                     })
-                    .collect();
-                dets.extend(fleet.push_batch(&batch).unwrap());
-            }
+                    .collect(),
+            )),
             Op::Subscribe(id) => {
                 if subscribed.insert(*id) {
-                    fleet.subscribe(query(*id)).unwrap();
+                    steps.push(Step::Subscribe(query(*id)));
                 }
             }
             Op::Unsubscribe(id) => {
                 subscribed.remove(id);
-                fleet.unsubscribe(u32::from(*id)).unwrap();
+                steps.push(Step::Unsubscribe(u32::from(*id)));
+            }
+        }
+    }
+    steps
+}
+
+fn sorted_keys(dets: &[StreamDetection]) -> Vec<DetKey> {
+    let mut keys: Vec<_> = dets.iter().map(sort_key).collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// Run a script on streams `0..n_streams` of a fleet, then flush.
+fn run_fleet(shards: usize, n_streams: u8, steps: &[Step]) -> (Vec<DetKey>, Stats) {
+    let mut fleet = Fleet::new(DetectorConfig { shards, ..cfg() });
+    for s in 0..n_streams {
+        fleet.add_stream(StreamId::from(s)).unwrap();
+    }
+    let mut dets = Vec::new();
+    for step in steps {
+        match step {
+            Step::Batch(batch) => dets.extend(fleet.push_batch(batch).unwrap()),
+            Step::Subscribe(q) => fleet.subscribe(q.clone()).unwrap(),
+            Step::Unsubscribe(id) => {
+                fleet.unsubscribe(*id).unwrap();
             }
         }
     }
     dets.extend(fleet.finish_all().unwrap());
-    let stats = fleet.total_stats();
-    let mut keys: Vec<_> = dets.iter().map(sort_key).collect();
-    keys.sort_unstable();
-    (keys, stats)
+    (sorted_keys(&dets), fleet.total_stats())
+}
+
+/// The reference, free of fleet code: one `Detector::new` per stream,
+/// driven only through `Detector::subscribe` / `unsubscribe` /
+/// `push_keyframe` / `finish`.
+fn run_reference(n_streams: u8, steps: &[Step]) -> (Vec<DetKey>, Stats) {
+    let mut detectors: Vec<Detector> =
+        (0..n_streams).map(|_| Detector::new(cfg(), QuerySet::new())).collect();
+    let tagged = |s: usize, found: Vec<Detection>| {
+        found.into_iter().map(move |detection| StreamDetection { stream_id: s as StreamId, detection })
+    };
+    let mut dets = Vec::new();
+    for step in steps {
+        match step {
+            Step::Batch(batch) => {
+                for &(s, frame, cell) in batch {
+                    dets.extend(tagged(s as usize, detectors[s as usize].push_keyframe(frame, cell)));
+                }
+            }
+            Step::Subscribe(q) => detectors.iter_mut().for_each(|d| d.subscribe(q.clone())),
+            Step::Unsubscribe(id) => {
+                for det in &mut detectors {
+                    det.unsubscribe(*id);
+                }
+            }
+        }
+    }
+    let mut total = Stats::default();
+    for (s, det) in detectors.iter_mut().enumerate() {
+        dets.extend(tagged(s, det.finish()));
+        total.merge(det.stats());
+    }
+    (sorted_keys(&dets), total)
 }
 
 proptest! {
@@ -104,18 +159,17 @@ proptest! {
 
     /// The tentpole property: arbitrary interleaved workloads with
     /// mid-stream subscription churn produce the same detection set and
-    /// the same aggregate stats on the serial fleet and on every shard
-    /// count.
+    /// the same aggregate stats on a detector per stream and on the fleet
+    /// at every shard count — inline (1) and on workers.
     #[test]
-    fn parallel_equals_serial_for_arbitrary_workloads(
+    fn fleet_equals_a_detector_per_stream_for_arbitrary_workloads(
         n_streams in 1u8..7,
         ops in proptest::collection::vec(arb_op(7), 1..30),
     ) {
-        let mut serial = AnyFleet::new(cfg());
-        let (want, want_stats) = apply(&mut serial, n_streams, &ops);
+        let steps = script(n_streams, &ops);
+        let (want, want_stats) = run_reference(n_streams, &steps);
         for shards in [1usize, 2, 4, 8] {
-            let mut par = AnyFleet::Parallel(ParallelFleet::new(cfg(), shards));
-            let (got, got_stats) = apply(&mut par, n_streams, &ops);
+            let (got, got_stats) = run_fleet(shards, n_streams, &steps);
             prop_assert_eq!(&got, &want, "shards={}", shards);
             prop_assert_eq!(&got_stats, &want_stats, "shards={}", shards);
         }
@@ -223,8 +277,8 @@ proptest! {
 }
 
 /// Concurrency stress: 8 shards, randomized batch sizes, pipelined
-/// ingestion — every detection the serial fleet emits must come out of
-/// the parallel fleet exactly once (no drops, no duplicates).
+/// ingestion — every detection the per-stream detectors emit must come
+/// out of the fleet exactly once (no drops, no duplicates).
 #[test]
 fn stress_pipelined_8_shards_drops_nothing() {
     let n_streams: u32 = 16;
@@ -248,25 +302,17 @@ fn stress_pipelined_8_shards_drops_nothing() {
         }
     }
 
-    let subscribe_all = |fleet: &mut dyn FnMut(Query)| {
-        for id in 0..6u8 {
-            fleet(query(id));
-        }
-    };
+    let mut steps: Vec<Step> = (0..6u8).map(|id| Step::Subscribe(query(id))).collect();
+    steps.push(Step::Batch(workload.clone()));
+    let (want_keys, want_stats) = run_reference(n_streams as u8, &steps);
 
-    let mut serial = Fleet::new(cfg());
-    for s in 0..n_streams {
-        serial.add_stream(s).unwrap();
-    }
-    subscribe_all(&mut |q| serial.subscribe(q));
-    let mut want = serial.push_batch(&workload).unwrap();
-    want.extend(serial.finish_all());
-
-    let mut par = ParallelFleet::new(cfg(), 8);
+    let mut par = Fleet::new(DetectorConfig { shards: 8, ..cfg() });
     for s in 0..n_streams {
         par.add_stream(s).unwrap();
     }
-    subscribe_all(&mut |q| par.subscribe(q).unwrap());
+    for id in 0..6u8 {
+        par.subscribe(query(id)).unwrap();
+    }
     let mut got: Vec<StreamDetection> = Vec::new();
     let mut i = 0usize;
     while i < workload.len() {
@@ -284,12 +330,7 @@ fn stress_pipelined_8_shards_drops_nothing() {
     got.extend(par.take_detections());
     got.extend(par.finish_all().unwrap());
 
-    assert_eq!(got.len(), want.len(), "detection count oracle");
-    let mut want_keys: Vec<_> = want.iter().map(sort_key).collect();
-    let mut got_keys: Vec<_> = got.iter().map(sort_key).collect();
-    want_keys.sort_unstable();
-    got_keys.sort_unstable();
-    assert_eq!(got_keys, want_keys);
+    assert_eq!(sorted_keys(&got), want_keys);
     assert!(!want_keys.is_empty(), "stress workload must produce detections");
-    assert_eq!(par.total_stats(), serial.total_stats());
+    assert_eq!(par.total_stats(), want_stats);
 }

@@ -43,7 +43,7 @@ pub struct ServeConfig {
     /// peer makes writes time out and retry instead of blocking forever.
     pub write_timeout_ms: u64,
     /// Graceful-drain deadline, in milliseconds: bounds the fleet's
-    /// per-worker join ([`vdsms_core::ParallelFleet::set_drain_join_polls`])
+    /// per-worker join ([`vdsms_core::Fleet::set_drain_join_polls`])
     /// and the final writer flush at shutdown.
     pub drain_deadline_ms: u64,
     /// Cap on un-ingestable buffered bytes per attached stream (a

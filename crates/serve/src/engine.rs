@@ -1,7 +1,7 @@
 //! The engine thread: single owner of the fleet and all session state.
 //!
 //! Every session's reader forwards its requests over one FIFO channel
-//! to this thread, which owns the [`AnyFleet`] exclusively — there is
+//! to this thread, which owns the [`Fleet`] exclusively — there is
 //! no locking around detector state, and every client observes the
 //! fleet through the same serialized command order. Replies and
 //! detection pushes go back through each session's bounded
@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use vdsms_codec::IngestHealth;
 use vdsms_core::sync::Receiver;
-use vdsms_core::{AnyFleet, FleetError, Query, Stats, StreamDetection, StreamId};
+use vdsms_core::{Fleet, FleetError, Query, Stats, StreamDetection, StreamId};
 use vdsms_features::FeatureExtractor;
 use vdsms_sketch::MinHashFamily;
 
@@ -96,7 +96,7 @@ enum Flow {
 /// thread.
 pub struct Engine {
     cfg: ServeConfig,
-    fleet: AnyFleet,
+    fleet: Fleet,
     family: MinHashFamily,
     extractor: FeatureExtractor,
     sessions: BTreeMap<u64, SessionState>,
@@ -129,7 +129,7 @@ impl Engine {
     pub fn new(cfg: ServeConfig, stop: Arc<AtomicBool>) -> Engine {
         let family = vdsms_core::Detector::family_for(&cfg.detector);
         let extractor = FeatureExtractor::new(cfg.features);
-        let fleet = AnyFleet::new(cfg.detector);
+        let fleet = Fleet::new(cfg.detector);
         Engine {
             cfg,
             fleet,

@@ -32,7 +32,7 @@ use std::fmt::Write as _;
 use vdsms_codec::{Decoder, Encoder, EncoderConfig};
 use vdsms_core::{Detector, DetectorConfig, DetectorVariant, Query, QuerySet};
 use vdsms_features::FeatureConfig;
-use vdsms_video::{Clip, Edit, EditPipeline, Fps};
+use vdsms_video::{Clip, Edit, EditPipeline};
 
 /// One attack family of the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -181,7 +181,7 @@ impl AttackSpec {
 
     /// The edit pipeline realizing this attack (empty for the re-encode
     /// chain, which is not a pixel/timeline edit).
-    fn pipeline(&self, fps: Fps) -> EditPipeline {
+    fn pipeline(&self) -> EditPipeline {
         let s = self.strength;
         fn by_strength<T>(s: Strength, l: T, m: T, h: T) -> T {
             match s {
@@ -229,7 +229,6 @@ impl AttackSpec {
                 EditPipeline::new().then(Edit::Noise { sigma, seed: self.seed })
             }
         }
-        .maybe_resample(fps)
     }
 
     /// Re-encode chain generations (quality per generation), empty for
@@ -251,7 +250,7 @@ impl AttackSpec {
     /// inside it, mapped through the attack's timeline.
     // vdsms-lint: entry(no-panic-hot-path)
     pub fn attack_clip(&self, clip: &Clip, gop: u32) -> AttackedClip {
-        let pipe = self.pipeline(clip.fps());
+        let pipe = self.pipeline();
         let mapped = pipe.map_span(clip.len(), clip.fps(), (0, clip.len() as u64));
         let mut attacked = pipe.apply(clip);
         for &quality in self.reencode_qualities() {
@@ -269,19 +268,6 @@ impl AttackSpec {
         }
         debug_assert_eq!(mapped.len, attacked.len(), "map_span and apply disagree");
         AttackedClip { clip: attacked, content: mapped.span }
-    }
-}
-
-/// `EditPipeline` helper: attacks never change the nominal rate, so no
-/// resampling is appended today; the hook exists so a future fps-changing
-/// attack composes through the same path.
-trait MaybeResample {
-    fn maybe_resample(self, fps: Fps) -> EditPipeline;
-}
-
-impl MaybeResample for EditPipeline {
-    fn maybe_resample(self, _fps: Fps) -> EditPipeline {
-        self
     }
 }
 

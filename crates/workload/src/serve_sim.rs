@@ -6,10 +6,10 @@
 //! (far-off cells that never fire, subscribed and unsubscribed
 //! mid-ingest), seeded chunk slicing, and a role — clean, bitstream
 //! faults on the wire, stalled reader, or mid-run disconnect. It also
-//! precomputes the *oracle*: the detections a serial [`Fleet`] produces
-//! for the clean stream, which the daemon must reproduce bit-for-bit
-//! for every clean client regardless of chunking, concurrency, churn,
-//! or other clients' faults.
+//! precomputes the *oracle*: the detections one plain [`Detector`]
+//! produces for the clean stream, which the daemon must reproduce
+//! bit-for-bit for every clean client regardless of chunking,
+//! concurrency, churn, or other clients' faults.
 //!
 //! [`run_sim`] drives one thread per client against a connector, then
 //! has a control session capture health and request the drain;
@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use vdsms_codec::{Encoder, EncoderConfig, IngestHealth};
-use vdsms_core::{Detector, DetectorConfig, Fleet, Query};
+use vdsms_core::{Detection, Detector, DetectorConfig, QuerySet};
 use vdsms_features::{FeatureConfig, FeatureExtractor, FingerprintStream};
 use vdsms_serve::client::{Client, ClientError, DetectionEvent, StreamEndInfo};
 use vdsms_serve::ingest::ChunkedIngest;
@@ -179,36 +179,30 @@ fn wire_ingest_oracle(bytes: &[u8], features: &FeatureConfig) -> (u64, IngestHea
     (ingest.keyframes(), ingest.health())
 }
 
-/// The serial-fleet oracle: the stable queries over the clean stream.
+/// The oracle, free of fleet and daemon code: one [`Detector`] with the
+/// stable queries subscribed, fed the clean stream and flushed.
 fn oracle(
     cfg: &DetectorConfig,
     qids: &[u32],
     cells: &[u64],
     fingerprints: &[(u64, u64)],
 ) -> Vec<ExpectedDetection> {
-    let family = Detector::family_for(cfg);
-    let mut fleet = Fleet::new(*cfg);
-    fleet.add_stream(0).expect("fresh fleet");
+    let mut det = Detector::new(*cfg, QuerySet::new());
     for &qid in qids {
-        fleet.subscribe(Query::from_cell_ids(qid, &family, cells));
+        det.subscribe(det.make_query(qid, cells));
     }
-    let mut out = Vec::new();
-    let mut push = |dets: Vec<vdsms_core::StreamDetection>| {
-        for sd in dets {
-            out.push(ExpectedDetection {
-                query_id: sd.detection.query_id,
-                start_frame: sd.detection.start_frame,
-                end_frame: sd.detection.end_frame,
-                windows: sd.detection.windows as u64,
-                similarity_bits: sd.detection.similarity.to_bits(),
-            });
-        }
+    let expected = |d: Detection| ExpectedDetection {
+        query_id: d.query_id,
+        start_frame: d.start_frame,
+        end_frame: d.end_frame,
+        windows: d.windows as u64,
+        similarity_bits: d.similarity.to_bits(),
     };
+    let mut out = Vec::new();
     for &(frame, cell) in fingerprints {
-        let dets = fleet.push_keyframe(0, frame, cell).expect("stream 0 is monitored");
-        push(dets);
+        out.extend(det.push_keyframe(frame, cell).into_iter().map(expected));
     }
-    push(fleet.finish_all());
+    out.extend(det.finish().into_iter().map(expected));
     out
 }
 

@@ -1,4 +1,4 @@
-//! Deterministic schedule exploration of the parallel fleet's
+//! Deterministic schedule exploration of the worker fleet's
 //! concurrency protocol (loom-lite; see `parking_lot::schedule`).
 //!
 //! Every lock and channel operation in the fleet passes through a
@@ -13,11 +13,11 @@
 //! * **subscribe-during-push quiesce** — a catalogue change after
 //!   `push_batch_async` is a barrier: `take_detections` immediately
 //!   after it holds every detection of the queued frames (bit-identical
-//!   to the serial fleet), and nothing matches the new query.
+//!   to one plain detector per stream), and nothing matches the new query.
 //! * **crash → restart journal replay** — a shard panic between batches
 //!   restarts the worker and re-arms partial windows from the journal;
 //!   the detection stream and window counts stay bit-identical to an
-//!   uninterrupted serial run.
+//!   uninterrupted detector-per-stream run.
 //! * **drain on shutdown** — `finish_all` after async pushes flushes
 //!   every window, `take_detections` drains a complete sink, and `Drop`
 //!   terminates (bounded join) under every explored schedule.
@@ -30,7 +30,9 @@
 //! pins 1000, ≈3000 seeded schedules across the invariant scenarios).
 
 use parking_lot::schedule;
-use vdsms::core::{DetectorConfig, Fleet, ParallelFleet, Query, QueryId, StreamDetection, StreamId};
+use vdsms::core::{
+    Detector, DetectorConfig, Fleet, Query, QueryId, QuerySet, StreamDetection, StreamId,
+};
 use vdsms::sketch::MinHashFamily;
 
 const K: usize = 64;
@@ -99,27 +101,34 @@ fn explore(name: &str, scenario: impl Fn() -> Result<(), String>) {
     }
 }
 
-/// The serial fleet's detections for [`workload`] under query 1 + 2
-/// subscriptions — the reference every parallel schedule must match.
+/// The reference every worker schedule must match, free of fleet code:
+/// one plain [`Detector`] per workload stream with queries 1 + 2
+/// subscribed. Returns the sorted detections and the total window count.
 /// `flush` controls whether partial windows are flushed at the end.
-fn serial_reference(flush: bool) -> Vec<(StreamId, u32, u64, u64)> {
-    let mut fleet = Fleet::new(cfg());
-    for s in 0..2 {
-        fleet.add_stream(s).unwrap();
+fn serial_reference(flush: bool) -> (Vec<(StreamId, u32, u64, u64)>, u64) {
+    let mut dets = Vec::new();
+    let mut windows = 0;
+    for s in 0..2u32 {
+        let mut det = Detector::new(cfg(), QuerySet::new());
+        det.subscribe(query(1, 1000));
+        det.subscribe(query(2, 2000));
+        let mut found = Vec::new();
+        for &(_, frame, cell) in workload().iter().filter(|f| f.0 == s) {
+            found.extend(det.push_keyframe(frame, cell));
+        }
+        if flush {
+            found.extend(det.finish());
+        }
+        dets.extend(found.into_iter().map(|detection| StreamDetection { stream_id: s, detection }));
+        windows += det.stats().windows;
     }
-    fleet.subscribe(query(1, 1000));
-    fleet.subscribe(query(2, 2000));
-    let mut dets = fleet.push_batch(&workload()).unwrap();
-    if flush {
-        dets.extend(fleet.finish_all());
-    }
-    sorted_key(dets)
+    (sorted_key(dets), windows)
 }
 
-/// Build a 2-shard fleet monitoring both workload streams with both
+/// Build a 2-worker fleet monitoring both workload streams with both
 /// workload queries subscribed.
-fn parallel_fleet() -> ParallelFleet {
-    let mut fleet = ParallelFleet::new(cfg(), 2);
+fn worker_fleet() -> Fleet {
+    let mut fleet = Fleet::new(DetectorConfig { shards: 2, ..cfg() });
     for s in 0..2 {
         fleet.add_stream(s).unwrap();
     }
@@ -132,7 +141,7 @@ fn parallel_fleet() -> ParallelFleet {
 /// barrier-revert test below can drive the identical body with the
 /// barrier disarmed.
 fn subscribe_scenario(reference: &[(StreamId, u32, u64, u64)], skip_acks: bool) -> Result<(), String> {
-    let mut fleet = parallel_fleet();
+    let mut fleet = worker_fleet();
     fleet.dangerously_skip_install_acks(skip_acks);
     for chunk in workload().chunks(13) {
         fleet.push_batch_async(chunk).map_err(|e| format!("push: {e:?}"))?;
@@ -156,29 +165,20 @@ fn subscribe_scenario(reference: &[(StreamId, u32, u64, u64)], skip_acks: bool) 
 
 #[test]
 fn subscribe_during_push_is_a_quiesce_barrier_under_every_schedule() {
-    let reference = serial_reference(false);
+    let (reference, _) = serial_reference(false);
     assert!(!reference.is_empty(), "workload must produce detections");
     explore("subscribe-during-push quiesce", || subscribe_scenario(&reference, false));
 }
 
 #[test]
 fn crash_restart_replays_the_journal_under_every_schedule() {
-    let reference = serial_reference(true);
-    let serial_windows: u64 = {
-        let mut fleet = Fleet::new(cfg());
-        for s in 0..2 {
-            fleet.add_stream(s).unwrap();
-        }
-        fleet.subscribe(query(1, 1000));
-        fleet.push_batch(&workload()).unwrap();
-        (0..2).map(|s| fleet.stats(s).unwrap().windows).sum()
-    };
+    let (reference, serial_windows) = serial_reference(true);
     let batch = workload();
     // Frames 0..2 of both streams: a half-built window on every stream,
     // exactly the state the journal must re-arm after the crash.
     let split = 2 * 2;
     explore("crash-restart journal replay", || {
-        let mut fleet = parallel_fleet();
+        let mut fleet = worker_fleet();
         let mut dets = fleet.push_batch(&batch[..split]).map_err(|e| format!("push: {e:?}"))?;
         fleet.inject_shard_panic(0);
         fleet.inject_shard_panic(1);
@@ -190,7 +190,7 @@ fn crash_restart_replays_the_journal_under_every_schedule() {
         dets.extend(fleet.push_batch(&batch[split..]).map_err(|e| format!("push: {e:?}"))?);
         dets.extend(fleet.finish_all().map_err(|e| format!("finish: {e:?}"))?);
         if sorted_key(dets) != reference {
-            return Err("detections diverged from the uninterrupted serial run".into());
+            return Err("detections diverged from the uninterrupted reference run".into());
         }
         // The replayed partial windows must keep window phase: the total
         // completed-window count matches the serial run's.
@@ -206,9 +206,9 @@ fn crash_restart_replays_the_journal_under_every_schedule() {
 
 #[test]
 fn shutdown_drains_completely_under_every_schedule() {
-    let reference = serial_reference(true);
+    let (reference, _) = serial_reference(true);
     explore("drain on shutdown", || {
-        let mut fleet = parallel_fleet();
+        let mut fleet = worker_fleet();
         for chunk in workload().chunks(7) {
             fleet.push_batch_async(chunk).map_err(|e| format!("push: {e:?}"))?;
         }
@@ -217,7 +217,7 @@ fn shutdown_drains_completely_under_every_schedule() {
         let mut dets = fleet.finish_all().map_err(|e| format!("finish: {e:?}"))?;
         dets.extend(fleet.take_detections());
         if sorted_key(dets) != reference {
-            return Err("drained detections diverged from the serial run".into());
+            return Err("drained detections diverged from the reference run".into());
         }
         drop(fleet); // bounded, deterministic shutdown: must terminate
         Ok(())
@@ -230,7 +230,7 @@ fn shutdown_drains_completely_under_every_schedule() {
 /// *find* an interleaving where `take_detections` misses detections.
 #[test]
 fn exploration_catches_a_reverted_quiesce_barrier() {
-    let reference = serial_reference(false);
+    let (reference, _) = serial_reference(false);
     assert!(!reference.is_empty(), "workload must produce detections");
     let mut failing_seed = None;
     for seed in 0..seed_count() {

@@ -6,9 +6,9 @@
 //! The contracts under test:
 //!
 //! * **Oracle bit-identity** — every clean client receives exactly the
-//!   detection sequence a serial single-stream [`vdsms::Fleet`] produces
-//!   for its stream: same query ids, frame spans, window counts, and
-//!   bit-identical similarities, regardless of chunk slicing, query
+//!   detection sequence one plain `Detector` produces for its stream:
+//!   same query ids, frame spans, window counts, and bit-identical
+//!   similarities, regardless of chunk slicing, query
 //!   churn, or the other 31 clients' faults.
 //! * **Isolation** — a stalled reader lags (bounded queue, drop-oldest)
 //!   but never blocks anyone else's ingest; faulted bitstreams degrade

@@ -258,8 +258,8 @@ impl BitSig {
         self.words.len() * std::mem::size_of::<u64>()
     }
 
-    /// Set the relation of pair `r` directly (used by the index probe,
-    /// which discovers relations row by row). Branch-free: the pair is
+    /// Set the relation of pair `r` directly — the per-pair reference the
+    /// word kernels are tested against. Branch-free: the pair is
     /// computed as `A = c < q`, `B = c ≤ q` — exactly the Definition 3
     /// encoding — with no comparison match.
     #[inline]
@@ -270,26 +270,6 @@ impl BitSig {
         let shift = 2 * (r % 32);
         let word = &mut self.words[r / 32];
         *word = (*word & !(0b11 << shift)) | (pair << shift);
-    }
-
-    /// OR a whole relation word into word `w` of the signature. This is
-    /// the index probe's batch flush: the probe accumulates up to 32
-    /// row relations in a register and lands them with one lane OR
-    /// instead of 32 read–modify–writes. OR-ing is exact because a
-    /// pair's bits only ever *gain* ones under min-combination
-    /// (Definition 3's encoding is monotone), and a pair never written
-    /// is `>` (00), the OR identity.
-    #[inline]
-    // vdsms-lint: entry
-    pub fn or_word(&mut self, w: usize, word: u64) {
-        self.words[w] |= word;
-    }
-
-    /// The branch-free relation pair (`A = c < q` at bit 0, `B = c ≤ q`
-    /// at bit 1) — the 2-bit unit [`Self::or_word`] batches.
-    #[inline]
-    pub fn relation_pair(candidate_value: u64, query_value: u64) -> u64 {
-        u64::from(candidate_value < query_value) | (u64::from(candidate_value <= query_value) << 1)
     }
 }
 

@@ -1,24 +1,30 @@
 //! The Hash–Query (HQ) index (paper Section V-C, Figs. 4–5).
 //!
-//! Query sketches are stored column-per-query in a `K × m` array `HQ`,
-//! where row `i` holds every query's `i`-th min-hash value, sorted by
-//! value. Probing a basic-window sketch touches every row once, so only
+//! Query sketches are stored column-per-query in a conceptual `K × m`
+//! array `HQ`, where row `i` holds every query's `i`-th min-hash value.
+//! Probing a basic-window sketch touches every row once, so only
 //! *related* queries (those sharing at least one min-hash value with the
 //! window) are ever compared — and their 2K-bit signatures are produced
 //! as a by-product, with Lemma-2 pruning applied before a hit is
 //! reported.
 //!
-//! The paper's Fig. 5 walks `⟨value, up, down⟩` triples row by row,
-//! carrying a partial signature per related query. That walk is one
-//! dependent load per row per tracked query — `K` serialized cache
-//! accesses that dominate the probe even when only one query is related.
-//! This implementation splits the probe into two phases with identical
-//! results:
+//! The paper's Fig. 4 keeps each row sorted and Fig. 5 walks
+//! `⟨value, up, down⟩` triples row by row, carrying a partial signature
+//! per related query. Both are serial chains of dependent loads — a
+//! binary search per row, then one load per row per tracked query — and
+//! at `m = 1024` the searches alone were most of a detector's time. This
+//! implementation keeps Fig. 5's *results* and replaces its mechanics:
 //!
-//! 1. **Discovery**: scan each sorted row for values equal to the
-//!    window's hash, resolving matches to query slots through a parallel
-//!    `slots` slab (no link chase, no walk-up) and deduplicating slots
-//!    across rows.
+//! 1. **Discovery**: each row is a small open-addressed hash table
+//!    (linear probing, load ≤ ½) keyed by the min-hash value, so "which
+//!    queries hold this value on this row" is one expected-`O(1)` lookup
+//!    whose address depends only on the window's value. The `K` lookups
+//!    are issued in batches — every home cell of a batch is loaded
+//!    before any run is walked — so their cache misses overlap instead
+//!    of queueing. A cell is a 12-bit tag of the value's hash over the
+//!    20-bit slot of the owning query; a tag match on a slot not yet
+//!    discovered is verified against the query's own sketch copy, so
+//!    discovery is exact, and slots are deduplicated across rows.
 //! 2. **Encoding**: for each related slot, encode the full signature
 //!    from the query's *contiguous* sketch copy in the `columns` slab
 //!    with the word-building [`BitSig::encode_counts_from_mins`] kernel,
@@ -30,9 +36,26 @@
 //! in total (and is re-pruned on any re-creation), and one that never
 //! does survives with the complete signature either way. The
 //! `probe_matches_bruteforce` test pins this equivalence.
+//!
+//! **Cost bound.** A lookup walks the run of occupied cells from the
+//! value's home to the first empty cell. With distinct values and load
+//! ≤ ½ that is ≈ 2.5 cells. Queries that *share* a value on a row (the
+//! same clip subscribed twice, a cell id common to many clips) hash to
+//! one home and form one run that every lookup landing in it crosses, so
+//! the walk grows with the duplication: `m` identical sketches degrade a
+//! lookup to a sequential scan of the row's `m` cells — `O(K·m)` per
+//! probe, the brute-force bound — and never to a wrong answer.
+//!
+//! **Hit order** is that of the sorted-row layout this replaces: rows in
+//! order, and among queries first discovered on the same row, the most
+//! recently subscribed first. It depends on the catalogue's order only,
+//! not on where deletions and growth left the cells, so an index built
+//! afresh from a [`QuerySet`] probes identically to one that reached the
+//! same catalogue through any subscribe/unsubscribe history.
 
 use crate::bitsig::BitSig;
 use crate::query::{Query, QueryId, QuerySet};
+use std::cmp::Reverse;
 use vdsms_sketch::Sketch;
 
 /// Per-query metadata stored at the column entries.
@@ -40,6 +63,9 @@ use vdsms_sketch::Sketch;
 struct QueryMeta {
     id: QueryId,
     keyframes: u32,
+    /// Subscription sequence number: later subscriptions are larger.
+    /// Orders hits discovered on the same row (see the module docs).
+    seq: u64,
 }
 
 /// A query found related to a probed window, with its complete bit
@@ -59,8 +85,7 @@ pub struct ProbeHit {
 pub struct ProbeResult {
     /// Related, un-pruned queries with their signatures.
     pub hits: Vec<ProbeHit>,
-    /// Number of row search operations performed (for the cost
-    /// experiments).
+    /// Number of row lookups performed (for the cost experiments).
     pub row_searches: u64,
 }
 
@@ -68,11 +93,40 @@ pub struct ProbeResult {
 /// related windows cannot pin unbounded memory.
 const SIG_POOL_CAP: usize = 64;
 
-/// Rows at most this wide are searched with a linear equality scan
-/// instead of a binary search (identical result on a sorted row: the
-/// 61-bit values make a binary search's branches coin flips, and the
-/// scan's compare-all loop vectorizes).
-const ROW_SCAN_WIDTH: usize = 64;
+/// Narrowest row, in cells. Rows are sized to load ≤ ½, but a small
+/// catalogue gets this many cells regardless (load ≤ ⅛ at `m = 8`): with
+/// few queries the probe is bound by branch prediction, not memory, and a
+/// home cell that is almost always empty is a branch that almost always
+/// goes the same way.
+const MIN_ROW_WIDTH: usize = 64;
+
+/// Low bits of a cell: the owning query's metadata slot.
+const SLOT_BITS: u32 = 20;
+const SLOT_MASK: u32 = (1 << SLOT_BITS) - 1;
+
+/// The empty cell. No live cell equals it: slots stop short of
+/// `SLOT_MASK` ([`MAX_QUERIES`]).
+const EMPTY: u32 = u32::MAX;
+
+/// Most queries one index holds — every 20-bit slot but the all-ones one.
+const MAX_QUERIES: usize = SLOT_MASK as usize;
+
+/// Lookups issued together in discovery: enough independent loads in
+/// flight to cover a cache miss, few enough that their state stays in
+/// registers and L1.
+const LOOKUP_BATCH: usize = 16;
+
+/// Where a min-hash value goes in a row of `1 << (64 − shift)` cells:
+/// its home position and its 12-bit tag, already in cell position. The
+/// hash is one multiplication by a fixed odd constant (2⁶⁴/φ), so cell
+/// placement — and with it everything downstream — is the same in every
+/// process. The home is the hash's top bits; the tag is bits 31..43,
+/// below the ≤ 21 bits any row width takes for the home.
+#[inline]
+fn home_and_tag(value: u64, shift: u32) -> (usize, u32) {
+    let hash = value.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    ((hash >> shift) as usize, (hash >> 11) as u32 & !SLOT_MASK)
+}
 
 /// Reusable working state for [`HqIndex::probe_into`]. Keep one per
 /// detector and pass it to every probe; its buffers stabilize at the
@@ -99,33 +153,40 @@ impl ProbeScratch {
 
 /// The Hash–Query index.
 ///
-/// The conceptual `K × m` array is stored **structure-of-arrays** as
-/// three flat slabs:
+/// The conceptual `K × m` array is stored as two flat slabs:
 ///
-/// - `values`: row-major `K × m` min-hash values, each row sorted — the
-///   discovery scan streams this slab with hardware-friendly stride;
-/// - `slots`: row-major `K × m` metadata-slot of each cell, replacing
-///   the paper's `up`/`down` links (an equal cell resolves to its query
-///   in one load instead of an `O(i)` walk to row 0);
-/// - `columns`: column-major `m × K` copy of every subscribed sketch, so
-///   a related query's signature is encoded from one contiguous slice.
+/// - `table`: `K` rows of `width` cells, each row an open-addressed hash
+///   table over the row's min-hash values (linear probing, no
+///   tombstones). A cell is `tag | slot` — 12 bits of the value's hash
+///   over the metadata slot of the query owning it — or `u32::MAX`, empty. This
+///   replaces the paper's sorted rows *and* its `up`/`down` links: an
+///   equal cell resolves to its query in the same load that finds it;
+/// - `columns`: column-major `m × K` copy of every subscribed sketch. A
+///   related query's signature is encoded from one contiguous slice, and
+///   a cell's value — which the table does not store — is
+///   `columns[slot·K + row]`: what a tag match is verified against, and
+///   where deletion and growth find a cell's home again.
 ///
-/// The extra `columns` copy costs 8 bytes per cell over the linked
-/// triples, and `slots` replaces the links' 8. Subscription updates
-/// (`insert`/`remove`) rebuild the row slabs at the new width; they are
-/// `O(K·m)` either way — same bound as relinking — and they happen
-/// between windows, not per window.
+/// `width` is a power of two ≥ `2·m` (and ≥ 64, `MIN_ROW_WIDTH`), doubled
+/// when a subscription would push the load over ½ and never shrunk. Per
+/// query and row that is 8 bytes of table at load ½ and 16 just after a
+/// doubling, where the sorted layout's `⟨value, slot⟩` pair took 12;
+/// `columns` is 8 more either way. `insert` and `remove` touch `K` cells
+/// (plus the runs they sit in), not `K × m` — except the one `insert` in
+/// `m` that doubles the rows and re-lays them all.
 #[derive(Debug, Clone)]
 pub struct HqIndex {
     k: usize,
-    /// Row-major `K × m` min-hash values, each row sorted ascending.
-    values: Vec<u64>,
-    /// Row-major `K × m`: metadata slot of the query owning each cell.
-    slots: Vec<u32>,
+    /// Cells per row: a power of two.
+    width: usize,
+    /// Row-major `K × width` cells.
+    table: Vec<u32>,
     /// Column-major `m × K`: query `s`'s sketch occupies
     /// `[s·K, (s+1)·K)`.
     columns: Vec<u64>,
     meta: Vec<QueryMeta>,
+    /// Sequence number of the next subscription.
+    next_seq: u64,
 }
 
 impl HqIndex {
@@ -145,7 +206,14 @@ impl HqIndex {
     /// An empty index for sketches of `k` hash functions.
     pub fn empty(k: usize) -> HqIndex {
         assert!(k >= 1);
-        HqIndex { k, values: Vec::new(), slots: Vec::new(), columns: Vec::new(), meta: Vec::new() }
+        HqIndex {
+            k,
+            width: MIN_ROW_WIDTH,
+            table: vec![EMPTY; k * MIN_ROW_WIDTH],
+            columns: Vec::new(),
+            meta: Vec::new(),
+            next_seq: 0,
+        }
     }
 
     /// Number of hash functions `K`.
@@ -163,12 +231,42 @@ impl HqIndex {
         self.meta.is_empty()
     }
 
-    /// Subscribe a query online: splice its `K` hash values into the
-    /// sorted rows and append its sketch column.
+    /// Right shift taking a hash to its home position in a row.
+    fn home_shift(&self) -> u32 {
+        u64::BITS - self.width.trailing_zeros()
+    }
+
+    /// Write `slot`'s cell into every row, each at the first empty cell
+    /// from its value's home. The slot's column must already be in place.
+    fn place(&mut self, slot: usize) {
+        let (mask, shift) = (self.width - 1, self.home_shift());
+        let column = &self.columns[slot * self.k..(slot + 1) * self.k];
+        for (row, &value) in self.table.chunks_exact_mut(self.width).zip(column) {
+            let (mut p, tag) = home_and_tag(value, shift);
+            while row[p] != EMPTY {
+                p = (p + 1) & mask;
+            }
+            row[p] = tag | slot as u32;
+        }
+    }
+
+    /// Re-lay every row at `width` cells.
+    fn rebuild(&mut self, width: usize) {
+        self.width = width;
+        self.table.clear();
+        self.table.resize(self.k * width, EMPTY);
+        for slot in 0..self.meta.len() {
+            self.place(slot);
+        }
+    }
+
+    /// Subscribe a query online: append its sketch column and hash its
+    /// `K` values into the rows, doubling the rows first if the load
+    /// would pass ½.
     ///
     /// # Panics
-    /// Panics if the query's sketch `K` differs, or its id is already
-    /// present.
+    /// Panics if the query's sketch `K` differs, its id is already
+    /// present, or the index already holds 2²⁰ − 1 queries.
     pub fn insert(&mut self, q: &Query) {
         assert_eq!(q.sketch.k(), self.k, "query sketch K mismatch");
         assert!(
@@ -176,29 +274,15 @@ impl HqIndex {
             "query id {} already indexed",
             q.id
         );
-        let m = self.meta.len();
-        let slot = m as u32;
-
-        // Rebuild the row slabs at width m+1 with the new cell spliced
-        // into each row's sorted position.
-        let mut values = Vec::with_capacity(self.k * (m + 1));
-        let mut slots = Vec::with_capacity(self.k * (m + 1));
-        for i in 0..self.k {
-            let v = q.sketch.mins()[i];
-            let row_vals = &self.values[i * m..(i + 1) * m];
-            let row_slots = &self.slots[i * m..(i + 1) * m];
-            let p = row_vals.partition_point(|&t| t < v);
-            values.extend_from_slice(&row_vals[..p]);
-            slots.extend_from_slice(&row_slots[..p]);
-            values.push(v);
-            slots.push(slot);
-            values.extend_from_slice(&row_vals[p..]);
-            slots.extend_from_slice(&row_slots[p..]);
+        let slot = self.meta.len();
+        assert!(slot < MAX_QUERIES, "index is full ({MAX_QUERIES} queries)");
+        if 2 * (slot + 1) > self.width {
+            self.rebuild(2 * self.width);
         }
-        self.values = values;
-        self.slots = slots;
         self.columns.extend_from_slice(q.sketch.mins());
-        self.meta.push(QueryMeta { id: q.id, keyframes: q.keyframes as u32 });
+        self.meta.push(QueryMeta { id: q.id, keyframes: q.keyframes as u32, seq: self.next_seq });
+        self.next_seq += 1;
+        self.place(slot);
     }
 
     /// Unsubscribe a query online. Returns `false` if the id is not
@@ -207,40 +291,51 @@ impl HqIndex {
         let Some(slot) = self.meta.iter().position(|mq| mq.id == id) else {
             return false;
         };
-        let m = self.meta.len();
-
-        // Rebuild the row slabs at width m−1 without the query's cells.
-        let mut values = Vec::with_capacity(self.k * (m - 1));
-        let mut slots = Vec::with_capacity(self.k * (m - 1));
-        for i in 0..self.k {
-            let row_vals = &self.values[i * m..(i + 1) * m];
-            let row_slots = &self.slots[i * m..(i + 1) * m];
-            let p = row_slots
-                .iter()
-                .position(|&s| s == slot as u32)
-                .expect("indexed query must have a cell on every row");
-            values.extend_from_slice(&row_vals[..p]);
-            slots.extend_from_slice(&row_slots[..p]);
-            values.extend_from_slice(&row_vals[p + 1..]);
-            slots.extend_from_slice(&row_slots[p + 1..]);
-        }
-        self.values = values;
-        self.slots = slots;
-
-        // Compact the metadata table: move the last slot into the hole,
-        // rename its cells, and move its column.
+        // The metadata table stays dense: the last slot moves into the
+        // hole, so its cells are renamed as the removed slot's are
+        // deleted — both found by lookup, row by row.
         let last = self.meta.len() - 1;
-        self.meta.swap_remove(slot);
-        if slot != last {
-            for s in &mut self.slots {
-                if *s == last as u32 {
-                    *s = slot as u32;
+        let (k, mask, shift) = (self.k, self.width - 1, self.home_shift());
+        let columns = &self.columns;
+        let home = |slot: usize, i: usize| home_and_tag(columns[slot * k + i], shift).0;
+        for (i, row) in self.table.chunks_exact_mut(self.width).enumerate() {
+            let find = |row: &[u32], slot: usize| {
+                let mut p = home(slot, i);
+                while row[p] & SLOT_MASK != slot as u32 {
+                    assert!(row[p] != EMPTY, "indexed query must have a cell on every row");
+                    p = (p + 1) & mask;
+                }
+                p
+            };
+            // Backward-shift deletion: close the hole with each later
+            // cell of the run that may legally sit there (its home is
+            // not strictly between the hole and itself), so no lookup
+            // ever meets an empty cell before its target.
+            let mut hole = find(row, slot);
+            let mut j = hole;
+            loop {
+                j = (j + 1) & mask;
+                let cell = row[j];
+                if cell == EMPTY {
+                    break;
+                }
+                let from_home = j.wrapping_sub(home((cell & SLOT_MASK) as usize, i)) & mask;
+                if from_home >= j.wrapping_sub(hole) & mask {
+                    row[hole] = cell;
+                    hole = j;
                 }
             }
-            let (head, tail) = self.columns.split_at_mut(last * self.k);
-            head[slot * self.k..(slot + 1) * self.k].copy_from_slice(&tail[..self.k]);
+            row[hole] = EMPTY;
+            if slot != last {
+                let p = find(row, last);
+                row[p] = row[p] & !SLOT_MASK | slot as u32;
+            }
         }
-        self.columns.truncate(last * self.k);
+        self.meta.swap_remove(slot);
+        if slot != last {
+            self.columns.copy_within(last * k..(last + 1) * k, slot * k);
+        }
+        self.columns.truncate(last * k);
         true
     }
 
@@ -262,7 +357,7 @@ impl HqIndex {
     /// refilled, `scratch` holds the probe's working state. After a
     /// warm-up period the steady-state probe of an unrelated window
     /// touches no allocator — the buffers' high-water marks are bounded
-    /// by the related-query count. Returns the row-search count.
+    /// by the related-query count. Returns the row-lookup count, `K`.
     pub fn probe_into(
         &self,
         sk: &Sketch,
@@ -284,38 +379,55 @@ impl HqIndex {
             seen.resize(m, false);
         }
         hits.clear();
-        let mut row_searches = 0u64;
 
-        // Phase 1 — discovery: every row position whose value equals the
-        // window's hash marks its owning slot related. The slot slab
-        // resolves ownership in one load; duplicates across rows are
-        // dropped by the `seen` flags, preserving first-discovery order
-        // (which matches the paper walk's element-creation order).
-        for i in 0..self.k {
-            row_searches += 1;
-            let ski = sk.mins()[i];
-            let row_vals = &self.values[i * m..(i + 1) * m];
-            let row_slots = &self.slots[i * m..(i + 1) * m];
-            let (lo, hi) = if m <= ROW_SCAN_WIDTH {
-                // Narrow rows: branch-free counts beat a mispredicting
-                // binary search. The equal run is
-                // `[count(< ski), count(< ski) + count(== ski))`.
-                let mut lt = 0usize;
-                let mut eq = 0usize;
-                for &v in row_vals {
-                    lt += usize::from(v < ski);
-                    eq += usize::from(v == ski);
+        // Phase 1 — discovery: one hash lookup per row. A batch's home
+        // cells are all loaded before any run is walked, so the loads —
+        // each a likely cache miss in its own row — are in flight
+        // together. A cell whose tag matches marks its slot related once
+        // the slot's own value confirms it; slots already discovered on
+        // an earlier row are skipped before that check, which is what
+        // keeps a window full of near-miss values (a thousand equal cells
+        // for two dozen queries) from costing a thousand `columns` loads.
+        let (width, mask, shift) = (self.width, self.width - 1, self.home_shift());
+        let batches = sk.mins().chunks(LOOKUP_BATCH).zip(self.table.chunks(LOOKUP_BATCH * width));
+        for (b, (values, rows)) in batches.enumerate() {
+            let mut homes = [0usize; LOOKUP_BATCH];
+            let mut tags = [0u32; LOOKUP_BATCH];
+            let mut cells = [EMPTY; LOOKUP_BATCH];
+            for (j, (&value, row)) in values.iter().zip(rows.chunks_exact(width)).enumerate() {
+                (homes[j], tags[j]) = home_and_tag(value, shift);
+                cells[j] = row[homes[j]];
+            }
+            for (j, (&value, row)) in values.iter().zip(rows.chunks_exact(width)).enumerate() {
+                let mut cell = cells[j];
+                if cell == EMPTY {
+                    continue;
                 }
-                (lt, lt + eq)
-            } else {
-                // Wide rows keep the paper's `O(log m)` search.
-                (row_vals.partition_point(|&v| v < ski), row_vals.partition_point(|&v| v <= ski))
-            };
-            for &s in &row_slots[lo..hi] {
-                if !seen[s as usize] {
-                    seen[s as usize] = true;
-                    // vdsms-lint: allow(no-alloc-hot-path) reason="scratch Vec reused across probes; bounded by the related-query count"
-                    related.push(s);
+                let i = b * LOOKUP_BATCH + j;
+                let discovered = related.len();
+                let mut p = homes[j];
+                // At most `width` steps: a row is never full (load ≤ ½).
+                for _ in 0..width {
+                    let s = (cell & SLOT_MASK) as usize;
+                    if cell & !SLOT_MASK == tags[j]
+                        && !seen[s]
+                        && self.columns[s * self.k + i] == value
+                    {
+                        seen[s] = true;
+                        // vdsms-lint: allow(no-alloc-hot-path) reason="scratch Vec reused across probes; bounded by the related-query count"
+                        related.push(s as u32);
+                    }
+                    p = (p + 1) & mask;
+                    cell = row[p];
+                    if cell == EMPTY {
+                        break;
+                    }
+                }
+                // Cells of equal value sit in table order, which deletions
+                // and growth shuffle; hits are promised newest-first.
+                if related.len() - discovered > 1 {
+                    related[discovered..]
+                        .sort_unstable_by_key(|&s| Reverse(self.meta[s as usize].seq));
                 }
             }
         }
@@ -346,7 +458,7 @@ impl HqIndex {
                 });
             }
         }
-        row_searches
+        self.k as u64
     }
 
     /// Reference probe: brute-force over all queries. Used by tests and by
@@ -367,10 +479,10 @@ impl HqIndex {
     }
 
     /// Estimated heap size of the index in bytes (the paper notes the
-    /// index is a fixed `m × K` triples — here three SoA slabs).
+    /// index is a fixed `m × K` triples — here the hashed rows and the
+    /// sketch columns).
     pub fn heap_bytes(&self) -> usize {
-        self.values.len() * std::mem::size_of::<u64>()
-            + self.slots.len() * std::mem::size_of::<u32>()
+        self.table.len() * std::mem::size_of::<u32>()
             + self.columns.len() * std::mem::size_of::<u64>()
             + self.meta.len() * std::mem::size_of::<QueryMeta>()
     }
@@ -379,6 +491,7 @@ impl HqIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use vdsms_sketch::MinHashFamily;
 
     const K: usize = 64;
@@ -397,33 +510,59 @@ mod tests {
         )
     }
 
-    /// Slab invariants: rows sorted, each row references every meta slot
-    /// exactly once, and every cell's value matches its query's column
-    /// entry.
+    /// Slab invariants: rows are a power of two wide at load ≤ ½; every
+    /// row holds every slot exactly once, under the tag of the slot's
+    /// value on that row, reachable from that value's home without
+    /// crossing an empty cell.
     fn check_integrity(ix: &HqIndex) {
-        let m = ix.meta.len();
-        assert_eq!(ix.values.len(), ix.k * m, "values slab must be K × m");
-        assert_eq!(ix.slots.len(), ix.k * m, "slots slab must be K × m");
+        let (m, w) = (ix.meta.len(), ix.width);
+        assert!(w.is_power_of_two() && w >= MIN_ROW_WIDTH, "row width {w}");
+        assert!(2 * m <= w, "load above ½: {m} queries in {w} cells");
+        assert_eq!(ix.table.len(), ix.k * w, "table must be K × width");
         assert_eq!(ix.columns.len(), ix.k * m, "columns slab must be m × K");
-        for i in 0..ix.k {
-            let row_vals = &ix.values[i * m..(i + 1) * m];
-            let row_slots = &ix.slots[i * m..(i + 1) * m];
-            for w in row_vals.windows(2) {
-                assert!(w[0] <= w[1], "row {i} not sorted");
+        for (i, row) in ix.table.chunks_exact(w).enumerate() {
+            let mut position = vec![None; m];
+            for (p, &cell) in row.iter().enumerate() {
+                if cell != EMPTY {
+                    let s = (cell & SLOT_MASK) as usize;
+                    assert!(s < m, "slot out of range on row {i}");
+                    assert!(position[s].replace(p).is_none(), "duplicate slot {s} on row {i}");
+                }
             }
-            let mut seen = vec![false; m];
-            for (j, &s) in row_slots.iter().enumerate() {
-                let s = s as usize;
-                assert!(s < m, "slot out of range on row {i}");
-                assert!(!seen[s], "duplicate slot {s} on row {i}");
-                seen[s] = true;
-                assert_eq!(
-                    row_vals[j],
-                    ix.columns[s * ix.k + i],
-                    "cell/column mismatch at row {i} slot {s}"
-                );
+            for (s, p) in position.into_iter().enumerate() {
+                let p = p.unwrap_or_else(|| panic!("slot {s} missing from row {i}"));
+                let (mut at, tag) = home_and_tag(ix.columns[s * ix.k + i], ix.home_shift());
+                assert_eq!(row[p] & !SLOT_MASK, tag, "tag mismatch at row {i} slot {s}");
+                while at != p {
+                    assert!(row[at] != EMPTY, "slot {s} unreachable from its home on row {i}");
+                    at = (at + 1) & (w - 1);
+                }
             }
         }
+    }
+
+    fn hit_ids(hits: &[ProbeHit]) -> Vec<QueryId> {
+        hits.iter().map(|h| h.query_id).collect()
+    }
+
+    /// The index against its three references, for one window sketch:
+    /// the brute-force scan (same hit set), the direct encoder (same
+    /// signatures) and `fresh`, an index built from scratch over the same
+    /// catalogue (same hits in the same order).
+    fn check_probe(ix: &HqIndex, fresh: &HqIndex, qs: &QuerySet, sk: &Sketch, delta: f64) {
+        let got = ix.probe(sk, delta);
+        assert_eq!(got.row_searches, ix.k() as u64, "one lookup per row");
+        for hit in &got.hits {
+            let q = qs.get(hit.query_id).expect("hit on an unsubscribed query");
+            assert_eq!(hit.keyframes, q.keyframes);
+            assert_eq!(hit.sig, BitSig::encode(sk, &q.sketch), "signature of query {}", q.id);
+        }
+        let mut ids = hit_ids(&got.hits);
+        assert_eq!(ids, hit_ids(&fresh.probe(sk, delta).hits), "history changed the hits");
+        let mut want = hit_ids(&ix.probe_bruteforce(sk, delta, qs));
+        ids.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(ids, want, "probe differs from brute force at δ={delta}");
     }
 
     #[test]
@@ -445,16 +584,7 @@ mod tests {
         for (base, n) in [(7000u64, 40u64), (7010, 60), (123_456, 20), (0, 10)] {
             let sk = Sketch::from_ids(&f, base..base + n);
             for delta in [0.5, 0.7, 0.9] {
-                let mut got: Vec<QueryId> =
-                    ix.probe(&sk, delta).hits.into_iter().map(|h| h.query_id).collect();
-                let mut want: Vec<QueryId> = ix
-                    .probe_bruteforce(&sk, delta, &qs)
-                    .into_iter()
-                    .map(|h| h.query_id)
-                    .collect();
-                got.sort_unstable();
-                want.sort_unstable();
-                assert_eq!(got, want, "probe mismatch at base={base} n={n} δ={delta}");
+                check_probe(&ix, &ix, &qs, &sk, delta);
             }
         }
     }
@@ -512,12 +642,7 @@ mod tests {
         }
         let fresh = HqIndex::build(K, &qs);
         let sk = Sketch::from_ids(&f, 3885..3920); // overlaps query 5
-        let mut a: Vec<QueryId> = ix.probe(&sk, 0.6).hits.into_iter().map(|h| h.query_id).collect();
-        let mut b: Vec<QueryId> =
-            fresh.probe(&sk, 0.6).hits.into_iter().map(|h| h.query_id).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        check_probe(&ix, &fresh, &qs, &sk, 0.6);
     }
 
     #[test]
@@ -574,12 +699,159 @@ mod tests {
         assert_eq!(hits, vec![1, 2], "both duplicate queries must be found exactly once");
     }
 
+    /// The module docs' worst case: `m` identical sketches put one run of
+    /// `m` cells on every row. Lookups degrade to scanning it; results do
+    /// not change, and come newest subscription first.
+    #[test]
+    fn identical_sketches_degrade_to_a_row_scan_not_a_wrong_answer() {
+        let f = family();
+        let m = 300u32;
+        let mut qs =
+            QuerySet::from_queries((0..m).map(|id| query(&f, id, 500, 30)).collect());
+        let mut ix = HqIndex::build(K, &qs);
+        check_integrity(&ix);
+        let same = Sketch::from_ids(&f, 500..530);
+        let newest_first: Vec<QueryId> = (0..m).rev().collect();
+        assert_eq!(hit_ids(&ix.probe(&same, 0.7).hits), newest_first);
+        check_probe(&ix, &ix, &qs, &same, 0.7);
+        assert!(ix.probe(&Sketch::from_ids(&f, 90_000..90_030), 0.7).hits.is_empty());
+
+        // Every deletion shifts cells inside the one run.
+        for id in (0..m).step_by(2) {
+            assert!(ix.remove(id));
+            qs.remove(id);
+        }
+        check_integrity(&ix);
+        check_probe(&ix, &HqIndex::build(K, &qs), &qs, &same, 0.7);
+    }
+
+    /// More queries per row than there are tags (20 000 against 4096), so
+    /// lookups meet cells whose tag matches and whose value does not.
+    #[test]
+    fn tag_collisions_inside_a_row_are_verified_away() {
+        const SMALL_K: usize = 4;
+        let f = MinHashFamily::new(SMALL_K, 5);
+        let m = 20_000u32;
+        let two_cells = |id: u32| [u64::from(id) * 2, u64::from(id) * 2 + 1];
+        let qs = QuerySet::from_queries(
+            (0..m).map(|id| Query::from_cell_ids(id, &f, &two_cells(id))).collect(),
+        );
+        let ix = HqIndex::build(SMALL_K, &qs);
+        check_integrity(&ix);
+        let collisions = |row: &[u32]| {
+            let mut tags: Vec<u32> =
+                row.iter().filter(|&&c| c != EMPTY).map(|c| c >> SLOT_BITS).collect();
+            tags.sort_unstable();
+            tags.windows(2).filter(|w| w[0] == w[1]).count()
+        };
+        assert!(collisions(&ix.table[..ix.width]) > 1000, "the case must exercise tag collisions");
+        for base in [0u64, 77, 12_345, 39_998, 1_000_000] {
+            check_probe(&ix, &ix, &qs, &Sketch::from_ids(&f, base..base + 3), 0.0);
+        }
+    }
+
+    #[test]
+    fn empty_index_and_catalogue_of_one() {
+        let f = family();
+        let mut ix = HqIndex::empty(K);
+        let mut qs = QuerySet::new();
+        check_integrity(&ix);
+        let sk = Sketch::from_ids(&f, 0..40);
+        check_probe(&ix, &HqIndex::empty(K), &qs, &sk, 0.7);
+        assert!(ix.probe(&sk, 0.7).hits.is_empty());
+        assert!(!ix.remove(0));
+
+        let q = query(&f, 9, 0, 40);
+        ix.insert(&q);
+        qs.insert(q);
+        check_integrity(&ix);
+        check_probe(&ix, &HqIndex::build(K, &qs), &qs, &sk, 0.7);
+        assert_eq!(hit_ids(&ix.probe(&sk, 0.7).hits), vec![9]);
+        check_probe(&ix, &HqIndex::build(K, &qs), &qs, &Sketch::from_ids(&f, 5000..5040), 0.7);
+
+        assert!(ix.remove(9));
+        check_integrity(&ix);
+        assert!(ix.probe(&sk, 0.7).hits.is_empty());
+    }
+
     #[test]
     fn heap_bytes_scales_with_m_times_k() {
         let f = family();
         let ix = HqIndex::build(K, &query_set(&f, 10));
-        // One u64 value, one u32 slot, and one u64 column entry per cell.
+        // Per query cell: at least two 4-byte table cells (load ≤ ½) and
+        // one u64 column entry.
         let expected = 10 * K * 16;
         assert!(ix.heap_bytes() >= expected);
+    }
+
+    /// One step of a subscription history.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// Subscribe `id` with content `content` — unsubscribing it first
+        /// if it is subscribed (re-inserting a removed id).
+        Insert { id: QueryId, content: u64 },
+        /// Unsubscribe `id`, subscribed or not.
+        Remove { id: QueryId },
+        /// Unsubscribe whichever query holds the last slot / slot 0.
+        RemoveLastSlot,
+        RemoveSlotZero,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        // Few ids, so removals and re-insertions find their target; fewer
+        // contents, overlapping their neighbours, so queries share whole
+        // sketches and single row minima.
+        (0u32..12, 0u32..96, 0u64..24).prop_map(|(kind, id, content)| match kind {
+            0..=8 => Step::Insert { id, content },
+            9 => Step::Remove { id },
+            10 => Step::RemoveLastSlot,
+            _ => Step::RemoveSlotZero,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random subscription histories: after every step the index
+        /// keeps its invariants and probes like brute force, like the
+        /// direct encoder and like an index built afresh.
+        #[test]
+        fn histories_agree_with_every_reference(
+            steps in proptest::collection::vec(step(), 200..201),
+        ) {
+            const SMALL_K: usize = 16;
+            let f = MinHashFamily::new(SMALL_K, 3);
+            let content = |c: u64| (c * 10..c * 10 + 25).collect::<Vec<u64>>();
+            let windows: Vec<Sketch> = (0..24u64)
+                .step_by(3)
+                .map(|c| Sketch::from_ids(&f, content(c)[5..].iter().copied()))
+                .collect();
+            let mut ix = HqIndex::empty(SMALL_K);
+            let mut qs = QuerySet::new();
+            let mut widest = ix.width;
+            for step in steps {
+                let removed = match step {
+                    Step::Insert { id, .. } | Step::Remove { id } => Some(id),
+                    Step::RemoveLastSlot => ix.meta.last().map(|mq| mq.id),
+                    Step::RemoveSlotZero => ix.meta.first().map(|mq| mq.id),
+                };
+                if let Some(id) = removed {
+                    prop_assert_eq!(ix.remove(id), qs.remove(id).is_some());
+                }
+                if let Step::Insert { id, content: c } = step {
+                    let q = Query::from_cell_ids(id, &f, &content(c));
+                    ix.insert(&q);
+                    qs.insert(q);
+                }
+                prop_assert_eq!(ix.len(), qs.len());
+                check_integrity(&ix);
+                let fresh = HqIndex::build(SMALL_K, &qs);
+                for sk in &windows {
+                    check_probe(&ix, &fresh, &qs, sk, 0.3);
+                }
+                widest = widest.max(ix.width);
+            }
+            prop_assert!(widest > MIN_ROW_WIDTH, "history never crossed a width doubling");
+        }
     }
 }

@@ -34,15 +34,22 @@ impl Query {
 }
 
 /// The set of subscribed queries, indexable by id.
+///
+/// Queries are kept in subscription order — what [`QuerySet::iter`]
+/// yields, and through it the NoIndex variants' related order — beside an
+/// id-sorted directory, so [`QuerySet::get`] is a binary search rather
+/// than a scan of `m` sketches' headers.
 #[derive(Debug, Clone, Default)]
 pub struct QuerySet {
     queries: Vec<Query>,
+    /// `(id, position in queries)`, sorted by id.
+    by_id: Vec<(QueryId, u32)>,
 }
 
 impl QuerySet {
     /// An empty set.
     pub fn new() -> QuerySet {
-        QuerySet { queries: Vec::new() }
+        QuerySet::default()
     }
 
     /// Build from a list of queries.
@@ -57,29 +64,42 @@ impl QuerySet {
         set
     }
 
+    /// Where `id` is, or would go, in the directory.
+    fn locate(&self, id: QueryId) -> Result<usize, usize> {
+        self.by_id.binary_search_by_key(&id, |&(qid, _)| qid)
+    }
+
     /// Add a query (online subscription).
     ///
     /// # Panics
     /// Panics if the id is already present or `K` differs from existing
     /// queries.
     pub fn insert(&mut self, query: Query) {
-        assert!(self.get(query.id).is_none(), "duplicate query id {}", query.id);
+        let Err(at) = self.locate(query.id) else {
+            panic!("duplicate query id {}", query.id);
+        };
         if let Some(first) = self.queries.first() {
             assert_eq!(first.sketch.k(), query.sketch.k(), "query sketch K mismatch");
         }
+        self.by_id.insert(at, (query.id, self.queries.len() as u32));
         self.queries.push(query);
     }
 
     /// Remove a query by id (online unsubscription). Returns the removed
     /// query, or `None` if absent.
     pub fn remove(&mut self, id: QueryId) -> Option<Query> {
-        let pos = self.queries.iter().position(|q| q.id == id)?;
-        Some(self.queries.remove(pos))
+        let (_, pos) = self.by_id.remove(self.locate(id).ok()?);
+        // Later subscriptions each move up one place.
+        for (_, p) in &mut self.by_id {
+            *p -= u32::from(*p > pos);
+        }
+        Some(self.queries.remove(pos as usize))
     }
 
     /// Look up a query by id.
     pub fn get(&self, id: QueryId) -> Option<&Query> {
-        self.queries.iter().find(|q| q.id == id)
+        let (_, pos) = self.by_id[self.locate(id).ok()?];
+        Some(&self.queries[pos as usize])
     }
 
     /// All queries.
@@ -111,6 +131,7 @@ impl QuerySet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn family() -> MinHashFamily {
         MinHashFamily::new(32, 1)
@@ -153,6 +174,38 @@ mod tests {
         let mut set = QuerySet::new();
         set.insert(Query::from_cell_ids(1, &MinHashFamily::new(8, 0), &[1]));
         set.insert(Query::from_cell_ids(2, &MinHashFamily::new(16, 0), &[2]));
+    }
+
+    proptest! {
+        /// `get` / `insert` / `remove` against the definition they
+        /// replace: a plain list in subscription order, searched linearly.
+        #[test]
+        fn lookups_agree_with_a_linear_list(
+            steps in proptest::collection::vec((0u32..48, any::<bool>(), 1usize..10), 300..301),
+        ) {
+            let f = family();
+            let mut set = QuerySet::new();
+            let mut list: Vec<(QueryId, usize)> = Vec::new();
+            for (id, drop, keyframes) in steps {
+                let listed = list.iter().position(|&(qid, _)| qid == id);
+                prop_assert_eq!(set.get(id).map(|q| q.keyframes), listed.map(|at| list[at].1));
+                match listed {
+                    Some(at) if drop => {
+                        let removed = set.remove(id).map(|q| q.keyframes);
+                        prop_assert_eq!(removed, Some(list.remove(at).1));
+                    }
+                    Some(_) => {}
+                    None => {
+                        prop_assert!(set.remove(id).is_none());
+                        set.insert(Query::from_cell_ids(id, &f, &vec![7; keyframes]));
+                        list.push((id, keyframes));
+                    }
+                }
+                let order: Vec<_> = set.iter().map(|q| (q.id, q.keyframes)).collect();
+                prop_assert_eq!(&order, &list, "iteration must stay in subscription order");
+                prop_assert_eq!(set.len(), list.len());
+            }
+        }
     }
 
     #[test]

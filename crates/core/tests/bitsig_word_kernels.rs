@@ -2,14 +2,14 @@
 //! reference path.
 //!
 //! The hot path builds and merges signatures a `u64` lane (32 relation
-//! pairs) at a time: `encode_into` writes whole words, `or_word` flushes
-//! the probe's batched pairs, and `counts`/`or_with_counts` classify all
-//! 32 pairs of a word with three bitwise ops. The slow path —
-//! `set_relation` on one pair at a time plus `count_less`/`count_equal`
-//! — is the semantic reference. These properties hold the two exactly
-//! equal across the word-boundary zoo `k ∈ {1, 31, 32, 33, 64, 800}`:
-//! below, on, and above a lane edge, plus the engine's default `K`
-//! (a whole number of lanes, so the tail mask is all-ones).
+//! pairs) at a time: `encode_into` writes whole words, and
+//! `counts`/`or_with_counts` classify all 32 pairs of a word with three
+//! bitwise ops. The slow path — `set_relation` on one pair at a time
+//! plus `count_less`/`count_equal` — is the semantic reference. These
+//! properties hold the two exactly equal across the word-boundary zoo
+//! `k ∈ {1, 31, 32, 33, 64, 800}`: below, on, and above a lane edge,
+//! plus the engine's default `K` (a whole number of lanes, so the tail
+//! mask is all-ones).
 
 use proptest::prelude::*;
 use vdsms_core::BitSig;
@@ -84,25 +84,6 @@ fn check_or_with_counts(c: &[u64], q: &[u64], c2: &[u64]) {
     }
 }
 
-/// The probe's batched build — accumulate `relation_pair`s into a
-/// pending register, `or_word` every 32 rows and at the last row —
-/// reproduces `encode` exactly, for every lane-boundary `k`.
-fn check_or_word_batching(k: usize, c: &[u64], q: &[u64]) {
-    let sig = BitSig::encode(&Sketch::from_mins(c.to_vec()), &Sketch::from_mins(q.to_vec()));
-
-    let mut batched = BitSig::all_greater(k);
-    let mut pending = 0u64;
-    for (i, (&cv, &qv)) in c.iter().zip(q).enumerate() {
-        pending |= BitSig::relation_pair(cv, qv) << (2 * (i % 32));
-        if i % 32 == 31 || i + 1 == k {
-            batched.or_word(i / 32, pending);
-            pending = 0;
-        }
-    }
-    assert_eq!(&batched, &sig);
-    assert_eq!(batched.counts(), sig.counts());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -122,15 +103,6 @@ proptest! {
     ) {
         let (c, q, c2) = slices(&data, K_EDGE_CASES[sel]);
         check_or_with_counts(c, q, c2);
-    }
-
-    #[test]
-    fn or_word_batching_matches_encode(
-        sel in 0usize..6,
-        data in proptest::collection::vec(0u64..6, 3 * POOL..3 * POOL + 1),
-    ) {
-        let (c, q, _) = slices(&data, K_EDGE_CASES[sel]);
-        check_or_word_batching(K_EDGE_CASES[sel], c, q);
     }
 }
 

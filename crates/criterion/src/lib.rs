@@ -59,17 +59,27 @@ pub enum Throughput {
     Elements(u64),
 }
 
-/// How much setup output to batch per timed run (upstream tuning hint;
-/// this harness re-runs setup per iteration regardless, so the variants
-/// only document intent).
+/// How many setup outputs one timed run may hold at once. Inputs are
+/// made before the clock starts and outputs dropped after it stops, so a
+/// run keeps all of them alive together: the variants cap the run length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchSize {
-    /// Small per-iteration input.
+    /// Small per-iteration input: as many per run as calibration asks.
     SmallInput,
-    /// Large per-iteration input.
+    /// Large per-iteration input: at most 16 per run.
     LargeInput,
-    /// One input per sample batch.
+    /// One input per run.
     PerIteration,
+}
+
+impl BatchSize {
+    fn max_batch(self) -> u64 {
+        match self {
+            BatchSize::SmallInput => 1 << 24,
+            BatchSize::LargeInput => 16,
+            BatchSize::PerIteration => 1,
+        }
+    }
 }
 
 /// The timing loop handed to benchmark closures.
@@ -126,10 +136,9 @@ impl Bencher<'_> {
     }
 
     /// Time `routine` over inputs produced by `setup`; only the routine is
-    /// timed. The upstream batching strategies collapse to
-    /// setup-per-iteration here, which over-times nothing (setup runs
-    /// outside the clock) at the cost of more setup calls.
-    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    /// timed — setup runs before the clock and the routine's outputs are
+    /// dropped after it, as upstream does.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, size: BatchSize)
     where
         S: FnMut() -> I,
         R: FnMut(I) -> O,
@@ -144,15 +153,18 @@ impl Bencher<'_> {
                 let mut batch = 1u64;
                 let timed = |batch: u64, setup: &mut S, routine: &mut R| {
                     let inputs: Vec<I> = (0..batch).map(|_| setup()).collect();
+                    let mut outputs = Vec::with_capacity(inputs.len());
                     let t = Instant::now();
                     for input in inputs {
-                        std_black_box(routine(input));
+                        outputs.push(routine(input));
                     }
-                    t.elapsed()
+                    let elapsed = t.elapsed();
+                    drop(std_black_box(outputs));
+                    elapsed
                 };
                 loop {
                     let elapsed = timed(batch, &mut setup, &mut routine);
-                    if elapsed >= Duration::from_millis(2) || batch >= 1 << 24 {
+                    if elapsed >= Duration::from_millis(2) || batch >= size.max_batch() {
                         break;
                     }
                     batch = (batch * 2).max(1);

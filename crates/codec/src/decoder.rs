@@ -221,6 +221,18 @@ impl<'a> Decoder<'a> {
     }
 }
 
+/// The partial decoder's pooled buffers, detached from any bitstream: the
+/// integer DC levels and the memoized quantizer. A caller that decodes a
+/// stream segment by segment (the serving layer's chunked ingest) lends
+/// them to each segment's decoder with [`PartialDecoder::over_records`]
+/// and takes them back with [`PartialDecoder::into_scratch`], so only the
+/// first segment of a stream sizes anything.
+#[derive(Debug, Default)]
+pub struct DecodeScratch {
+    quants: QuantizerCache,
+    dc_levels: Vec<i32>,
+}
+
 /// Compressed-domain partial decoder; iterates over [`DcFrame`]s of key
 /// frames only.
 #[derive(Debug)]
@@ -268,6 +280,35 @@ impl<'a> PartialDecoder<'a> {
             health: IngestHealth::default(),
             dc_levels: Vec::new(),
         })
+    }
+
+    /// Open a decoder over bare frame records — a segment of a stream
+    /// whose header was parsed earlier (`StreamHeader` is `Copy`) — with
+    /// pooled buffers from a previous segment. Frame indices, the
+    /// [`frame cursor`](Self::frame_cursor) and [`Self::health`] start at
+    /// zero; resync accounting is position-relative, so a segment decodes
+    /// exactly as the same records would behind their header.
+    pub fn over_records(
+        header: StreamHeader,
+        records: &'a [u8],
+        recover: bool,
+        scratch: DecodeScratch,
+    ) -> PartialDecoder<'a> {
+        PartialDecoder {
+            header,
+            grid: BlockGrid::for_dims(header.width, header.height),
+            reader: ByteReader::new(records),
+            frame_index: 0,
+            quants: scratch.quants,
+            recover,
+            health: IngestHealth::default(),
+            dc_levels: scratch.dc_levels,
+        }
+    }
+
+    /// Give the pooled buffers back for the next segment's decoder.
+    pub fn into_scratch(self) -> DecodeScratch {
+        DecodeScratch { quants: self.quants, dc_levels: self.dc_levels }
     }
 
     /// Re-open this decoder over a (possibly different) bitstream in

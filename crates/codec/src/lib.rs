@@ -35,7 +35,9 @@ pub mod quant;
 pub mod zigzag;
 
 pub use bitstream::{FrameType, StreamHeader};
-pub use decoder::{complete_record_end, DcFrame, Decoder, IngestHealth, PartialDecoder};
+pub use decoder::{
+    complete_record_end, DcFrame, DecodeScratch, Decoder, IngestHealth, PartialDecoder,
+};
 pub use encoder::{Encoder, EncoderConfig};
 pub use quant::{Quantizer, QuantizerCache};
 

@@ -22,9 +22,13 @@
 //! paths where a gone receiver is an expected state, not an error to
 //! handle (the `channel-protocol` lint rule flags bare discarded
 //! `send`s; this names the intent instead of suppressing the finding).
+//! The bounded [`SyncSender`] has the same method: the serve daemon's
+//! engine inbox is a small `sync_channel`, and its teardown paths send
+//! into it best-effort.
 
 use parking_lot::schedule;
 use std::sync::mpsc;
+use std::time::Duration;
 
 pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError};
 
@@ -94,6 +98,14 @@ impl<T> SyncSender<T> {
         schedule::yield_point("chan.try_send");
         self.0.try_send(value)
     }
+
+    /// [`Sender::send_best_effort`] for the bounded shape: blocks while
+    /// the channel is full, and returns whether the value was accepted
+    /// (`false` iff the receiver is gone).
+    pub fn send_best_effort(&self, value: T) -> bool {
+        schedule::yield_point("chan.send_bounded");
+        self.0.send(value).is_ok()
+    }
 }
 
 impl<T> Clone for SyncSender<T> {
@@ -114,6 +126,14 @@ impl<T> Receiver<T> {
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         schedule::yield_point("chan.try_recv");
         self.0.try_recv()
+    }
+
+    /// Receive a value, blocking for at most `timeout`. A value buffered
+    /// before the last sender went away is still delivered;
+    /// `Disconnected` means gone *and* drained.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+        schedule::yield_point("chan.recv_timeout");
+        self.0.recv_timeout(timeout)
     }
 }
 
@@ -149,6 +169,33 @@ mod tests {
         assert_eq!(rx.recv(), Ok(1));
         tx.send(2).unwrap();
         assert_eq!(rx.recv(), Ok(2));
+        assert!(tx.send_best_effort(3), "room in the channel: accepted");
+        drop(rx);
+        assert!(!tx.send_best_effort(4), "gone receiver is a clean false");
+    }
+
+    #[test]
+    fn recv_timeout_returns_a_value_a_timeout_or_a_disconnect() {
+        let (tx, rx) = channel();
+        tx.send(1).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(1));
+        assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Err(RecvTimeoutError::Timeout));
+        // A value sent before the last sender went away comes out first.
+        tx.send(2).unwrap();
+        drop(tx);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(2));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Err(RecvTimeoutError::Disconnected));
+    }
+
+    #[test]
+    fn recv_timeout_wakes_for_a_value_sent_while_it_waits() {
+        let (tx, rx) = sync_channel(0);
+        // A rendezvous channel: `send` returns only once the receiver
+        // below is inside `recv_timeout`, so the wake-up is forced, not
+        // raced.
+        let sender = std::thread::spawn(move || tx.send(9));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Ok(9));
+        sender.join().unwrap().unwrap();
     }
 
     #[test]
@@ -157,9 +204,11 @@ mod tests {
         let (tx, rx) = channel();
         tx.send(5).unwrap();
         let _ = rx.recv();
+        let _ = rx.recv_timeout(Duration::from_millis(1));
         let trace = guard.finish();
         let sites: Vec<&str> = trace.iter().map(|s| s.site).collect();
         assert!(sites.contains(&"chan.send"), "{sites:?}");
         assert!(sites.contains(&"chan.recv"), "{sites:?}");
+        assert!(sites.contains(&"chan.recv_timeout"), "{sites:?}");
     }
 }

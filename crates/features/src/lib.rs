@@ -29,7 +29,7 @@ pub use extract::{
     region_averages, select_dims, select_dims_into, FeatureConfig, FeatureExtractor,
     FingerprintScratch, PlanCache, RegionPlan,
 };
-pub use ingest::FingerprintStream;
+pub use ingest::{FingerprintStream, FrontEnd, Segment};
 pub use partition::{normalize, normalize_in_place, GridPyramid};
 
 /// A frame fingerprint: the cell id of the frame's feature vector.

@@ -1,13 +1,19 @@
 //! A blocking client for the serve protocol.
 //!
 //! One background reader thread demultiplexes server frames: replies go
-//! to the request/reply rendezvous (round trips are serialized by a
-//! request lock), asynchronous pushes (`Detection`, `Lagged`, untied
-//! errors) land in an inbox, and `Drained` raises a flag. The client
-//! grants flow-control credit as it consumes detections, so a client
-//! that stops reading ([`Client::pause_reading`] — the test harness's
-//! stalled-reader primitive) deterministically starves the server of
-//! credit and becomes the one session that lags.
+//! to the request/reply rendezvous, asynchronous pushes (`Detection`,
+//! `Lagged`, untied errors) land in an inbox, and `Drained` raises a
+//! flag. A round trip writes its request and then blocks on the
+//! rendezvous channel with a bound — it wakes when the reader thread
+//! hands over the reply, when that thread exits (the connection closed),
+//! or when the bound runs out. Every reply names the request it answers,
+//! so one that does not answer the outstanding request — the late answer
+//! to a round trip that timed out — is discarded, not handed to the
+//! wrong caller. The client grants flow-control credit as it consumes
+//! detections, so a client that stops reading
+//! ([`Client::pause_reading`] — the test harness's stalled-reader
+//! primitive) deterministically starves the server of credit and becomes
+//! the one session that lags.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -18,7 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use vdsms_core::sync::{channel, Receiver, Sender};
+use vdsms_core::sync::{channel, Receiver, RecvTimeoutError, Sender};
 
 use crate::daemon::Conn;
 use crate::protocol::{
@@ -33,7 +39,7 @@ const READ_TICK_MS: u64 = 5;
 /// `initial_credit` (the soak test runs with credit 8 to make lagging
 /// deterministic).
 const CREDIT_BATCH: u64 = 8;
-/// Bound on waiting for one reply round trip.
+/// Bound on one blocking wait for a reply.
 const REPLY_WAIT_MS: u64 = 10_000;
 
 /// Client-side failure.
@@ -123,9 +129,15 @@ struct Shared {
 /// A connected client session.
 pub struct Client {
     writer: Mutex<Conn>,
-    /// Serializes request/reply round trips (one outstanding at a time).
-    req_lock: Mutex<()>,
+    /// Round trips that timed out with their reply still owed: the most
+    /// out-of-turn replies later round trips may discard. (Round trips
+    /// need no lock to stay one at a time: the receiving halves below
+    /// make `Client` `!Sync`, so a `&Client` is only ever on one thread.)
+    owed: AtomicU64,
     replies: Receiver<Reply>,
+    /// One `()` from the reader thread when `Drained` arrives;
+    /// disconnected once that thread has exited.
+    drained_rx: Receiver<()>,
     shared: Arc<Shared>,
     reader: Option<std::thread::JoinHandle<()>>,
 }
@@ -154,6 +166,7 @@ impl Client {
         conn.set_read_timeout(Some(Duration::from_millis(READ_TICK_MS)))?;
         let read_half = conn.try_clone()?;
         let (reply_tx, replies) = channel::<Reply>();
+        let (drained_tx, drained_rx) = channel::<()>();
         let shared = Arc::new(Shared {
             inbox: Mutex::new(Inbox::default()),
             lagged_total: AtomicU64::new(0),
@@ -163,12 +176,13 @@ impl Client {
         });
         let reader = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || read_loop(read_half, &reply_tx, &shared))
+            std::thread::spawn(move || read_loop(read_half, &reply_tx, &drained_tx, &shared))
         };
         Ok(Client {
             writer: Mutex::new(conn),
-            req_lock: Mutex::new(()),
+            owed: AtomicU64::new(0),
             replies,
+            drained_rx,
             shared,
             reader: Some(reader),
         })
@@ -183,30 +197,36 @@ impl Client {
 
     /// One request → reply round trip.
     fn round_trip(&self, req: &Request) -> Result<Reply, ClientError> {
-        let _serialized = self.req_lock.lock();
+        self.round_trip_within(req, Duration::from_millis(REPLY_WAIT_MS))
+    }
+
+    /// [`Self::round_trip`] with the bound on each wait as a parameter.
+    ///
+    /// The reader thread owns the sending half of `replies` and drops it
+    /// when it exits, so a closed connection wakes the wait at once — and
+    /// a reply it forwarded just before exiting (a fatal typed error) is
+    /// still delivered first. A reply that does not answer `req` is the
+    /// late answer to an earlier round trip that timed out: it is
+    /// dropped and the wait starts over, at most once per such timeout
+    /// (the crate reads no clock, so the bound is per wait, not per
+    /// call). The protocol has no sequence numbers: a late reply of the
+    /// same kind as `req` cannot be told from its answer.
+    fn round_trip_within(&self, req: &Request, wait: Duration) -> Result<Reply, ClientError> {
         self.write_frame(req)?;
-        // The sync shim has no recv_timeout; poll with a bounded budget.
-        let mut waited_ms: u64 = 0;
         loop {
-            match self.replies.try_recv() {
+            match self.replies.recv_timeout(wait) {
+                Ok(reply) if !answers(req, &reply) && self.owed.load(Ordering::SeqCst) > 0 => {
+                    self.owed.fetch_sub(1, Ordering::SeqCst);
+                }
                 Ok(Reply::Error { code, msg, .. }) => {
                     return Err(ClientError::Server { code, msg })
                 }
                 Ok(reply) => return Ok(reply),
-                Err(_) => {
-                    if self.shared.closed.load(Ordering::SeqCst) {
-                        // Drain any reply that raced with the close.
-                        if let Ok(Reply::Error { code, msg, .. }) = self.replies.try_recv() {
-                            return Err(ClientError::Server { code, msg });
-                        }
-                        return Err(ClientError::Closed);
-                    }
-                    if waited_ms >= REPLY_WAIT_MS {
-                        return Err(ClientError::Timeout);
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                    waited_ms += 1;
+                Err(RecvTimeoutError::Timeout) => {
+                    self.owed.fetch_add(1, Ordering::SeqCst);
+                    return Err(ClientError::Timeout);
                 }
+                Err(RecvTimeoutError::Disconnected) => return Err(ClientError::Closed),
             }
         }
     }
@@ -352,19 +372,14 @@ impl Client {
 
     /// Wait until `Drained` arrives or the connection closes.
     pub fn wait_drained(&self, timeout: Duration) -> bool {
-        let mut waited = Duration::ZERO;
-        let tick = Duration::from_millis(2);
-        loop {
-            if self.drained() {
-                return true;
-            }
-            if self.closed() || waited >= timeout {
-                // One final check: the flag may have been set between
-                // the reader's last frame and the close.
-                return self.drained();
-            }
-            std::thread::sleep(tick);
-            waited += tick;
+        if self.drained() {
+            return true;
+        }
+        // The reader thread's signal, its exit or the timeout: whichever
+        // ended the wait, the flag (set before the signal is sent, and
+        // before the thread exits) is the answer.
+        match self.drained_rx.recv_timeout(timeout) {
+            Ok(()) | Err(_) => self.drained(),
         }
     }
 
@@ -389,7 +404,12 @@ impl Drop for Client {
 }
 
 /// The reader thread: demultiplex server frames until EOF/error.
-fn read_loop(mut conn: Conn, reply_tx: &Sender<Reply>, shared: &Arc<Shared>) {
+fn read_loop(
+    mut conn: Conn,
+    reply_tx: &Sender<Reply>,
+    drained_tx: &Sender<()>,
+    shared: &Arc<Shared>,
+) {
     let mut buf: Vec<u8> = Vec::new();
     let mut tmp = [0u8; 16 * 1024];
     let mut to_credit: u64 = 0;
@@ -427,7 +447,7 @@ fn read_loop(mut conn: Conn, reply_tx: &Sender<Reply>, shared: &Arc<Shared>) {
                                     return;
                                 }
                                 Ok(reply) => {
-                                    to_credit += dispatch(reply, reply_tx, shared);
+                                    to_credit += dispatch(reply, reply_tx, drained_tx, shared);
                                 }
                             }
                             consumed += end;
@@ -460,7 +480,12 @@ fn read_loop(mut conn: Conn, reply_tx: &Sender<Reply>, shared: &Arc<Shared>) {
 }
 
 /// Route one server frame; returns how much credit its consumption earns.
-fn dispatch(reply: Reply, reply_tx: &Sender<Reply>, shared: &Arc<Shared>) -> u64 {
+fn dispatch(
+    reply: Reply,
+    reply_tx: &Sender<Reply>,
+    drained_tx: &Sender<()>,
+    shared: &Arc<Shared>,
+) -> u64 {
     match reply {
         Reply::Detection { query_id, stream_id, start_frame, end_frame, windows, similarity } => {
             shared.inbox.lock().detections.push(DetectionEvent {
@@ -479,6 +504,7 @@ fn dispatch(reply: Reply, reply_tx: &Sender<Reply>, shared: &Arc<Shared>) -> u64
         }
         Reply::Drained => {
             shared.drained.store(true, Ordering::SeqCst);
+            let _ = drained_tx.send_best_effort(());
             0
         }
         Reply::Error { re, code, msg } if re == 0 || re == crate::protocol::TAG_STREAM_DATA => {
@@ -490,5 +516,116 @@ fn dispatch(reply: Reply, reply_tx: &Sender<Reply>, shared: &Arc<Shared>) -> u64
             let _ = reply_tx.send_best_effort(other);
             0
         }
+    }
+}
+
+/// Whether `reply` can be the answer to `req`: every reply names the
+/// request it answers, by tag or by the stream it is about.
+fn answers(req: &Request, reply: &Reply) -> bool {
+    match (reply, req) {
+        (Reply::Ok { re } | Reply::Error { re, .. }, _) => *re == req.tag(),
+        (Reply::HelloOk { .. }, Request::Hello { .. }) | (Reply::Health(_), Request::Health) => {
+            true
+        }
+        (Reply::Attached { stream_id: got, .. }, Request::AttachStream { stream_id })
+        | (Reply::StreamEndAck { stream_id: got, .. }, Request::StreamEnd { stream_id }) => {
+            got == stream_id
+        }
+        _ => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{encode_reply, parse_request, LEN_PREFIX, TAG_HELLO};
+
+    /// A client on one end of a socket pair; the test plays the server
+    /// on the other.
+    fn connected() -> (Client, UnixStream) {
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        (Client::start(Conn::Unix(ours)).unwrap(), theirs)
+    }
+
+    fn read_request(server: &mut UnixStream) -> Request {
+        let mut len = [0u8; LEN_PREFIX];
+        server.read_exact(&mut len).unwrap();
+        let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+        server.read_exact(&mut body).unwrap();
+        parse_request(&body).unwrap()
+    }
+
+    fn write_reply(server: &mut UnixStream, reply: &Reply) {
+        server.write_all(&encode_reply(reply)).unwrap();
+    }
+
+    /// Longer than any test should take: a wait that ends sooner was
+    /// ended by the event under test, not by its bound.
+    const LONG: Duration = Duration::from_secs(60);
+
+    #[test]
+    fn a_silent_server_times_the_round_trip_out_at_the_bound() {
+        let (client, _server) = connected();
+        let got = client.round_trip_within(&Request::Health, Duration::from_millis(50));
+        assert!(matches!(got, Err(ClientError::Timeout)), "{got:?}");
+    }
+
+    #[test]
+    fn a_server_that_closes_mid_round_trip_is_reported_closed_at_once() {
+        let (client, mut server) = connected();
+        let closer = std::thread::spawn(move || {
+            assert_eq!(read_request(&mut server), Request::Health);
+            // Dropping `server` closes the connection with no reply.
+        });
+        let got = client.round_trip_within(&Request::Health, LONG);
+        assert!(matches!(got, Err(ClientError::Closed)), "{got:?}");
+        closer.join().unwrap();
+    }
+
+    #[test]
+    fn a_typed_error_written_just_before_the_close_is_still_surfaced() {
+        let (client, mut server) = connected();
+        let refuser = std::thread::spawn(move || {
+            assert!(matches!(read_request(&mut server), Request::Hello { .. }));
+            write_reply(
+                &mut server,
+                &Reply::Error { re: TAG_HELLO, code: ErrorCode::BadVersion, msg: "no".into() },
+            );
+        });
+        // The reader thread forwards the error and then sees the close;
+        // whichever the round trip wakes for, the reply comes out first.
+        let hello = Request::Hello { version: 999, tenant: 0 };
+        let first = client.round_trip_within(&hello, LONG);
+        assert!(
+            matches!(first, Err(ClientError::Server { code: ErrorCode::BadVersion, .. })),
+            "{first:?}"
+        );
+        refuser.join().unwrap();
+        let second = client.round_trip_within(&Request::Health, LONG);
+        assert!(matches!(second, Err(ClientError::Closed | ClientError::Io(_))), "{second:?}");
+    }
+
+    #[test]
+    fn a_late_reply_is_not_handed_to_the_next_request() {
+        let (client, mut server) = connected();
+        let slow = std::thread::spawn(move || {
+            // Answer the first request only once the second has arrived,
+            // i.e. after the client gave up on it.
+            assert_eq!(read_request(&mut server), Request::Health);
+            assert_eq!(read_request(&mut server), Request::AttachStream { stream_id: 7 });
+            write_reply(&mut server, &Reply::Health(HealthReport::default()));
+            write_reply(&mut server, &Reply::Attached { stream_id: 7, global_id: 42 });
+            assert_eq!(read_request(&mut server), Request::Health);
+            write_reply(&mut server, &Reply::Health(HealthReport { sessions: 5, ..Default::default() }));
+            server
+        });
+        let first = client.round_trip_within(&Request::Health, Duration::from_millis(50));
+        assert!(matches!(first, Err(ClientError::Timeout)), "{first:?}");
+        let second = client.round_trip_within(&Request::AttachStream { stream_id: 7 }, LONG);
+        assert!(matches!(second, Ok(Reply::Attached { stream_id: 7, global_id: 42 })), "{second:?}");
+        // Nothing is owed any more: the next reply is taken as it comes.
+        let third = client.round_trip_within(&Request::Health, LONG);
+        assert!(matches!(third, Ok(Reply::Health(h)) if h.sessions == 5), "{third:?}");
+        drop(slow.join().unwrap());
     }
 }

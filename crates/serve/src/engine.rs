@@ -121,6 +121,8 @@ pub struct Engine {
     drain_timed_out: bool,
     /// Scratch for fingerprints produced by one chunk.
     fp_scratch: Vec<(u64, u64)>,
+    /// Scratch for the same fingerprints as the fleet's batch rows.
+    batch_scratch: Vec<(StreamId, u64, u64)>,
 }
 
 impl Engine {
@@ -150,6 +152,7 @@ impl Engine {
             engine_panics: 0,
             drain_timed_out: false,
             fp_scratch: Vec::new(),
+            batch_scratch: Vec::new(),
         }
     }
 
@@ -457,9 +460,9 @@ impl Engine {
         if fps.is_empty() {
             return;
         }
-        let batch: Vec<(StreamId, u64, u64)> =
-            fps.iter().map(|&(frame, cell)| (global, frame, cell)).collect();
-        match self.fleet.push_batch(&batch) {
+        self.batch_scratch.clear();
+        self.batch_scratch.extend(fps.iter().map(|&(frame, cell)| (global, frame, cell)));
+        match self.fleet.push_batch(&self.batch_scratch) {
             Ok(detections) => self.route_detections(&detections),
             Err(e) => {
                 // ShardDied after a failed restart: the stream's shard is

@@ -3,14 +3,18 @@
 //! The wire delivers a stream's bitstream in arbitrary network-sized
 //! pieces; the decoder wants whole records. [`ChunkedIngest`] sits
 //! between them: it accumulates bytes, parses the stream header once it
-//! is complete, then on every chunk feeds the decoder the longest
-//! prefix of *complete* records (walked with
-//! [`vdsms_codec::complete_record_end`]) — a trailing partial record
-//! waits for more bytes. Frame indices are offset by the decoder's
-//! [`frame cursor`](vdsms_codec::PartialDecoder::frame_cursor) across
-//! passes, so on a clean stream the chunked fingerprints are
-//! bit-identical to a whole-buffer [`FingerprintStream`] pass no matter
-//! how the bytes were sliced.
+//! is complete (and keeps the parsed [`StreamHeader`], not its bytes),
+//! then on every chunk decodes the longest prefix of *complete* records
+//! (walked with [`vdsms_codec::complete_record_end`]) straight out of
+//! the accumulation buffer — a trailing partial record waits for more
+//! bytes. Each such pass is one [`Segment`](vdsms_features::Segment) of
+//! the stream's pooled [`FrontEnd`], which is built once per attached
+//! stream: after the first key frame a pass constructs nothing and
+//! allocates nothing. Frame indices are offset by the segments'
+//! [`frame cursors`](vdsms_codec::PartialDecoder::frame_cursor), so on a
+//! clean stream the chunked fingerprints are bit-identical to a
+//! whole-buffer [`FingerprintStream`](vdsms_features::FingerprintStream)
+//! pass no matter how the bytes were sliced.
 //!
 //! In recovery mode a damaged record head does not stall the stream:
 //! the scan extends the pass across the damage to the next complete
@@ -22,7 +26,7 @@
 
 use vdsms_codec::bitio::{find_byte_le_one, ByteReader};
 use vdsms_codec::{complete_record_end, CodecError, IngestHealth, StreamHeader};
-use vdsms_features::{CellId, FeatureExtractor, FingerprintStream};
+use vdsms_features::{CellId, FeatureExtractor, FrontEnd};
 
 /// A stream header is `magic(4) version(1)` plus five varints — never
 /// longer than this. If this many bytes cannot parse as a header, the
@@ -60,20 +64,19 @@ impl std::error::Error for IngestError {}
 /// Per-attached-stream reassembly and fingerprinting state.
 #[derive(Debug)]
 pub struct ChunkedIngest {
-    /// The stream header's raw bytes, once parsed (prefixed to every
-    /// pass so each segment is a self-contained bitstream).
-    header: Option<Vec<u8>>,
-    /// Received record bytes not yet ingested (header excluded).
+    /// The stream header, once enough bytes arrived to parse it.
+    header: Option<StreamHeader>,
+    /// Received bytes not yet ingested: the header's until it parses,
+    /// bare records after.
     pending: Vec<u8>,
-    /// Scratch for building `header + complete-record span` passes.
-    work: Vec<u8>,
     /// Stream frames accounted by previous passes.
     frame_offset: u64,
     /// Key frames fingerprinted so far.
     keyframes: u64,
     /// Degradation accounting merged across passes.
     health: IngestHealth,
-    extractor: FeatureExtractor,
+    /// The fused front end's pooled state, lent to each pass.
+    front: FrontEnd,
     recover: bool,
     max_buffer: usize,
     finished: bool,
@@ -85,11 +88,10 @@ impl ChunkedIngest {
         ChunkedIngest {
             header: None,
             pending: Vec::new(),
-            work: Vec::new(),
             frame_offset: 0,
             keyframes: 0,
             health: IngestHealth::default(),
-            extractor,
+            front: FrontEnd::new(extractor),
             recover,
             max_buffer: max_buffer.max(MAX_HEADER_LEN),
             finished: false,
@@ -128,7 +130,7 @@ impl ChunkedIngest {
             return Ok(());
         }
         self.pending.extend_from_slice(chunk);
-        if self.header.is_none() && !self.try_parse_header()? {
+        if self.header.is_none() && !self.parse_header(false)? {
             return Ok(());
         }
         let span = self.complete_span()?;
@@ -166,16 +168,8 @@ impl ChunkedIngest {
                 return Ok(()); // attached but never fed: trivially clean
             }
             // Final chance: a tiny stream may deliver its whole header
-            // only now.
-            let mut r = ByteReader::new(&self.pending);
-            match StreamHeader::read(&mut r) {
-                Ok(_) => {
-                    let pos = r.position();
-                    self.header = Some(self.pending[..pos].to_vec());
-                    self.pending.drain(..pos);
-                }
-                Err(e) => return Err(IngestError::BadBitstream(e)),
-            }
+            // only now; a header still incomplete is an error.
+            self.parse_header(true)?;
         }
         if !self.pending.is_empty() {
             let all = self.pending.len();
@@ -184,18 +178,21 @@ impl ChunkedIngest {
         Ok(())
     }
 
-    /// Try to parse the stream header from the front of `pending`.
-    /// Returns `Ok(false)` when more bytes are needed.
-    fn try_parse_header(&mut self) -> Result<bool, IngestError> {
+    /// Try to parse the stream header from the front of `pending` and
+    /// strip it. Returns `Ok(false)` when more bytes are needed — which
+    /// at the end of the stream (`last`) is an error instead.
+    fn parse_header(&mut self, last: bool) -> Result<bool, IngestError> {
         let mut r = ByteReader::new(&self.pending);
         match StreamHeader::read(&mut r) {
-            Ok(_) => {
+            Ok(header) => {
                 let pos = r.position();
-                self.header = Some(self.pending[..pos].to_vec());
+                self.header = Some(header);
                 self.pending.drain(..pos);
                 Ok(true)
             }
-            Err(CodecError::UnexpectedEof) if self.pending.len() < MAX_HEADER_LEN => Ok(false),
+            Err(CodecError::UnexpectedEof) if !last && self.pending.len() < MAX_HEADER_LEN => {
+                Ok(false)
+            }
             Err(e) => Err(IngestError::BadBitstream(e)),
         }
     }
@@ -253,30 +250,30 @@ impl ChunkedIngest {
         Ok(end)
     }
 
-    /// Decode and fingerprint `pending[..span]` as one self-contained
-    /// segment (header prefixed), pushing globally-indexed fingerprints
-    /// into `out` and advancing the frame offset by the decoder's
-    /// cursor.
+    /// Decode and fingerprint `pending[..span]` as one segment of the
+    /// stream, in place, pushing globally-indexed fingerprints into `out`
+    /// and advancing the frame offset by the segment's cursor.
     fn run_pass(&mut self, span: usize, out: &mut Vec<(u64, CellId)>) -> Result<(), IngestError> {
-        let header = self.header.as_deref().unwrap_or(&[]);
-        self.work.clear();
-        self.work.extend_from_slice(header);
-        self.work.extend_from_slice(&self.pending[..span]);
-        let mut fs =
-            FingerprintStream::new_with_recovery(&self.work, self.extractor.clone(), self.recover)
-                .map_err(IngestError::BadBitstream)?;
-        loop {
-            match fs.next_fingerprint() {
+        let Some(header) = self.header else {
+            return Ok(()); // both callers parse the header first
+        };
+        let mut segment = self.front.segment(header, &self.pending[..span], self.recover);
+        let decoded = loop {
+            match segment.next_fingerprint() {
                 Ok(Some((frame_index, cell))) => {
                     out.push((self.frame_offset + frame_index, cell));
                     self.keyframes += 1;
                 }
-                Ok(None) => break,
-                Err(e) => return Err(IngestError::BadBitstream(e)),
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(IngestError::BadBitstream(e)),
             }
-        }
-        self.frame_offset += fs.frame_cursor();
-        self.health.merge(&fs.health());
+        };
+        // Closing the segment returns the pooled buffers to the front
+        // end, so do it before reporting a failed pass too.
+        let (cursor, health) = segment.finish();
+        decoded?;
+        self.frame_offset += cursor;
+        self.health.merge(&health);
         self.pending.drain(..span);
         Ok(())
     }
@@ -285,8 +282,8 @@ impl ChunkedIngest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdsms_codec::{Encoder, EncoderConfig, StreamHeader};
-    use vdsms_features::FeatureConfig;
+    use vdsms_codec::{Encoder, EncoderConfig};
+    use vdsms_features::{FeatureConfig, FingerprintStream};
     use vdsms_video::source::{ClipGenerator, SourceSpec};
     use vdsms_video::Fps;
 
@@ -304,17 +301,22 @@ mod tests {
         Encoder::encode_clip(&clip, EncoderConfig { gop: 5, quality: 80, motion_search: true })
     }
 
-    fn whole_buffer_fingerprints(bytes: &[u8]) -> Vec<(u64, CellId)> {
+    /// Fingerprints, total stream frames and health of a whole-buffer
+    /// pass: what any slicing of the same bytes must reproduce.
+    fn whole_buffer(bytes: &[u8]) -> (Vec<(u64, CellId)>, u64, IngestHealth) {
         let ex = FeatureExtractor::new(FeatureConfig::default());
         let mut fs = FingerprintStream::new(bytes, ex).unwrap();
         let mut got = Vec::new();
         while let Some(pair) = fs.next_fingerprint().unwrap() {
             got.push(pair);
         }
-        got
+        (got, fs.frame_cursor(), fs.health())
     }
 
-    fn chunked(bytes: &[u8], chunk_sizes: impl Iterator<Item = usize>) -> Vec<(u64, CellId)> {
+    fn chunked(
+        bytes: &[u8],
+        chunk_sizes: impl Iterator<Item = usize>,
+    ) -> (Vec<(u64, CellId)>, u64, IngestHealth) {
         let ex = FeatureExtractor::new(FeatureConfig::default());
         let mut ci = ChunkedIngest::new(ex, false, 4 << 20);
         let mut got = Vec::new();
@@ -331,16 +333,17 @@ mod tests {
             ci.push_chunk(&bytes[pos..], &mut got).unwrap();
         }
         ci.finish(&mut got).unwrap();
-        assert!(ci.health().is_clean());
         assert_eq!(ci.buffered(), 0);
-        got
+        assert_eq!(ci.keyframes(), got.len() as u64);
+        (got, ci.frame_offset, ci.health())
     }
 
     #[test]
     fn chunked_matches_whole_buffer_for_any_slicing() {
         let bytes = stream_bytes(41, 4.0);
-        let expected = whole_buffer_fingerprints(&bytes);
-        assert!(!expected.is_empty());
+        let expected = whole_buffer(&bytes);
+        assert!(!expected.0.is_empty());
+        assert!(expected.2.is_clean());
 
         // One byte at a time — the worst case for reassembly.
         assert_eq!(chunked(&bytes, std::iter::repeat(1)), expected);
@@ -348,6 +351,11 @@ mod tests {
         assert_eq!(chunked(&bytes, [7usize, 1, 1000, 3, 50_000].into_iter().cycle()), expected);
         // Everything at once.
         assert_eq!(chunked(&bytes, std::iter::once(bytes.len())), expected);
+        // A first chunk that ends inside the stream header, a second that
+        // completes it mid-record.
+        let header_len = record_head_offset(&bytes, 0);
+        assert!(header_len > 6);
+        assert_eq!(chunked(&bytes, [header_len - 3, 5, 16 << 10].into_iter().cycle()), expected);
     }
 
     /// Byte offset of the `n`-th record head (0-based), walking the

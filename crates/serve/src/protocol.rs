@@ -201,6 +201,26 @@ pub enum Request {
     Shutdown,
 }
 
+impl Request {
+    /// The frame tag this request is sent under — what an `ok` or
+    /// `error` reply to it carries as `re`.
+    pub(crate) fn tag(&self) -> u8 {
+        match self {
+            Request::Hello { .. } => TAG_HELLO,
+            Request::Subscribe { .. } => TAG_SUBSCRIBE,
+            Request::Unsubscribe { .. } => TAG_UNSUBSCRIBE,
+            Request::AttachStream { .. } => TAG_ATTACH,
+            Request::StreamData { .. } => TAG_STREAM_DATA,
+            Request::StreamEnd { .. } => TAG_STREAM_END,
+            Request::DetachStream { .. } => TAG_DETACH,
+            Request::Health => TAG_HEALTH,
+            Request::Credit { .. } => TAG_CREDIT,
+            Request::Goodbye => TAG_GOODBYE,
+            Request::Shutdown => TAG_SHUTDOWN,
+        }
+    }
+}
+
 /// A server → client reply or push.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
@@ -315,48 +335,29 @@ fn frame(body: ByteWriter) -> Vec<u8> {
 /// Encode a request into a complete wire frame.
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut w = ByteWriter::new();
+    w.put_u8(req.tag());
     match req {
         Request::Hello { version, tenant } => {
-            w.put_u8(TAG_HELLO);
             w.put_varint(*version);
             w.put_varint(*tenant);
         }
         Request::Subscribe { query_id, cells } => {
-            w.put_u8(TAG_SUBSCRIBE);
             w.put_varint(u64::from(*query_id));
             w.put_varint(cells.len() as u64);
             for &c in cells {
                 w.put_varint(c);
             }
         }
-        Request::Unsubscribe { query_id } => {
-            w.put_u8(TAG_UNSUBSCRIBE);
-            w.put_varint(u64::from(*query_id));
-        }
-        Request::AttachStream { stream_id } => {
-            w.put_u8(TAG_ATTACH);
-            w.put_varint(u64::from(*stream_id));
-        }
+        Request::Unsubscribe { query_id } => w.put_varint(u64::from(*query_id)),
         Request::StreamData { stream_id, bytes } => {
-            w.put_u8(TAG_STREAM_DATA);
             w.put_varint(u64::from(*stream_id));
             w.put_bytes(bytes);
         }
-        Request::StreamEnd { stream_id } => {
-            w.put_u8(TAG_STREAM_END);
-            w.put_varint(u64::from(*stream_id));
-        }
-        Request::DetachStream { stream_id } => {
-            w.put_u8(TAG_DETACH);
-            w.put_varint(u64::from(*stream_id));
-        }
-        Request::Health => w.put_u8(TAG_HEALTH),
-        Request::Credit { n } => {
-            w.put_u8(TAG_CREDIT);
-            w.put_varint(*n);
-        }
-        Request::Goodbye => w.put_u8(TAG_GOODBYE),
-        Request::Shutdown => w.put_u8(TAG_SHUTDOWN),
+        Request::AttachStream { stream_id }
+        | Request::StreamEnd { stream_id }
+        | Request::DetachStream { stream_id } => w.put_varint(u64::from(*stream_id)),
+        Request::Credit { n } => w.put_varint(*n),
+        Request::Health | Request::Goodbye | Request::Shutdown => {}
     }
     frame(w)
 }

@@ -20,6 +20,7 @@ use vdsms::codec::bitio::ByteReader;
 use vdsms::codec::{Encoder, EncoderConfig, StreamHeader};
 use vdsms::core::{Detector, DetectorConfig, Order, Query, QuerySet, Representation};
 use vdsms::features::{FeatureConfig, FeatureExtractor, FingerprintStream};
+use vdsms::serve::ChunkedIngest;
 use vdsms::video::source::{ClipGenerator, SourceSpec};
 use vdsms::video::Fps;
 
@@ -292,4 +293,61 @@ fn recovery_mode_steady_state_is_allocation_free() {
         "recovery-mode bytes→detection pass: {allocs} heap allocation(s) \
          over {keyframes} steady-state keyframes (expected 0)"
     );
+}
+
+/// The daemon's per-stream reassembly sits on the same front end and is
+/// held to the same contract: once the first key frame has sized the
+/// pooled buffers and the accumulation buffer has reached its high-water
+/// mark, `ChunkedIngest::push_chunk` over network-sized chunks builds
+/// nothing and allocates nothing — no decoder, extractor, scratch or
+/// frame per pass, no copy of the records into a work buffer.
+#[test]
+fn chunked_ingest_steady_state_is_allocation_free() {
+    let _gate = GATE.lock().unwrap();
+    let clip = ClipGenerator::new(SourceSpec {
+        width: 176,
+        height: 120,
+        fps: Fps::integer(10),
+        seed: 4444,
+        min_scene_s: 1.0,
+        max_scene_s: 3.0,
+        motifs: None,
+    })
+    .clip(40.0);
+    let bytes =
+        Encoder::encode_clip(&clip, EncoderConfig { gop: 5, quality: 80, motion_search: true });
+    const CHUNK: usize = 16 << 10;
+    let chunks: Vec<&[u8]> = bytes.chunks(CHUNK).collect();
+    assert!(chunks.len() >= 16, "need a stream many chunks long: {}", chunks.len());
+
+    for recover in [false, true] {
+        let extractor = FeatureExtractor::new(FeatureConfig::default());
+        let mut ingest = ChunkedIngest::new(extractor, recover, 4 << 20);
+        // The caller's output vector, reserved once for the whole stream.
+        let mut out = Vec::with_capacity(clip.len());
+        let (warm_up, steady) = chunks.split_at(chunks.len() / 2);
+        for chunk in warm_up {
+            ingest.push_chunk(chunk, &mut out).unwrap();
+        }
+        let warm_keyframes = ingest.keyframes();
+        assert!(warm_keyframes > 0, "the warm-up must reach a key frame");
+
+        ALLOCS.store(0, Ordering::SeqCst);
+        COUNTING.store(true, Ordering::SeqCst);
+        for chunk in steady {
+            ingest.push_chunk(chunk, &mut out).unwrap();
+        }
+        COUNTING.store(false, Ordering::SeqCst);
+        let allocs = ALLOCS.load(Ordering::SeqCst);
+        let keyframes = ingest.keyframes() - warm_keyframes;
+        assert!(keyframes > 0, "the counted half must ingest key frames");
+        assert_eq!(
+            allocs, 0,
+            "chunked ingest (recover={recover}): {allocs} heap allocation(s) over \
+             {keyframes} steady-state keyframes in {} chunks (expected 0)",
+            steady.len()
+        );
+        ingest.finish(&mut out).unwrap();
+        assert!(ingest.health().is_clean());
+    }
 }

@@ -20,6 +20,11 @@ echo "== primitives bench smoke (--test mode) =="
 # per-stage hot-path benches without paying for real measurement.
 cargo bench -q -p vdsms-bench --bench primitives -- --test
 
+echo "== index_probe bench smoke (--test mode) =="
+# The same for the index and subscription rows: probe, insert/remove, and
+# one subscription change through a fleet at either executor, once each.
+cargo bench -q -p vdsms-bench --bench index_probe -- --test
+
 echo "== static-analysis gate (vdsms-lint, cold then warm) =="
 # Cold: wipe the incremental cache, every file parses. Warm: the same
 # gate again — every file must come from the cache with byte-identical

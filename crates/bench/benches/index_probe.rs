@@ -1,23 +1,24 @@
 //! HQ-index probe vs brute-force query scan — the mechanism behind
 //! Figure 9's flat-vs-linear CPU curves — and the cost of one online
-//! subscription change, each from `m = 10` to `m = 1024`.
+//! subscription change, each from `m = 10` to `m = 1024` — on the index
+//! alone, and through a [`Fleet`] at either executor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::cell::{Cell, RefCell};
 use std::hint::black_box;
-use vdsms_core::{HqIndex, Query, QuerySet};
+use vdsms_core::{DetectorConfig, Fleet, HqIndex, Query, QuerySet};
 use vdsms_sketch::{MinHashFamily, Sketch};
 
 const K: usize = 800;
 
+/// Query `id`: 60 cell ids no other query shares.
+fn query(family: &MinHashFamily, id: u32) -> Query {
+    let ids: Vec<u64> = (0..60u64).map(|j| u64::from(id) * 1000 + j).collect();
+    Query::from_cell_ids(id, family, &ids)
+}
+
 fn query_set(family: &MinHashFamily, m: u32) -> QuerySet {
-    QuerySet::from_queries(
-        (0..m)
-            .map(|i| {
-                let ids: Vec<u64> = (0..60u64).map(|j| u64::from(i) * 1000 + j).collect();
-                Query::from_cell_ids(i, family, &ids)
-            })
-            .collect(),
-    )
+    QuerySet::from_queries((0..m).map(|i| query(family, i)).collect())
 }
 
 fn bench_probe(c: &mut Criterion) {
@@ -55,9 +56,9 @@ fn bench_index_maintenance(c: &mut Criterion) {
     for m in [100u32, 1024] {
         let qs = query_set(&family, m);
         let built = HqIndex::build(K, &qs);
-        // What a fleet pays around the `O(K)` insert or remove: every
-        // catalogue change copies the query set and the index
-        // (`Arc::make_mut` on a shared snapshot).
+        // What a catalogue with more than one holder pays around the
+        // `O(K)` insert or remove: `Arc::make_mut` copies the query set
+        // and the index first (a worker fleet; a shared `Detector`).
         g.bench_function(format!("copy_query_set_{m}"), |bench| bench.iter(|| qs.clone()));
         g.bench_function(format!("copy_index_{m}"), |bench| bench.iter(|| built.clone()));
         // The steady state of a catalogue that churns around `m`: one
@@ -107,5 +108,74 @@ fn bench_index_maintenance(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_probe, bench_index_maintenance);
+/// One subscription change through a fleet with 8 streams attached, at
+/// `m = 1024`: inline the fleet is the catalogue's only holder and writes
+/// in place; with workers every shard holds a clone, so the write copies
+/// both halves and then waits for every shard to install them.
+fn bench_fleet_subscription(c: &mut Criterion) {
+    let cfg = DetectorConfig { k: K, ..Default::default() };
+    let family = MinHashFamily::new(K, cfg.hash_seed);
+    let catalogue = query_set(&family, 1024);
+    // A fresh decoy per iteration, sketched outside the timed call.
+    let next_id = Cell::new(1_000_000u32);
+    let decoy = || query(&family, next_id.replace(next_id.get() + 1));
+    for (executor, shards) in [("inline", 1), ("shards2", 2)] {
+        let mut fleet = Fleet::new(DetectorConfig { shards, ..cfg });
+        for q in catalogue.iter() {
+            fleet.subscribe(q.clone()).expect("fresh fleet subscribes");
+        }
+        for s in 0..8 {
+            fleet.add_stream(s).expect("fresh stream id");
+            fleet.push_keyframe(s, 0, 7).expect("stream was added"); // a window is open
+        }
+        // As in `hq_maintenance`: the rows have already doubled.
+        let warm_up = decoy();
+        let id = warm_up.id;
+        fleet.subscribe(warm_up).expect("fleet is live");
+        fleet.unsubscribe(id).expect("fleet is live");
+        let fleet = RefCell::new(fleet);
+
+        let mut g = c.benchmark_group("fleet_subscribe_1024");
+        g.sample_size(20);
+        let subscribed = Cell::new(None);
+        g.bench_function(executor, |bench| {
+            bench.iter_batched(
+                || {
+                    // Take the previous iteration's decoy out again.
+                    if let Some(id) = subscribed.take() {
+                        fleet.borrow_mut().unsubscribe(id).expect("fleet is live");
+                    }
+                    decoy()
+                },
+                |q| {
+                    subscribed.set(Some(q.id));
+                    fleet.borrow_mut().subscribe(black_box(q))
+                },
+                criterion::BatchSize::PerIteration,
+            );
+        });
+        g.finish();
+        if let Some(id) = subscribed.take() {
+            fleet.borrow_mut().unsubscribe(id).expect("fleet is live");
+        }
+
+        let mut g = c.benchmark_group("fleet_unsubscribe_1024");
+        g.sample_size(20);
+        g.bench_function(executor, |bench| {
+            bench.iter_batched(
+                || {
+                    let q = decoy();
+                    let id = q.id;
+                    fleet.borrow_mut().subscribe(q).expect("fleet is live");
+                    id
+                },
+                |id| fleet.borrow_mut().unsubscribe(black_box(id)),
+                criterion::BatchSize::PerIteration,
+            );
+        });
+        g.finish();
+    }
+}
+
+criterion_group!(benches, bench_probe, bench_index_maintenance, bench_fleet_subscription);
 criterion_main!(benches);

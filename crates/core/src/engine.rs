@@ -10,11 +10,18 @@
 //!    Geometric order, matches (Lemma 1, threshold δ) are reported, and
 //!    Lemma-2 violators are dropped;
 //! 4. the process continues until the end of the stream.
+//!
+//! Steps 2–4 are the per-stream state's job (`StreamState`); step 1's
+//! products are the catalogue (`Catalogue`), which the per-stream state
+//! only ever borrows. A [`Detector`] is the two together — what a caller
+//! watching one stream wants. A [`crate::Fleet`] keeps many per-stream
+//! states and one catalogue per executor instead, so a subscription is
+//! written once, in place, however many streams are open.
 
-use crate::config::{DetectorConfig, Order, Representation};
+use crate::config::{DetectorConfig, Order};
 use crate::detection::Detection;
 use crate::geo_store::GeoStore;
-use crate::hq::HqIndex;
+use crate::hq::{HqIndex, MAX_QUERIES};
 use crate::query::{Query, QueryId, QuerySet};
 use crate::seq_store::SeqStore;
 use crate::stats::Stats;
@@ -32,16 +39,110 @@ enum Store {
     Geo(GeoStore),
 }
 
-/// The continuous copy detector for one video stream.
-pub struct Detector {
+/// The catalogue: the subscribed queries and, iff the configuration uses
+/// it, the HQ index over exactly that set.
+///
+/// Each half sits behind an [`Arc`] so a holder can hand clones to other
+/// threads, but every write goes through [`Arc::make_mut`] on *this*
+/// holder's pair: while it is the only holder the write happens in place
+/// (`K` index cells and one pushed sketch); with a clone outstanding it
+/// copies first and leaves the clone untouched. The reference count is
+/// the only switch — uniqueness is an optimisation, never a requirement.
+#[derive(Clone)]
+pub(crate) struct Catalogue {
+    k: usize,
+    queries: Arc<QuerySet>,
+    /// `Some` iff the configuration uses the index.
+    index: Option<Arc<HqIndex>>,
+}
+
+impl Catalogue {
+    /// The empty catalogue for a configuration.
+    pub(crate) fn empty(cfg: &DetectorConfig) -> Catalogue {
+        Catalogue {
+            k: cfg.k,
+            queries: Arc::new(QuerySet::new()),
+            index: cfg.use_index.then(|| Arc::new(HqIndex::empty(cfg.k))),
+        }
+    }
+
+    /// Adopt a pair built elsewhere (and possibly still held there). The
+    /// index must have been built over exactly `queries`.
+    ///
+    /// # Panics
+    /// Panics on `K` mismatch, if index presence disagrees with
+    /// `cfg.use_index`, or if the index does not cover the queries.
+    fn shared(
+        cfg: &DetectorConfig,
+        queries: Arc<QuerySet>,
+        index: Option<Arc<HqIndex>>,
+    ) -> Catalogue {
+        if let Some(k) = queries.k() {
+            assert_eq!(k, cfg.k, "query sketches must use K = {}", cfg.k);
+        }
+        assert_eq!(
+            cfg.use_index,
+            index.is_some(),
+            "shared index must be provided exactly when cfg.use_index"
+        );
+        if let Some(ix) = &index {
+            assert_eq!(ix.k(), cfg.k, "shared index K mismatch");
+            assert_eq!(ix.len(), queries.len(), "shared index does not cover the catalogue");
+        }
+        Catalogue { k: cfg.k, queries, index }
+    }
+
+    /// The subscribed queries.
+    pub(crate) fn queries(&self) -> &QuerySet {
+        &self.queries
+    }
+
+    /// How many hold each half: `(queries, index)`.
+    #[cfg(test)]
+    pub(crate) fn holders(&self) -> (usize, Option<usize>) {
+        (Arc::strong_count(&self.queries), self.index.as_ref().map(Arc::strong_count))
+    }
+
+    /// Add a query: `K` hash-table cells and one sketch in place when
+    /// this is the pair's only holder, a copy of both halves otherwise.
+    /// The one place a subscription is written, so the one place it is
+    /// validated: in place there is no old snapshot to fall back on, and
+    /// every rejection is decided before the first write to either half.
+    ///
+    /// # Panics
+    /// Panics on sketch `K` mismatch, duplicate query id, or a full index.
+    pub(crate) fn subscribe(&mut self, query: Query) {
+        assert_eq!(query.sketch.k(), self.k, "query sketch K mismatch");
+        assert!(self.queries.get(query.id).is_none(), "duplicate query id {}", query.id);
+        if let Some(ix) = &mut self.index {
+            assert!(ix.len() < MAX_QUERIES, "index is full ({MAX_QUERIES} queries)");
+            Arc::make_mut(ix).insert(&query);
+        }
+        Arc::make_mut(&mut self.queries).insert(query);
+    }
+
+    /// Remove a query; `false` if the id is not subscribed — found out
+    /// before [`Arc::make_mut`], so an unknown id copies nothing.
+    pub(crate) fn unsubscribe(&mut self, id: QueryId) -> bool {
+        if self.queries.get(id).is_none() {
+            return false;
+        }
+        if let Some(ix) = &mut self.index {
+            Arc::make_mut(ix).remove(id);
+        }
+        Arc::make_mut(&mut self.queries).remove(id).is_some()
+    }
+}
+
+/// Everything a detector keeps per stream — the window being filled, the
+/// candidate store, the counters and the reusable scratch — and nothing
+/// of the catalogue, which [`StreamState::push_keyframe`] and
+/// [`StreamState::finish`] borrow for the call. A [`Detector`] lends its
+/// own; a fleet's stream table lends its executor's one copy to every
+/// stream in turn, so a subscription is written once, wherever it lives.
+pub(crate) struct StreamState {
     cfg: DetectorConfig,
     family: MinHashFamily,
-    /// The subscribed catalogue. Shared (`Arc`) so a fleet of detectors
-    /// watching the same queries keeps one copy; per-detector
-    /// subscription changes copy-on-write via [`Arc::make_mut`].
-    queries: Arc<QuerySet>,
-    /// The HQ index over `queries`, shared the same way.
-    index: Option<Arc<HqIndex>>,
     store: Store,
     /// Cell ids of the window being filled.
     buffer: Vec<u64>,
@@ -66,6 +167,138 @@ pub struct Detector {
     probe_hits: Vec<crate::hq::ProbeHit>,
 }
 
+impl StreamState {
+    /// A stream at its first key frame. `cfg` must be valid, and every
+    /// catalogue later lent must have been made for it.
+    pub(crate) fn new(cfg: DetectorConfig) -> StreamState {
+        let store = match cfg.order {
+            Order::Sequential => Store::Seq(SeqStore::new(cfg.representation)),
+            Order::Geometric => Store::Geo(GeoStore::new(cfg.representation)),
+        };
+        let family = MinHashFamily::new(cfg.k, cfg.hash_seed);
+        let hash_cache = HashColumnCache::new(&family, HASH_CACHE_WAYS);
+        StreamState {
+            family,
+            win_sketch: Sketch::empty(cfg.k),
+            buffer: Vec::with_capacity(cfg.window_keyframes),
+            cfg,
+            store,
+            buffer_start: 0,
+            last_frame: 0,
+            next_window: 0,
+            stats: Stats::default(),
+            rel: WindowRelations::new(),
+            hash_cache,
+            probe_scratch: crate::hq::ProbeScratch::default(),
+            probe_hits: Vec::new(),
+        }
+    }
+
+    /// Accumulated operation counters.
+    pub(crate) fn stats(&self) -> &Stats {
+        &self.stats
+    }
+
+    /// Feed one key frame's fingerprint; if it completes a basic window,
+    /// the window is evaluated against `catalogue` as it is now. A
+    /// catalogue change therefore lands between key frames and applies to
+    /// the open window when it closes.
+    // vdsms-lint: entry
+    pub(crate) fn push_keyframe(
+        &mut self,
+        catalogue: &Catalogue,
+        frame_index: u64,
+        cell_id: u64,
+    ) -> Vec<Detection> {
+        if self.buffer.is_empty() {
+            self.buffer_start = frame_index;
+        }
+        // vdsms-lint: allow(no-alloc-hot-path) reason="pre-reserved to window_keyframes in the constructor; drain() keeps the capacity"
+        self.buffer.push(cell_id);
+        self.last_frame = frame_index;
+        if self.buffer.len() >= self.cfg.window_keyframes {
+            self.process_window(catalogue)
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// Flush a partially-filled final window at end of stream.
+    // vdsms-lint: entry
+    pub(crate) fn finish(&mut self, catalogue: &Catalogue) -> Vec<Detection> {
+        if self.buffer.is_empty() {
+            return Vec::new();
+        }
+        self.process_window(catalogue)
+    }
+
+    fn process_window(&mut self, catalogue: &Catalogue) -> Vec<Detection> {
+        // Reuse the scratch sketch: move it into the window for the
+        // store's `advance`, move it back after. `Sketch::default()` is a
+        // detached zero-K placeholder; no allocation happens on this path
+        // after the constructor.
+        let mut sketch = std::mem::take(&mut self.win_sketch);
+        sketch.reset(self.cfg.k);
+        sketch.observe_batch_cached(&self.family, &mut self.hash_cache, &self.buffer);
+        self.buffer.clear();
+        let win = Window {
+            index: self.next_window,
+            start_frame: self.buffer_start,
+            end_frame: self.last_frame,
+            sketch,
+        };
+        self.next_window += 1;
+        self.stats.windows += 1;
+
+        let queries = catalogue.queries();
+        match catalogue.index.as_deref() {
+            Some(ix) => {
+                self.stats.index_probes += 1;
+                // The previous window's cached signatures are dead; give
+                // their buffers back to the probe's pool before refilling.
+                self.rel.recycle_sigs_into(&mut self.probe_scratch);
+                self.stats.index_row_searches += ix.probe_into(
+                    &win.sketch,
+                    self.cfg.pruning_delta(),
+                    &mut self.probe_scratch,
+                    &mut self.probe_hits,
+                );
+                self.rel.reset_from_probe(&mut self.probe_hits);
+            }
+            // NoIndex: every query is related; for the Bit representation
+            // the window's signature must be encoded against every query
+            // (this cost is the point of Fig. 9's comparison). Encodes
+            // happen lazily but every related entry will be touched, so
+            // the accounting stays exact.
+            None => self.rel.reset_all_queries(queries),
+        }
+
+        let out = match &mut self.store {
+            Store::Seq(s) => s.advance(&win, &mut self.rel, &self.cfg, queries, &mut self.stats),
+            Store::Geo(s) => s.advance(&win, &mut self.rel, &self.cfg, queries, &mut self.stats),
+        };
+        self.win_sketch = win.sketch;
+        out
+    }
+}
+
+/// The continuous copy detector for one video stream: the per-stream
+/// state plus a catalogue of its own.
+///
+/// A standalone detector ([`Detector::new`]) is its catalogue's only
+/// holder, so [`Detector::subscribe`] / [`Detector::unsubscribe`] write
+/// in place. [`Detector::with_shared`] and [`Detector::install_catalogue`]
+/// are for callers that share one catalogue among detectors they drive
+/// themselves; there a subscription through the detector copies first
+/// (the other holders keep theirs), and the cheap way to change the
+/// catalogue is to build the new pair once and install it on each. A
+/// [`crate::Fleet`] does neither: it keeps one catalogue per executor and
+/// lends it to plain per-stream states.
+pub struct Detector {
+    catalogue: Catalogue,
+    state: StreamState,
+}
+
 impl Detector {
     /// Create a detector for a query set.
     ///
@@ -85,52 +318,22 @@ impl Detector {
     }
 
     /// Create a detector that shares a pre-built catalogue and index with
-    /// other detectors (fleet use). The index must have been built over
-    /// exactly `queries`, and must be `Some` iff `cfg.use_index`.
+    /// other detectors. The index must have been built over exactly
+    /// `queries`, and must be `Some` iff `cfg.use_index`.
     ///
     /// # Panics
     /// Panics if the configuration is invalid, a query's `K` mismatches,
-    /// or index presence disagrees with `cfg.use_index`.
+    /// index presence disagrees with `cfg.use_index`, or the index does
+    /// not cover `queries`.
     pub fn with_shared(
         cfg: DetectorConfig,
         queries: Arc<QuerySet>,
         index: Option<Arc<HqIndex>>,
     ) -> Detector {
         cfg.validate();
-        if let Some(k) = queries.k() {
-            assert_eq!(k, cfg.k, "query sketches must use K = {}", cfg.k);
-        }
-        assert_eq!(
-            cfg.use_index,
-            index.is_some(),
-            "shared index must be provided exactly when cfg.use_index"
-        );
-        if let Some(ix) = &index {
-            assert_eq!(ix.k(), cfg.k, "shared index K mismatch");
-            assert_eq!(ix.len(), queries.len(), "shared index does not cover the catalogue");
-        }
-        let store = match cfg.order {
-            Order::Sequential => Store::Seq(SeqStore::new(cfg.representation)),
-            Order::Geometric => Store::Geo(GeoStore::new(cfg.representation)),
-        };
-        let family = MinHashFamily::new(cfg.k, cfg.hash_seed);
-        let hash_cache = HashColumnCache::new(&family, HASH_CACHE_WAYS);
         Detector {
-            family,
-            win_sketch: Sketch::empty(cfg.k),
-            buffer: Vec::with_capacity(cfg.window_keyframes),
-            cfg,
-            queries,
-            index,
-            store,
-            buffer_start: 0,
-            last_frame: 0,
-            next_window: 0,
-            stats: Stats::default(),
-            rel: WindowRelations::new(),
-            hash_cache,
-            probe_scratch: crate::hq::ProbeScratch::default(),
-            probe_hits: Vec::new(),
+            catalogue: Catalogue::shared(&cfg, queries, index),
+            state: StreamState::new(cfg),
         }
     }
 
@@ -143,146 +346,67 @@ impl Detector {
     /// Sketch a query from its key-frame cell ids with this detector's
     /// family.
     pub fn make_query(&self, id: QueryId, cell_ids: &[u64]) -> Query {
-        Query::from_cell_ids(id, &self.family, cell_ids)
+        Query::from_cell_ids(id, &self.state.family, cell_ids)
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &DetectorConfig {
-        &self.cfg
+        &self.state.cfg
     }
 
     /// The subscribed queries.
     pub fn queries(&self) -> &QuerySet {
-        &self.queries
+        self.catalogue.queries()
     }
 
     /// Accumulated operation counters.
     pub fn stats(&self) -> &Stats {
-        &self.stats
+        self.state.stats()
     }
 
-    /// Subscribe a new query online (paper Section V-C.1).
+    /// Subscribe a new query online (paper Section V-C.1). A rejected
+    /// query leaves the catalogue exactly as it was.
     ///
     /// # Panics
-    /// Panics on duplicate id or `K` mismatch.
+    /// Panics on duplicate id, `K` mismatch or a full index.
     pub fn subscribe(&mut self, query: Query) {
-        assert_eq!(query.sketch.k(), self.cfg.k, "query sketch K mismatch");
-        if let Some(ix) = &mut self.index {
-            Arc::make_mut(ix).insert(&query);
-        }
-        Arc::make_mut(&mut self.queries).insert(query);
+        self.catalogue.subscribe(query);
     }
 
     /// Unsubscribe a query online. Candidates tracking it shed their
-    /// entries lazily. Returns `false` if the id was not subscribed.
+    /// entries lazily. Returns `false` if the id was not subscribed,
+    /// having written and copied nothing.
     pub fn unsubscribe(&mut self, id: QueryId) -> bool {
-        if let Some(ix) = &mut self.index {
-            Arc::make_mut(ix).remove(id);
-        }
-        Arc::make_mut(&mut self.queries).remove(id).is_some()
+        self.catalogue.unsubscribe(id)
     }
 
-    /// Atomically replace the catalogue and index with new shared
-    /// snapshots (fleet subscription broadcast). The swap happens between
-    /// basic windows, so it is equivalent to per-detector
-    /// `subscribe`/`unsubscribe` calls producing the same catalogue —
-    /// candidates tracking a removed query shed their entries lazily,
-    /// exactly as with [`Detector::unsubscribe`].
+    /// Replace the catalogue and index with a pair the caller shares with
+    /// other detectors. The swap happens between key frames and applies
+    /// to the open window when it closes, so it is equivalent to
+    /// per-detector `subscribe`/`unsubscribe` calls producing the same
+    /// catalogue — candidates tracking a removed query shed their entries
+    /// lazily, exactly as with [`Detector::unsubscribe`].
     ///
     /// # Panics
-    /// Panics on `K` mismatch or if index presence disagrees with
-    /// `cfg.use_index`.
+    /// Panics on `K` mismatch, if index presence disagrees with
+    /// `cfg.use_index`, or if the index does not cover `queries`.
     pub fn install_catalogue(&mut self, queries: Arc<QuerySet>, index: Option<Arc<HqIndex>>) {
-        if let Some(k) = queries.k() {
-            assert_eq!(k, self.cfg.k, "query sketches must use K = {}", self.cfg.k);
-        }
-        assert_eq!(
-            self.cfg.use_index,
-            index.is_some(),
-            "shared index must be provided exactly when cfg.use_index"
-        );
-        self.queries = queries;
-        self.index = index;
+        self.catalogue = Catalogue::shared(&self.state.cfg, queries, index);
     }
 
     /// Feed one key frame's fingerprint. Returns the detections triggered
     /// if this key frame completed a basic window (empty otherwise).
     // vdsms-lint: entry
     pub fn push_keyframe(&mut self, frame_index: u64, cell_id: u64) -> Vec<Detection> {
-        if self.buffer.is_empty() {
-            self.buffer_start = frame_index;
-        }
-        // vdsms-lint: allow(no-alloc-hot-path) reason="pre-reserved to window_keyframes in the constructor; drain() keeps the capacity"
-        self.buffer.push(cell_id);
-        self.last_frame = frame_index;
-        if self.buffer.len() >= self.cfg.window_keyframes {
-            self.process_window()
-        } else {
-            Vec::new()
-        }
+        // Called by path so the lint's name-based call graph sees the
+        // per-stream state, not every `push_keyframe` in the workspace.
+        StreamState::push_keyframe(&mut self.state, &self.catalogue, frame_index, cell_id)
     }
 
     /// Flush a partially-filled final window at end of stream.
     // vdsms-lint: entry
     pub fn finish(&mut self) -> Vec<Detection> {
-        if self.buffer.is_empty() {
-            return Vec::new();
-        }
-        self.process_window()
-    }
-
-    fn process_window(&mut self) -> Vec<Detection> {
-        // Reuse the scratch sketch: move it into the window for the
-        // store's `advance`, move it back after. `Sketch::default()` is a
-        // detached zero-K placeholder; no allocation happens on this path
-        // after the constructor.
-        let mut sketch = std::mem::take(&mut self.win_sketch);
-        sketch.reset(self.cfg.k);
-        sketch.observe_batch_cached(&self.family, &mut self.hash_cache, &self.buffer);
-        self.buffer.clear();
-        let win = Window {
-            index: self.next_window,
-            start_frame: self.buffer_start,
-            end_frame: self.last_frame,
-            sketch,
-        };
-        self.next_window += 1;
-        self.stats.windows += 1;
-
-        match (&self.index, self.cfg.representation) {
-            (Some(ix), _) => {
-                self.stats.index_probes += 1;
-                // The previous window's cached signatures are dead; give
-                // their buffers back to the probe's pool before refilling.
-                self.rel.recycle_sigs_into(&mut self.probe_scratch);
-                self.stats.index_row_searches += ix.probe_into(
-                    &win.sketch,
-                    self.cfg.pruning_delta(),
-                    &mut self.probe_scratch,
-                    &mut self.probe_hits,
-                );
-                self.rel.reset_from_probe(&mut self.probe_hits);
-            }
-            // NoIndex: every query is related; for the Bit representation
-            // the window's signature must be encoded against every query
-            // (this cost is the point of Fig. 9's comparison). Encodes
-            // happen lazily but every related entry will be touched, so
-            // the accounting stays exact.
-            (None, Representation::Bit) | (None, Representation::Sketch) => {
-                self.rel.reset_all_queries(&self.queries);
-            }
-        }
-
-        let out = match &mut self.store {
-            Store::Seq(s) => {
-                s.advance(&win, &mut self.rel, &self.cfg, &self.queries, &mut self.stats)
-            }
-            Store::Geo(s) => {
-                s.advance(&win, &mut self.rel, &self.cfg, &self.queries, &mut self.stats)
-            }
-        };
-        self.win_sketch = win.sketch;
-        out
+        StreamState::finish(&mut self.state, &self.catalogue)
     }
 
     /// Convenience: run a whole fingerprint sequence through the detector.
@@ -300,6 +424,7 @@ impl Detector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Representation;
 
     const K: usize = 128;
 
@@ -472,6 +597,27 @@ mod tests {
             found.extend(det.push_keyframe(i, id));
         }
         assert!(found.is_empty(), "unsubscribed query must be ignored: {found:?}");
+    }
+
+    #[test]
+    fn a_shared_catalogue_is_copied_by_a_write_and_by_nothing_else() {
+        let config = cfg(Order::Sequential, Representation::Bit, true);
+        let family = Detector::family_for(&config);
+        let clip = |id: QueryId| Query::from_cell_ids(id, &family, &[u64::from(id), 7, 8]);
+        let held = Arc::new(QuerySet::from_queries(vec![clip(1)]));
+        let held_index = Arc::new(HqIndex::build(K, &held));
+        let mut det =
+            Detector::with_shared(config, Arc::clone(&held), Some(Arc::clone(&held_index)));
+
+        // An unknown id is found out before anything is written.
+        assert!(!det.unsubscribe(99));
+        assert!(std::ptr::eq(det.queries(), &*held), "an unknown id must not copy the queries");
+        assert_eq!(Arc::strong_count(&held_index), 2, "an unknown id must not copy the index");
+
+        // A write copies first: the other holder's pair is not torn.
+        det.subscribe(clip(2));
+        assert_eq!((det.queries().len(), held.len(), held_index.len()), (2, 1, 1));
+        assert_eq!((Arc::strong_count(&held), Arc::strong_count(&held_index)), (1, 1));
     }
 
     #[test]

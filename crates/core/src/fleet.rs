@@ -2,36 +2,39 @@
 //!
 //! The paper's setting is explicitly multi-stream ("there are many
 //! concurrent video streams and for each stream, there could be many
-//! continuous video copy monitoring queries"). A [`Fleet`] manages one
-//! [`Detector`] per stream, keeps subscriptions synchronized across all
-//! of them, and aggregates statistics and detections per stream.
+//! continuous video copy monitoring queries"). A [`Fleet`] runs one
+//! detector's worth of state per stream against one catalogue of
+//! subscriptions, and aggregates statistics and detections per stream.
 //!
-//! Each detector keeps its own candidate state — candidate lists are
-//! inherently per-stream — but the query catalogue and its HQ index are
-//! *shared*: the fleet maintains one immutable `Arc<QuerySet>` /
-//! `Arc<HqIndex>` snapshot and every detector holds a clone of the
-//! `Arc`. A subscription change builds a new snapshot once and installs
-//! it everywhere, so catalogue memory is O(1) in the number of streams.
+//! Candidate state is inherently per-stream, and per-stream state is all a
+//! stream holds. The query catalogue and its HQ index have **one owner
+//! per executor**, which lends them to the stream whose key frame is
+//! being processed, for the length of that call — so catalogue memory is
+//! O(1) in the number of streams, and a subscription change is one write
+//! to the owner's copy, not an installation on every stream.
 //!
 //! ## One stream table, two executors
 //!
-//! The per-stream operations (add, remove/detach, install-catalogue,
-//! process-batch, finish-all) have one implementation, the private
-//! `StreamTable`. [`DetectorConfig::shards`] picks who runs it:
+//! The per-stream operations (add, remove/detach, process-batch,
+//! finish-all) have one implementation, the private `StreamTable`.
+//! [`DetectorConfig::shards`] picks who runs it, and with that who owns
+//! the catalogue:
 //!
 //! - `shards <= 1` — **inline**: the fleet owns one table and calls it on
-//!   the caller's thread. No thread, channel, lock, journal or batch
-//!   partitioning exists on this path; it is what every product default
-//!   (CLI, daemon, benchmark workloads) runs.
+//!   the caller's thread, lending it the fleet's own catalogue. No
+//!   thread, channel, lock, journal or batch partitioning exists on this
+//!   path; it is what every product default (CLI, daemon, benchmark
+//!   workloads) runs.
 //! - `shards > 1` — **workers**: streams are hash-sharded onto `shards`
 //!   supervised worker threads, one table each, so every stream's key
 //!   frames are processed by exactly one thread, in order — detection
-//!   per stream is bit-identical to the inline executor. A subscription
-//!   change sends the new snapshot down every shard's FIFO command
-//!   channel and waits for all acknowledgments — a **quiesce barrier**:
-//!   every key frame pushed before `subscribe` returns is evaluated
-//!   against the old catalogue, every one pushed after against the new
-//!   one, on every shard.
+//!   per stream is bit-identical to the inline executor. Every worker
+//!   holds a clone of the fleet's catalogue `Arc`s and lends that to its
+//!   table. A subscription change sends fresh clones down every shard's
+//!   FIFO command channel and waits for all acknowledgments — a
+//!   **quiesce barrier**: every key frame pushed before `subscribe`
+//!   returns is evaluated against the old catalogue, every one pushed
+//!   after against the new one, on every shard.
 //!
 //! Two ingestion modes, at either shard count:
 //! - [`Fleet::push_batch`] — synchronous: returns the batch's detections
@@ -40,13 +43,32 @@
 //!   queued; detections accumulate in a sink drained by
 //!   [`Fleet::take_detections`] after a [`Fleet::quiesce`] (or any other
 //!   barrier-forming call). Inline, the work simply runs in the call.
+//!
+//! ## What a subscription change costs
+//!
+//! [`Fleet::subscribe`] / [`Fleet::unsubscribe`] write the fleet's
+//! catalogue through [`Arc::make_mut`] — the same line at both executors;
+//! the reference count decides what it does. Inline the count is 1 (no
+//! stream, table or snapshot holds a second reference), so the write is
+//! the index's own `O(K)` update plus one sketch moved into the query
+//! set, in place: tens of microseconds at `m = 1024`, no allocation once
+//! the vectors have grown. With workers the count is `shards + 1`, so
+//! the write first copies both halves (≈ 20 MB at `m = 1024`, a few
+//! milliseconds), the shards swap their clones for the new ones at the
+//! barrier, and the old copy is freed by the last shard to let go.
+//! Holding the only reference is an optimisation, never a requirement: a
+//! clone held anywhere costs one copy, not a panic or a torn read. Because
+//! an in-place write has no old snapshot to fall back on, every rejection
+//! (duplicate id, `K` mismatch, full index) is decided before the first
+//! write, and an unknown id is found out before anything is copied or
+//! sent. A change lands between key frames and applies to each stream's
+//! open window when that window closes.
 
 use crate::config::DetectorConfig;
 use crate::detection::Detection;
-use crate::engine::Detector;
+use crate::engine::{Catalogue, StreamState};
 use crate::error::FleetError;
-use crate::hq::HqIndex;
-use crate::query::{Query, QueryId, QuerySet};
+use crate::query::{Query, QueryId};
 use crate::stats::Stats;
 use crate::sync::{channel, sync_channel, Receiver, SendError, Sender, SyncSender};
 use parking_lot::{Mutex, RwLock};
@@ -77,115 +99,66 @@ fn tag(stream_id: StreamId, detections: Vec<Detection>) -> impl Iterator<Item = 
     detections.into_iter().map(move |detection| StreamDetection { stream_id, detection })
 }
 
-/// The fleet-wide shared catalogue snapshot: the query set and (when the
-/// configuration uses it) the HQ index built over exactly that set. The
-/// snapshot is immutable once published; subscription changes produce a
-/// new one.
-#[derive(Clone)]
-struct CatalogueSnapshot {
-    queries: Arc<QuerySet>,
-    /// The HQ index over `queries`; `Some` iff the config uses the index.
-    index: Option<Arc<HqIndex>>,
-}
-
-impl CatalogueSnapshot {
-    fn empty(cfg: &DetectorConfig) -> CatalogueSnapshot {
-        CatalogueSnapshot {
-            queries: Arc::new(QuerySet::new()),
-            index: cfg.use_index.then(|| Arc::new(HqIndex::empty(cfg.k))),
-        }
-    }
-
-    /// A snapshot with `query` added. Panics on duplicate query id or
-    /// sketch `K` mismatch.
-    fn with_subscribed(&self, query: Query) -> CatalogueSnapshot {
-        let mut next = self.clone();
-        if let Some(ix) = &mut next.index {
-            Arc::make_mut(ix).insert(&query);
-        }
-        Arc::make_mut(&mut next.queries).insert(query);
-        next
-    }
-
-    /// A snapshot with query `id` removed; `None` if not present.
-    fn with_unsubscribed(&self, id: QueryId) -> Option<CatalogueSnapshot> {
-        let mut next = self.clone();
-        Arc::make_mut(&mut next.queries).remove(id)?;
-        if let Some(ix) = &mut next.index {
-            Arc::make_mut(ix).remove(id);
-        }
-        Some(next)
-    }
-}
-
-/// One shard's detectors: the only implementation of the per-stream
+/// One shard's streams: the only implementation of the per-stream
 /// operations. The inline executor calls it on the caller's thread; each
-/// worker owns one behind its command channel. Streams live in a
+/// worker owns one behind its command channel. The table holds per-stream
+/// state only: every operation that evaluates a window borrows the
+/// catalogue from the table's owner for the call. Streams live in a
 /// `BTreeMap` so whole-table walks run in stream-id order, keeping
 /// detection and stats output deterministic across runs (the
 /// `deterministic-iteration` lint rule).
 struct StreamTable {
     cfg: DetectorConfig,
-    /// The catalogue new streams are seeded from.
-    catalogue: CatalogueSnapshot,
-    streams: BTreeMap<StreamId, Detector>,
+    streams: BTreeMap<StreamId, StreamState>,
 }
 
 impl StreamTable {
-    fn new(cfg: DetectorConfig, catalogue: CatalogueSnapshot) -> StreamTable {
-        StreamTable { cfg, catalogue, streams: BTreeMap::new() }
+    fn new(cfg: DetectorConfig) -> StreamTable {
+        StreamTable { cfg, streams: BTreeMap::new() }
     }
 
-    /// Start a stream on the current catalogue (the coordinator has
-    /// already validated uniqueness).
+    /// Start a stream (the coordinator has already validated uniqueness).
     fn add(&mut self, stream_id: StreamId) {
-        let det = Detector::with_shared(
-            self.cfg,
-            Arc::clone(&self.catalogue.queries),
-            self.catalogue.index.clone(),
-        );
-        self.streams.insert(stream_id, det);
+        self.streams.insert(stream_id, StreamState::new(self.cfg));
     }
 
     /// Stop a stream, evaluating its partial window first iff `flush`.
-    fn remove(&mut self, stream_id: StreamId, flush: bool) -> Option<Departure> {
-        let mut det = self.streams.remove(&stream_id)?;
-        let flushed = if flush { tag(stream_id, det.finish()).collect() } else { Vec::new() };
-        Some((flushed, *det.stats()))
-    }
-
-    /// Install a new catalogue snapshot on every detector.
-    fn install(&mut self, catalogue: CatalogueSnapshot) {
-        for det in self.streams.values_mut() {
-            det.install_catalogue(Arc::clone(&catalogue.queries), catalogue.index.clone());
-        }
-        self.catalogue = catalogue;
+    fn remove(
+        &mut self,
+        catalogue: &Catalogue,
+        stream_id: StreamId,
+        flush: bool,
+    ) -> Option<Departure> {
+        let mut stream = self.streams.remove(&stream_id)?;
+        let flushed =
+            if flush { tag(stream_id, stream.finish(catalogue)).collect() } else { Vec::new() };
+        Some((flushed, *stream.stats()))
     }
 
     /// Feed key frames in order, appending the detections they trigger.
     // vdsms-lint: entry
-    fn process(&mut self, frames: &[Frame], out: &mut Vec<StreamDetection>) {
+    fn process(&mut self, catalogue: &Catalogue, frames: &[Frame], out: &mut Vec<StreamDetection>) {
         for &(stream_id, frame_index, cell_id) in frames {
             // The coordinator validates stream ids before any frame is
             // applied, so an unknown id here is a routing bug; skip the
             // frame rather than kill the thread.
-            let Some(det) = self.streams.get_mut(&stream_id) else {
+            let Some(stream) = self.streams.get_mut(&stream_id) else {
                 debug_assert!(false, "stream {stream_id} not routed to this table");
                 continue;
             };
             // Called by path so the lint's name-based call graph sees the
-            // detector, not every `push_keyframe` in the workspace.
-            let found = Detector::push_keyframe(det, frame_index, cell_id);
+            // per-stream state, not every `push_keyframe` in the workspace.
+            let found = StreamState::push_keyframe(stream, catalogue, frame_index, cell_id);
             // vdsms-lint: allow(no-alloc-hot-path) reason="detection events only; extending from an empty iterator does not allocate"
             out.extend(tag(stream_id, found));
         }
     }
 
     /// Flush every stream's partial window, in ascending stream-id order.
-    fn finish_all(&mut self) -> Vec<StreamDetection> {
+    fn finish_all(&mut self, catalogue: &Catalogue) -> Vec<StreamDetection> {
         let mut out = Vec::new();
-        for (&stream_id, det) in &mut self.streams {
-            out.extend(tag(stream_id, det.finish()));
+        for (&stream_id, stream) in &mut self.streams {
+            out.extend(tag(stream_id, stream.finish(catalogue)));
         }
         out
     }
@@ -197,8 +170,9 @@ enum Cmd {
     Add(StreamId),
     /// [`StreamTable::remove`] with the given flush flag.
     Remove(StreamId, bool, SyncSender<Option<Departure>>),
-    /// [`StreamTable::install`], then acknowledge (the quiesce barrier).
-    Install(CatalogueSnapshot, SyncSender<()>),
+    /// Replace the worker's catalogue, then acknowledge (the quiesce
+    /// barrier).
+    Install(Catalogue, SyncSender<()>),
     /// [`StreamTable::process`] the shard's slice of a batch and reply
     /// with its detections.
     BatchSync(Vec<Frame>, SyncSender<Vec<StreamDetection>>),
@@ -235,6 +209,9 @@ type Published = Arc<RwLock<BTreeMap<StreamId, Stats>>>;
 /// What a worker thread owns.
 struct Worker {
     table: StreamTable,
+    /// This shard's catalogue: a clone of the coordinator's `Arc` pair,
+    /// lent to `table` on every call.
+    catalogue: Catalogue,
     sink: Sink,
     stats: Published,
 }
@@ -251,12 +228,12 @@ impl Worker {
                     true
                 }
                 Cmd::Remove(stream_id, flush, reply) => {
-                    let departure = self.table.remove(stream_id, flush);
+                    let departure = self.table.remove(&self.catalogue, stream_id, flush);
                     self.stats.write().remove(&stream_id);
                     reply.send(departure).is_ok()
                 }
                 Cmd::Install(catalogue, ack) => {
-                    self.table.install(catalogue);
+                    self.catalogue = catalogue;
                     ack.send(()).is_ok()
                 }
                 Cmd::BatchSync(frames, reply) => reply.send(self.process(&frames)).is_ok(),
@@ -268,7 +245,7 @@ impl Worker {
                     true
                 }
                 Cmd::FinishAll(reply) => {
-                    let dets = self.table.finish_all();
+                    let dets = self.table.finish_all(&self.catalogue);
                     self.publish();
                     reply.send(dets).is_ok()
                 }
@@ -291,16 +268,16 @@ impl Worker {
     // vdsms-lint: entry
     fn process(&mut self, frames: &[Frame]) -> Vec<StreamDetection> {
         let mut out = Vec::new();
-        self.table.process(frames, &mut out);
+        self.table.process(&self.catalogue, frames, &mut out);
         self.publish();
         out
     }
 
     fn publish(&self) {
         let mut slot = self.stats.write();
-        for (&stream_id, det) in &self.table.streams {
+        for (&stream_id, stream) in &self.table.streams {
             // vdsms-lint: allow(no-alloc-hot-path) reason="Stats is Copy; the key set only changes on Add/Remove, so steady-state inserts overwrite in place"
-            slot.insert(stream_id, *det.stats());
+            slot.insert(stream_id, *stream.stats());
         }
     }
 }
@@ -319,12 +296,13 @@ struct Shard {
 fn spawn_worker(
     cfg: DetectorConfig,
     shard: usize,
-    catalogue: &CatalogueSnapshot,
+    catalogue: &Catalogue,
     sink: &Sink,
     stats: &Published,
 ) -> std::io::Result<(Sender<Cmd>, JoinHandle<()>)> {
     let worker = Worker {
-        table: StreamTable::new(cfg, catalogue.clone()),
+        table: StreamTable::new(cfg),
+        catalogue: catalogue.clone(),
         sink: Arc::clone(sink),
         stats: Arc::clone(stats),
     };
@@ -381,8 +359,10 @@ struct Route {
 /// [`Fleet::drain`]ed.
 pub struct Fleet {
     cfg: DetectorConfig,
-    /// The shared catalogue; new streams and restarted shards start on it.
-    catalogue: CatalogueSnapshot,
+    /// The catalogue, and the only place it is written. Inline this is
+    /// its one holder and the table borrows it; with workers every shard
+    /// holds a clone, and a restarted shard starts on this one.
+    catalogue: Catalogue,
     /// Every monitored stream, at either executor.
     streams: BTreeMap<StreamId, Route>,
     /// The inline executor: `Some` iff `cfg.shards <= 1`.
@@ -407,7 +387,8 @@ pub struct Fleet {
     parked_acks: Vec<Receiver<()>>,
     /// See [`Fleet::set_drain_join_polls`].
     drain_join_polls: u32,
-    /// Set by [`Fleet::drain`]: no worker is ever spawned again.
+    /// Set by [`Fleet::drain`] on a worker fleet: no worker is ever
+    /// spawned again.
     drained: bool,
 }
 
@@ -418,7 +399,7 @@ impl Fleet {
     /// Panics if the configuration is invalid.
     pub fn new(cfg: DetectorConfig) -> Fleet {
         cfg.validate();
-        let catalogue = CatalogueSnapshot::empty(&cfg);
+        let catalogue = Catalogue::empty(&cfg);
         let workers = if cfg.shards > 1 { cfg.shards } else { 0 };
         let shards: Vec<Shard> = (0..workers)
             .map(|i| {
@@ -430,7 +411,7 @@ impl Fleet {
             })
             .collect();
         Fleet {
-            inline: shards.is_empty().then(|| StreamTable::new(cfg, catalogue.clone())),
+            inline: shards.is_empty().then(|| StreamTable::new(cfg)),
             cfg,
             catalogue,
             streams: BTreeMap::new(),
@@ -463,7 +444,7 @@ impl Fleet {
 
     /// Number of subscribed queries.
     pub fn query_count(&self) -> usize {
-        self.catalogue.queries.len()
+        self.catalogue.queries().len()
     }
 
     fn shard_of(&self, stream_id: StreamId) -> usize {
@@ -658,7 +639,7 @@ impl Fleet {
             return Ok(None);
         };
         let departure = match &mut self.inline {
-            Some(table) => table.remove(stream_id, flush),
+            Some(table) => table.remove(&self.catalogue, stream_id, flush),
             None => {
                 let make = move |reply| Cmd::Remove(stream_id, flush, reply);
                 let rx = self.ask(shard, make)?;
@@ -673,47 +654,53 @@ impl Fleet {
 
     /// Subscribe a query on every stream (and for all future streams).
     /// With workers, returns after every shard has installed the new
-    /// catalogue — the quiesce barrier described in the module docs.
+    /// catalogue — the quiesce barrier described in the module docs. A
+    /// rejected query leaves the catalogue exactly as it was.
     ///
     /// # Errors
     /// [`FleetError::ShardDied`] if a worker is gone and could not be
     /// restarted.
     ///
     /// # Panics
-    /// Panics on duplicate query id or sketch `K` mismatch.
+    /// Panics on duplicate query id, sketch `K` mismatch or a full index.
     pub fn subscribe(&mut self, query: Query) -> Result<(), FleetError> {
-        self.install(self.catalogue.with_subscribed(query))
+        self.refuse_if_drained()?;
+        self.catalogue.subscribe(query);
+        self.broadcast_catalogue()
     }
 
     /// Unsubscribe a query everywhere (with the same barrier as
     /// [`Fleet::subscribe`]). Returns `Ok(false)` if it was not
-    /// subscribed.
+    /// subscribed, having written, copied and sent nothing.
     ///
     /// # Errors
     /// As [`Fleet::subscribe`].
     pub fn unsubscribe(&mut self, id: QueryId) -> Result<bool, FleetError> {
-        let Some(next) = self.catalogue.with_unsubscribed(id) else {
+        self.refuse_if_drained()?;
+        if !self.catalogue.unsubscribe(id) {
             return Ok(false);
-        };
-        self.install(next)?;
+        }
+        self.broadcast_catalogue()?;
         Ok(true)
     }
 
-    /// Publish `next` as the fleet's catalogue and install it on every
-    /// stream table.
-    fn install(&mut self, next: CatalogueSnapshot) -> Result<(), FleetError> {
-        if let Some(table) = &mut self.inline {
-            table.install(next.clone());
-            self.catalogue = next;
-            return Ok(());
-        }
+    /// A drained fleet's catalogue is frozen with the rest of it.
+    fn refuse_if_drained(&self) -> Result<(), FleetError> {
         if self.drained {
             return Err(FleetError::ShardDied { shard: 0 });
         }
-        // Published before the broadcast: a shard restarted during it is
-        // spawned on `self.catalogue`, which then already holds the new
-        // snapshot — its install is satisfied by construction.
-        self.catalogue = next;
+        Ok(())
+    }
+
+    /// Hand every worker a clone of `self.catalogue` and wait for all of
+    /// them to install it. Inline there is no worker to ask: the table
+    /// borrows `self.catalogue` itself on its next call.
+    ///
+    /// The write that precedes this has already published the catalogue:
+    /// a shard restarted during the broadcast is spawned on
+    /// `self.catalogue`, which then already holds the new snapshot — its
+    /// install is satisfied by construction.
+    fn broadcast_catalogue(&mut self) -> Result<(), FleetError> {
         let catalogue = self.catalogue.clone();
         let mut acks = self.ask_all(|ack| Cmd::Install(catalogue.clone(), ack))?;
         if self.skip_install_acks {
@@ -770,7 +757,7 @@ impl Fleet {
         self.check_streams(batch)?;
         let mut out = Vec::new();
         if let Some(table) = &mut self.inline {
-            table.process(batch, &mut out);
+            table.process(&self.catalogue, batch, &mut out);
             return Ok(out);
         }
         let mut replies = Vec::new();
@@ -795,7 +782,7 @@ impl Fleet {
     pub fn push_batch_async(&mut self, batch: &[(StreamId, u64, u64)]) -> Result<(), FleetError> {
         self.check_streams(batch)?;
         if let Some(table) = &mut self.inline {
-            table.process(batch, &mut self.inline_sink);
+            table.process(&self.catalogue, batch, &mut self.inline_sink);
             return Ok(());
         }
         for shard in self.partition_batch(batch) {
@@ -861,7 +848,7 @@ impl Fleet {
     /// restarted.
     pub fn finish_all(&mut self) -> Result<Vec<StreamDetection>, FleetError> {
         if let Some(table) = &mut self.inline {
-            return Ok(table.finish_all());
+            return Ok(table.finish_all(&self.catalogue));
         }
         let mut out = Vec::new();
         for (shard, rx) in self.ask_all(Cmd::FinishAll)?.into_iter().enumerate() {
@@ -881,7 +868,7 @@ impl Fleet {
     pub fn stats(&self, stream_id: StreamId) -> Option<Stats> {
         let route = self.streams.get(&stream_id)?;
         let live = match &self.inline {
-            Some(table) => table.streams.get(&stream_id).map(|det| *det.stats()),
+            Some(table) => table.streams.get(&stream_id).map(|stream| *stream.stats()),
             None => self.shards[route.shard].stats.read().get(&stream_id).copied(),
         };
         // A stream whose worker has not reached its `Add` yet has
@@ -899,8 +886,8 @@ impl Fleet {
         for route in self.streams.values() {
             total.merge(&route.carried);
         }
-        for det in self.inline.iter().flat_map(|table| table.streams.values()) {
-            total.merge(det.stats());
+        for stream in self.inline.iter().flat_map(|table| table.streams.values()) {
+            total.merge(stream.stats());
         }
         for shard in &self.shards {
             for stats in shard.stats.read().values() {
@@ -946,7 +933,7 @@ impl Fleet {
     /// exceeded the bounded wait and were detached. Idempotent: a second
     /// call finds the handles taken.
     fn shutdown_workers(&mut self) -> (usize, usize) {
-        self.drained = true;
+        self.drained = !self.shards.is_empty();
         // Phase 1: close every command channel, in shard-index order, so
         // each worker's `recv` loop sees disconnection. Ordering the
         // closes (rather than letting a struct-drop glue order decide)
@@ -1040,6 +1027,7 @@ impl Drop for Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Detector, QuerySet};
     use vdsms_sketch::MinHashFamily;
 
     const K: usize = 64;
@@ -1214,6 +1202,121 @@ mod tests {
             let mut dets = fleet.push_batch(&airing(20, 1000, 10..34)).unwrap();
             dets.extend(fleet.finish_all().unwrap());
             assert!(dets.is_empty(), "shards={shards}: {dets:?}");
+        }
+    }
+
+    /// Drive `frames` (`streams` of them interleaved) through push →
+    /// subscribe → push → unsubscribe → push, both changes landing two
+    /// frames into a window (w = 4), and return what `push` reported.
+    fn churned<T>(
+        target: &mut T,
+        (frames, streams): (&[Frame], usize),
+        subscribe: impl Fn(&mut T, Query),
+        unsubscribe: impl Fn(&mut T, QueryId),
+        push: impl Fn(&mut T, &[Frame]) -> Vec<StreamDetection>,
+    ) -> Vec<StreamDetection> {
+        let mut dets = push(target, &frames[..6 * streams]);
+        subscribe(target, query(1, 1000));
+        dets.extend(push(target, &frames[6 * streams..42 * streams]));
+        unsubscribe(target, 1);
+        dets.extend(push(target, &frames[42 * streams..]));
+        dets
+    }
+
+    #[test]
+    fn a_change_mid_window_matches_detectors_and_is_written_in_place() {
+        // Every stream airs query 1 while it is subscribed (10..34) and
+        // again after it has left (46..70).
+        let streams: Vec<StreamId> = (0..5).collect();
+        let per_stream: Vec<Vec<Frame>> = streams
+            .iter()
+            .map(|&s| {
+                let mut frames = airing(s, 1000, 10..34);
+                let again = airing(s, 1000, 46..70);
+                frames[46..70].copy_from_slice(&again[46..70]);
+                frames
+            })
+            .collect();
+        let frames: Vec<Frame> =
+            (0..80).flat_map(|i| per_stream.iter().map(move |f| f[i])).collect();
+
+        let (mut want, mut want_stats) = (Vec::new(), Stats::default());
+        for (&s, own) in streams.iter().zip(&per_stream) {
+            let mut det = Detector::new(cfg(1), QuerySet::new());
+            want.extend(churned(
+                &mut det,
+                (own, 1),
+                |det, q| det.subscribe(q),
+                |det, id| assert!(det.unsubscribe(id)),
+                |det, frames| {
+                    frames.iter().flat_map(|f| tag(s, det.push_keyframe(f.1, f.2))).collect()
+                },
+            ));
+            want.extend(tag(s, det.finish()));
+            want_stats.merge(det.stats());
+        }
+        let want = sorted_key(want);
+        assert!(!want.is_empty() && want.iter().all(|k| k.3 < 46), "{want:?}");
+
+        for shards in SHARDS {
+            let mut fleet = Fleet::new(cfg(shards));
+            for &s in &streams {
+                fleet.add_stream(s).unwrap();
+            }
+            // Inline, the fleet is the catalogue's only holder: what the
+            // table probes is what `subscribe` wrote, and nothing copied.
+            let sole_holder = |fleet: &Fleet| {
+                assert!(shards > 1 || fleet.catalogue.holders() == (1, Some(1)), "shards={shards}");
+            };
+            let mut got = churned(
+                &mut fleet,
+                (&frames, streams.len()),
+                |fleet, q| {
+                    fleet.subscribe(q).unwrap();
+                    sole_holder(fleet);
+                },
+                |fleet, id| {
+                    assert!(fleet.unsubscribe(id).unwrap());
+                    sole_holder(fleet);
+                },
+                |fleet, frames| fleet.push_batch(frames).unwrap(),
+            );
+            got.extend(fleet.finish_all().unwrap());
+            assert_eq!(sorted_key(got), want, "shards={shards}");
+            assert_eq!(fleet.total_stats(), want_stats, "shards={shards}");
+        }
+    }
+
+    #[test]
+    fn a_rejected_subscribe_leaves_the_fleet_as_it_was() {
+        let streams: Vec<StreamId> = (0..5).collect();
+        let batch = workload(&streams);
+        let (head, tail) = batch.split_at(22 * streams.len()); // two frames into a window
+        for shards in SHARDS {
+            let mut fleet = Fleet::new(cfg(shards));
+            let mut clean = Fleet::new(cfg(shards));
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for (f, dets) in [(&mut fleet, &mut got), (&mut clean, &mut want)] {
+                for &s in &streams {
+                    f.add_stream(s).unwrap();
+                    f.subscribe(query(s, 1000 * u64::from(s))).unwrap();
+                }
+                dets.extend(f.push_batch(head).unwrap());
+            }
+            // Id 2 is taken; the sketch is another clip's, so a write that
+            // got as far as either half would change what stream 3 matches.
+            let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fleet.subscribe(query(2, 3000))
+            }));
+            assert!(rejected.is_err(), "shards={shards}: a duplicate id must panic");
+            assert_eq!(fleet.query_count(), clean.query_count());
+            for (f, dets) in [(&mut fleet, &mut got), (&mut clean, &mut want)] {
+                dets.extend(f.push_batch(tail).unwrap());
+                dets.extend(f.finish_all().unwrap());
+            }
+            assert!(!want.is_empty());
+            assert_eq!(got, want, "shards={shards}");
+            assert_eq!(fleet.total_stats(), clean.total_stats(), "shards={shards}");
         }
     }
 

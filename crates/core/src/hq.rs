@@ -109,7 +109,7 @@ const SLOT_MASK: u32 = (1 << SLOT_BITS) - 1;
 const EMPTY: u32 = u32::MAX;
 
 /// Most queries one index holds — every 20-bit slot but the all-ones one.
-const MAX_QUERIES: usize = SLOT_MASK as usize;
+pub(crate) const MAX_QUERIES: usize = SLOT_MASK as usize;
 
 /// Lookups issued together in discovery: enough independent loads in
 /// flight to cover a cache miss, few enough that their state stays in

@@ -51,12 +51,16 @@ impl Sketch {
         Sketch { mins }
     }
 
-    /// Sketch a set of cell ids.
+    /// Sketch a set of cell ids. Each distinct id is hashed once, through
+    /// the family's batched kernel: `min` is idempotent and commutative,
+    /// so dropping repeats and reordering changes no bit of the result,
+    /// and a clip's adjacent key frames mostly repeat their cell id.
     pub fn from_ids<I: IntoIterator<Item = u64>>(family: &MinHashFamily, ids: I) -> Sketch {
+        let mut distinct: Vec<u64> = ids.into_iter().collect();
+        distinct.sort_unstable();
+        distinct.dedup();
         let mut s = Sketch::empty(family.k());
-        for id in ids {
-            family.update_mins(id, &mut s.mins);
-        }
+        family.update_mins_batch(&distinct, &mut s.mins);
         s
     }
 
@@ -259,6 +263,28 @@ mod tests {
                 seq.observe(&f, id);
             }
             assert_eq!(batched, seq, "batch/sequential divergence at n={n}");
+        }
+    }
+
+    proptest::proptest! {
+        /// `from_ids` sorts, drops repeats and hashes in chunks of eight;
+        /// its definition is the per-id `update_mins` fold over the
+        /// multiset as given. Sizes sit on every side of the chunk width,
+        /// and a small alphabet makes most ids repeats.
+        #[test]
+        fn from_ids_equals_the_per_id_fold(
+            alphabet in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..40),
+            picks in proptest::collection::vec(0usize..1000, 300..301),
+        ) {
+            let f = family(61);
+            for n in [0usize, 1, 7, 8, 9, 300] {
+                let ids: Vec<u64> = picks[..n].iter().map(|p| alphabet[p % alphabet.len()]).collect();
+                let mut fold = vec![u64::MAX; 61];
+                for &id in &ids {
+                    f.update_mins(id, &mut fold);
+                }
+                proptest::prop_assert_eq!(Sketch::from_ids(&f, ids).mins(), &fold[..], "n={}", n);
+            }
         }
     }
 

@@ -18,7 +18,7 @@ use std::sync::Mutex;
 
 use vdsms::codec::bitio::ByteReader;
 use vdsms::codec::{Encoder, EncoderConfig, StreamHeader};
-use vdsms::core::{Detector, DetectorConfig, Order, Query, QuerySet, Representation};
+use vdsms::core::{Detector, DetectorConfig, Fleet, Order, Query, QuerySet, Representation};
 use vdsms::features::{FeatureConfig, FeatureExtractor, FingerprintStream};
 use vdsms::serve::ChunkedIngest;
 use vdsms::video::source::{ClipGenerator, SourceSpec};
@@ -31,12 +31,15 @@ static GATE: Mutex<()> = Mutex::new(());
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes asked for by the calls `ALLOCS` counts.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         System.alloc(layout)
     }
@@ -48,6 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -55,6 +59,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         System.alloc_zeroed(layout)
     }
@@ -349,5 +354,72 @@ fn chunked_ingest_steady_state_is_allocation_free() {
         );
         ingest.finish(&mut out).unwrap();
         assert!(ingest.health().is_clean());
+    }
+}
+
+/// Allocator calls and bytes requested while `f` runs.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    ALLOCS.store(0, Ordering::SeqCst);
+    BYTES.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    let out = f();
+    COUNTING.store(false, Ordering::SeqCst);
+    (out, ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst))
+}
+
+/// An inline fleet is its catalogue's only holder, so a subscription is
+/// written in place — `K` index cells and one sketch moved into the query
+/// set — whatever the catalogue's size and however many streams are open.
+/// A copy of the catalogue instead would show here as one allocation per
+/// subscribed sketch (> 1 000 calls, ≈ 20 MB). An id that is not
+/// subscribed must cost nothing at either executor: it is looked up before
+/// anything is written, copied or sent to a worker.
+#[test]
+fn fleet_subscription_is_written_in_place() {
+    let _gate = GATE.lock().unwrap();
+    const M: u32 = 1024;
+    const STREAMS: u32 = 8;
+    let family = Detector::family_for(&DetectorConfig::default());
+    let clip = |id: u32| {
+        let cells: Vec<u64> = (0..40u64).map(|i| u64::from(id) * 64 + i % 20).collect();
+        Query::from_cell_ids(id, &family, &cells)
+    };
+    let catalogue: Vec<Query> = (0..M).map(clip).collect();
+    for shards in [1, 2] {
+        let mut fleet = Fleet::new(DetectorConfig { shards, ..Default::default() });
+        assert_eq!(fleet.config().k, 800);
+        for query in &catalogue {
+            fleet.subscribe(query.clone()).unwrap();
+        }
+        for s in 0..STREAMS {
+            fleet.add_stream(s).unwrap();
+            // One key frame in: every stream has a window open.
+            assert!(fleet.push_keyframe(s, 0, 9_000_000 + u64::from(s)).unwrap().is_empty());
+        }
+        // The warm-up pair: query m + 1 doubles the index's rows and grows
+        // the vectors; neither shrinks when it leaves.
+        fleet.subscribe(clip(M)).unwrap();
+        assert!(fleet.unsubscribe(M).unwrap());
+
+        let decoy = clip(M + 1);
+        let (removed, allocs, bytes) = counted(|| {
+            fleet.subscribe(decoy).unwrap();
+            fleet.unsubscribe(M + 1).unwrap()
+        });
+        assert!(removed);
+        if shards == 1 {
+            assert!(
+                allocs <= 8 && bytes < (64 << 10),
+                "inline subscribe + unsubscribe at m = {M}: {allocs} allocator call(s), \
+                 {bytes} bytes (expected at most 8 calls, under 64 KiB)"
+            );
+        }
+        let (unknown, allocs, _) = counted(|| fleet.unsubscribe(M + 2).unwrap());
+        assert!(!unknown);
+        assert!(
+            allocs <= 8,
+            "shards={shards}: unsubscribing an unknown id made {allocs} allocator call(s)"
+        );
+        assert_eq!((fleet.query_count(), fleet.stream_count()), (M as usize, STREAMS as usize));
     }
 }

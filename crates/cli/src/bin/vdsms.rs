@@ -3,8 +3,8 @@
 
 use std::process::exit;
 use vdsms_cli::{
-    eval_attacks, generate, inspect, lint, monitor_streams_opts, sketch, EvalAttacksOpts,
-    GenerateOpts, MonitorOpts,
+    eval_attacks, generate, inspect, monitor_streams_opts, sketch, EvalAttacksOpts, GenerateOpts,
+    MonitorOpts,
 };
 use vdsms_core::DetectorConfig;
 use vdsms_features::FeatureConfig;
@@ -81,11 +81,6 @@ USAGE:
       geo-noindex. --check compares every cell against the committed
       floors and exits 1 on any regression. Deterministic per --seed.
 
-  vdsms lint [--json] [--root DIR]
-      Run the workspace static-analysis gate (panic-freedom,
-      determinism, lock discipline; configured in lint.toml).
-      Exits 1 if violations are found.
-
 Sketching and monitoring must use the same --k and --hash-seed.
 ";
 
@@ -115,7 +110,6 @@ fn main() {
         "serve" => cmd_serve(&args[1..]),
         "serve-sim" => cmd_serve_sim(&args[1..]),
         "eval-attacks" => cmd_eval_attacks(&args[1..]),
-        "lint" => cmd_lint(&args[1..]),
         "help" | "--help" | "-h" => println!("{USAGE}"),
         other => fail(&format!("unknown subcommand {other}")),
     }
@@ -523,29 +517,6 @@ fn cmd_eval_attacks(args: &[String]) {
                 exit(1);
             } else if opts.check.is_some() {
                 eprintln!("floor check passed");
-            }
-        }
-        Err(e) => fail(&e.message),
-    }
-}
-
-fn cmd_lint(args: &[String]) {
-    let mut json = false;
-    let mut root: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
-            "--root" => root = Some(take_value(args, &mut i, "--root").to_string()),
-            other => fail(&format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
-    match lint(root.as_deref().map(std::path::Path::new), json) {
-        Ok(outcome) => {
-            print!("{}", outcome.output);
-            if !outcome.clean {
-                exit(1);
             }
         }
         Err(e) => fail(&e.message),

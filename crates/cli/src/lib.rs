@@ -7,7 +7,6 @@
 //! vdsms inspect clip.vdsm                                   # bitstream metadata
 //! vdsms sketch --id 1 clip.vdsm [...] --out catalogue.vdsq  # offline query sketching
 //! vdsms monitor --queries catalogue.vdsq stream.vdsm        # detect copies
-//! vdsms lint [--json]                                       # static-analysis gate
 //! ```
 //!
 //! The command implementations live here (library functions returning
@@ -564,39 +563,6 @@ fn render_matrix(report: &vdsms_workload::AttackMatrixReport) -> String {
         );
     }
     out
-}
-
-/// Result of `vdsms lint`: the rendered report and whether the gate
-/// passed (drives the process exit code).
-#[derive(Debug)]
-pub struct LintOutcome {
-    /// Human-readable or JSON report, ready to print.
-    pub output: String,
-    /// True when no violations were found.
-    pub clean: bool,
-}
-
-/// Run the workspace static-analysis gate (`vdsms-lint` as a subcommand).
-///
-/// `root` defaults to the nearest ancestor of the current directory that
-/// contains `lint.toml`; `json` selects the machine-readable report.
-pub fn lint(root: Option<&std::path::Path>, json: bool) -> Result<LintOutcome> {
-    let root = match root {
-        Some(r) => r.to_path_buf(),
-        None => {
-            let cwd = std::env::current_dir()
-                .map_err(|e| CliError::new(format!("cannot read current directory: {e}")))?;
-            vdsms_lint::find_workspace_root(&cwd).ok_or_else(|| {
-                CliError::new(format!("no lint.toml found between {} and /", cwd.display()))
-            })?
-        }
-    };
-    let report = vdsms_lint::lint_workspace_with_default_config(&root)
-        .map_err(|e| CliError::new(format!("lint: {e}")))?;
-    Ok(LintOutcome {
-        output: if json { report.to_json() } else { report.render() },
-        clean: report.is_clean(),
-    })
 }
 
 #[cfg(test)]

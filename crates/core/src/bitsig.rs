@@ -51,7 +51,6 @@ impl BitSig {
     /// value). Mostly useful as an OR identity in tests.
     pub fn all_greater(k: usize) -> BitSig {
         assert!(k >= 1);
-        // vdsms-lint: allow(no-alloc-hot-path) reason="one signature per probe element, created only when a window shares a min-hash with a query (relation events, not steady state)"
         BitSig { words: vec![0; k.div_ceil(32)], k }
     }
 
@@ -79,7 +78,6 @@ impl BitSig {
     /// # Panics
     /// Panics if the sketches have different `K`.
     pub fn encode(candidate: &Sketch, query: &Sketch) -> BitSig {
-        // vdsms-lint: allow(no-alloc-hot-path) reason="one signature per window×related-query relation event; the Bit representation's inherent cost, never hit by unrelated windows"
         let mut sig = BitSig::default();
         sig.encode_into(candidate, query);
         sig

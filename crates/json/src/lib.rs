@@ -2,9 +2,9 @@
 //! Shared hand-rolled JSON reader/writer.
 //!
 //! The workspace is offline (no serde), so every JSON surface — the
-//! `vdsms-lint --json` / `--format sarif` emitters, the lint summary
-//! cache, and the robustness-floor parser in `vdsms-workload` — goes
-//! through this one module so the reader and writer cannot drift.
+//! `vdsms-lint --json` emitter and the robustness-floor parser in
+//! `vdsms-workload` — goes through this one module so the reader and
+//! writer cannot drift.
 //!
 //! Guarantees:
 //! - Objects preserve key order (a `Vec`, not a map), so output is
@@ -403,9 +403,8 @@ impl Parser<'_> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        // Fast path: a short plain integer (the overwhelmingly common
-        // case in cache entries — line/column positions and indices)
-        // converts digit-by-digit without the f64 grammar.
+        // Fast path: a short plain integer (seeds, counts, line/column
+        // positions) converts digit-by-digit without the f64 grammar.
         let int_start = self.pos;
         while let Some(&b) = self.bytes.get(self.pos) {
             if b.is_ascii_digit() {
@@ -443,134 +442,6 @@ impl Parser<'_> {
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number '{text}' at byte {start}"))
-    }
-}
-
-/// A strict sequential scanner over machine-written JSON.
-///
-/// [`Json::parse`] builds a full value tree — the right tool for
-/// documents of unknown shape, but allocation-bound when the reader
-/// already knows the exact layout (same writer, same key order). `Scan`
-/// is the complement: the caller spells out the expected structure with
-/// [`Scan::lit`] and pulls scalars with [`Scan::usize_`] /
-/// [`Scan::bool_`] / [`Scan::string`]. Every method returns `Option`
-/// and a failed `lit` restores the cursor, so callers can probe for
-/// optional fields and treat any mismatch as "not this format" — the
-/// lint summary cache falls back to the tree parser on `None`.
-pub struct Scan<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scan<'a> {
-    /// Start scanning `text` from the beginning.
-    pub fn new(text: &'a str) -> Scan<'a> {
-        Scan { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    /// Expect the literal bytes of `t` next (no whitespace skipping:
-    /// machine-written compact JSON has none). On mismatch the cursor
-    /// is unchanged, so `lit` doubles as a probe for optional fields.
-    pub fn lit(&mut self, t: &str) -> Option<()> {
-        if self.bytes[self.pos..].starts_with(t.as_bytes()) {
-            self.pos += t.len();
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    /// True when the whole input has been consumed.
-    pub fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    /// Parse an unsigned decimal integer.
-    pub fn usize_(&mut self) -> Option<usize> {
-        let start = self.pos;
-        let mut n = 0usize;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() {
-                n = n.checked_mul(10)?.checked_add(usize::from(b - b'0'))?;
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos > start {
-            Some(n)
-        } else {
-            None
-        }
-    }
-
-    /// Parse `true` or `false`.
-    pub fn bool_(&mut self) -> Option<bool> {
-        if self.lit("true").is_some() {
-            Some(true)
-        } else if self.lit("false").is_some() {
-            Some(false)
-        } else {
-            None
-        }
-    }
-
-    /// Parse a quoted string with the writer's escape set decoded.
-    pub fn string(&mut self) -> Option<String> {
-        self.lit("\"")?;
-        // Common case: no escapes — one validation, one allocation.
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' || b == b'\\' {
-                break;
-            }
-            self.pos += 1;
-        }
-        let head = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
-        if self.lit("\"").is_some() {
-            return Some(head.to_string());
-        }
-        let mut out = String::from(head);
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.bytes.get(self.pos).copied()?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos..self.pos + 4)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return None,
-                    }
-                }
-                Some(_) => {
-                    let run_start = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[run_start..self.pos]).ok()?);
-                }
-                None => return None,
-            }
-        }
     }
 }
 
@@ -691,45 +562,5 @@ mod tests {
         assert_eq!(Json::Num(42.0).as_usize(), Some(42));
         assert_eq!(Json::Bool(true).as_bool(), Some(true));
         assert_eq!(Json::Null.as_bool(), None);
-    }
-
-    #[test]
-    fn scan_reads_what_the_writer_wrote() {
-        let mut s = Scan::new("{\"n\":42,\"b\":true,\"s\":\"hi\"}");
-        assert_eq!(s.lit("{\"n\":"), Some(()));
-        assert_eq!(s.usize_(), Some(42));
-        assert_eq!(s.lit(",\"b\":"), Some(()));
-        assert_eq!(s.bool_(), Some(true));
-        assert_eq!(s.lit(",\"s\":"), Some(()));
-        assert_eq!(s.string().as_deref(), Some("hi"));
-        assert_eq!(s.lit("}"), Some(()));
-        assert!(s.at_end());
-    }
-
-    #[test]
-    fn scan_lit_mismatch_leaves_the_cursor_for_a_retry() {
-        let mut s = Scan::new("\"t\":1");
-        assert_eq!(s.lit("\"e\":"), None);
-        assert_eq!(s.lit("\"t\":"), Some(()));
-        assert_eq!(s.usize_(), Some(1));
-    }
-
-    #[test]
-    fn scan_string_decodes_the_writer_escape_set() {
-        let original = "a\"b\\c\nd\re\tf\u{1}g — λ";
-        let escaped = escape(original);
-        let mut s = Scan::new(&escaped);
-        assert_eq!(s.string().as_deref(), Some(original));
-        assert!(s.at_end());
-    }
-
-    #[test]
-    fn scan_rejects_malformed_input_without_panicking() {
-        assert_eq!(Scan::new("\"unterminated").string(), None);
-        assert_eq!(Scan::new("\"bad\\q\"").string(), None);
-        assert_eq!(Scan::new("\"trunc\\u00").string(), None);
-        assert_eq!(Scan::new("x").usize_(), None);
-        assert_eq!(Scan::new("99999999999999999999999999").usize_(), None);
-        assert_eq!(Scan::new("maybe").bool_(), None);
     }
 }

@@ -290,7 +290,7 @@ mod tests {
             .iter()
             .map(|f| {
                 let lexed = lex(&f.source);
-                summarize(f, &lexed, &parse_file(&lexed))
+                summarize(&lexed, &parse_file(&lexed))
             })
             .collect();
         (files, summaries)

@@ -31,7 +31,6 @@ pub const KNOWN_KEYS: &[&str] = &[
     "loop-progress",
     "no-swallowed-error",
     "unsafe-audit",
-    "shared-state-discipline",
     "guard-across-blocking",
     "channel-protocol",
     // `unsafe-allowed = true` exempts a crate from the
@@ -71,9 +70,8 @@ impl RuleSet {
         switches.insert("no-swallowed-error".to_string(), true);
         switches.insert("unsafe-audit".to_string(), true);
         // The concurrency rules are cheap (they only look at summaries
-        // that mention spawns/channels/guards) and default-on: a race or
-        // deadlock shape is a bug in any crate, not a per-crate contract.
-        switches.insert("shared-state-discipline".to_string(), true);
+        // that mention channels/guards) and default-on: a deadlock shape
+        // is a bug in any crate, not a per-crate contract.
         switches.insert("guard-across-blocking".to_string(), true);
         switches.insert("channel-protocol".to_string(), true);
         switches.insert("unsafe-allowed".to_string(), false);
@@ -122,29 +120,6 @@ impl LintConfig {
     /// Crate names with explicit sections (for config validation).
     pub fn configured_crates(&self) -> impl Iterator<Item = &str> {
         self.per_crate.keys().map(String::as_str)
-    }
-
-    /// A stable one-line serialization of the full configuration, part
-    /// of the report-cache key: flipping any switch anywhere must
-    /// invalidate the cached report. `BTreeMap` iteration keeps it
-    /// deterministic across runs.
-    pub fn fingerprint(&self) -> String {
-        let mut out = String::from("default{");
-        for (k, v) in &self.default {
-            out.push_str(k);
-            out.push(if *v { '+' } else { '-' });
-        }
-        out.push('}');
-        for (name, switches) in &self.per_crate {
-            out.push_str(name);
-            out.push('{');
-            for (k, v) in switches {
-                out.push_str(k);
-                out.push(if *v { '+' } else { '-' });
-            }
-            out.push('}');
-        }
-        out
     }
 }
 
@@ -235,19 +210,6 @@ fn strip_comment(line: &str) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fingerprint_is_stable_and_switch_sensitive() {
-        let a = parse_config("[default]\nno-wall-clock = true\n").expect("parses");
-        let b = parse_config("[default]\nno-wall-clock = true\n").expect("parses");
-        assert_eq!(a.fingerprint(), b.fingerprint(), "same config, same fingerprint");
-        let flipped = parse_config("[default]\nno-wall-clock = false\n").expect("parses");
-        assert_ne!(a.fingerprint(), flipped.fingerprint(), "a flipped switch must show");
-        let scoped =
-            parse_config("[default]\nno-wall-clock = true\n[crate.vdsms-core]\nno-wall-clock = false\n")
-                .expect("parses");
-        assert_ne!(a.fingerprint(), scoped.fingerprint(), "per-crate overrides must show");
-    }
 
     #[test]
     fn defaults_and_overrides_compose() {

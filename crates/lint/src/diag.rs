@@ -75,8 +75,8 @@ impl Report {
         out
     }
 
-    /// The report as a [`Json`] value (stable key order).
-    pub fn to_json_value(&self) -> Json {
+    /// Machine-readable JSON (stable key order, no external deps).
+    pub fn to_json(&self) -> String {
         let violations = self
             .diagnostics
             .iter()
@@ -91,50 +91,15 @@ impl Report {
                 ])
             })
             .collect();
-        Json::Obj(vec![
+        let mut out = Json::Obj(vec![
             ("violations".to_string(), Json::Arr(violations)),
             ("count".to_string(), Json::num(self.diagnostics.len())),
             ("suppressed".to_string(), Json::num(self.suppressed)),
             ("files_scanned".to_string(), Json::num(self.files_scanned)),
         ])
-    }
-
-    /// Machine-readable JSON (stable key order, no external deps).
-    pub fn to_json(&self) -> String {
-        let mut out = self.to_json_value().to_pretty();
+        .to_pretty();
         out.push('\n');
         out
-    }
-
-    /// Rebuild a report from a [`Json`] value written by
-    /// [`Report::to_json_value`]. Used by the report-level cache; any
-    /// shape mismatch is `None` (a cache miss, never an error).
-    pub fn from_json_value(v: &Json) -> Option<Report> {
-        let violations = v.get("violations")?.as_arr()?;
-        let mut diagnostics = Vec::with_capacity(violations.len());
-        for d in violations {
-            diagnostics.push(Diagnostic {
-                rule: d.get("rule")?.as_str()?.to_string(),
-                file: d.get("file")?.as_str()?.to_string(),
-                line: u32::try_from(d.get("line")?.as_usize()?).ok()?,
-                col: u32::try_from(d.get("col")?.as_usize()?).ok()?,
-                message: d.get("message")?.as_str()?.to_string(),
-                snippet: d.get("snippet")?.as_str()?.to_string(),
-            });
-        }
-        if v.get("count")?.as_usize()? != diagnostics.len() {
-            return None;
-        }
-        Some(Report {
-            diagnostics,
-            suppressed: v.get("suppressed")?.as_usize()?,
-            files_scanned: v.get("files_scanned")?.as_usize()?,
-        })
-    }
-
-    /// Parse the string form produced by [`Report::to_json`].
-    pub fn from_json(text: &str) -> Option<Report> {
-        Self::from_json_value(&Json::parse(text).ok()?)
     }
 }
 
@@ -169,29 +134,6 @@ mod tests {
     #[test]
     fn json_escapes_specials() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn report_round_trips_through_json_byte_identically() {
-        let mut rep = Report { files_scanned: 7, suppressed: 3, ..Default::default() };
-        rep.diagnostics.push(diag());
-        rep.diagnostics.push(Diagnostic {
-            rule: "loop-progress".into(),
-            file: "crates/core/src/y.rs".into(),
-            line: 11,
-            col: 1,
-            message: "hot loop has no progress witness (\"quoted\")".into(),
-            snippet: "while let Some(x) = q.pop() {}".into(),
-        });
-        let json = rep.to_json();
-        let back = Report::from_json(&json).expect("own output parses");
-        assert_eq!(back.to_json(), json, "serialize(parse(x)) must be byte-identical");
-        assert_eq!(back.render(), rep.render());
-
-        // Shape mismatches are misses, not panics.
-        assert!(Report::from_json("{}").is_none());
-        assert!(Report::from_json("not json").is_none());
-        assert!(Report::from_json(&json.replacen("\"count\": 2", "\"count\": 9", 1)).is_none());
     }
 
     #[test]

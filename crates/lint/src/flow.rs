@@ -1,10 +1,8 @@
 //! The workspace-level (interprocedural + dataflow) analyses — the
-//! **link phase** of the v3 two-phase pipeline. Per-file facts are
-//! extracted once into [`crate::summaries::FileSummary`] records (the
-//! cacheable phase); everything here works purely over those summaries
-//! plus the [`crate::symbols`] table and [`crate::callgraph`] built
-//! from them, so a file loaded from the incremental cache behaves
-//! bit-identically to a freshly parsed one.
+//! **link phase** of the pipeline. Per-file facts are extracted into
+//! [`crate::summaries::FileSummary`] records by the AST walkers;
+//! everything here works purely over those summaries plus the
+//! [`crate::symbols`] table and [`crate::callgraph`] built from them.
 //!
 //! - **`no-panic-hot-path` (v2)** — panic sites (`unwrap` / `expect` /
 //!   `panic!` / `todo!` / `unimplemented!` / index-then-`clone`) flagged
@@ -47,11 +45,6 @@
 //!   `.ok()` on a call whose resolved callee returns `Result` (channel
 //!   send/recv flagged unconditionally): error paths must be handled or
 //!   carry a reasoned `allow`.
-//! - **`shared-state-discipline` (v4)** — a value captured by a spawned
-//!   closure while the spawning thread keeps a handle must be
-//!   synchronized: `Arc<RefCell/Cell<…>>` and `Rc<…>` crossing a spawn
-//!   boundary are flagged with the creation → spawn → use witness
-//!   (`static mut` is caught by the token half in `rules.rs`).
 //! - **`guard-across-blocking` (v4)** — a lock guard live across
 //!   `.recv()`, `.join()` or a bounded-channel `send` — directly, or
 //!   through a call whose resolved callee transitively blocks (bounded
@@ -65,24 +58,25 @@
 
 use crate::ast::Pos;
 use crate::callgraph::{resolve_call_ref, transitive_union, CallGraph, Reachability};
-use crate::config::LintConfig;
+use crate::config::RuleSet;
 use crate::diag::Diagnostic;
 use crate::rules::{
     CHANNEL_PROTOCOL, FLOAT_DET, GUARD_BLOCKING, LOCK_ORDER, LOOP_PROGRESS, NO_ALLOC, NO_PANIC,
-    NO_SWALLOWED_ERROR, NO_UNCHECKED_ARITH, SHARED_STATE, TAINT_FLOW,
+    NO_SWALLOWED_ERROR, NO_UNCHECKED_ARITH, TAINT_FLOW,
 };
-use crate::summaries::{CallRef, ChanOpKind, FileSummary, LockEvent, SharedKind, TaintSrc};
+use crate::summaries::{CallRef, ChanOpKind, FileSummary, LockEvent, TaintSrc};
 use crate::symbols::SymbolTable;
 use crate::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Run every workspace analysis over pre-extracted summaries.
-/// `files[i]`, `summaries[i]` correspond; diagnostics are raw
-/// (suppressions are applied by the driver).
+/// `files[i]`, `summaries[i]` and `rules[i]` (the rule set of the file's
+/// crate) correspond; diagnostics are raw (suppressions are applied by
+/// the driver).
 pub fn analyze(
     files: &[SourceFile],
     summaries: &[FileSummary],
-    config: &LintConfig,
+    rules: &[RuleSet],
 ) -> Vec<Diagnostic> {
     let symbols = SymbolTable::build(files, summaries);
     // Per-function, per-call-site resolution, shared by the call graph
@@ -108,11 +102,9 @@ pub fn analyze(
     let reach_panic = Reachability::from_entries_for(&symbols, &graph, NO_PANIC);
     let reach_alloc = Reachability::from_entries_for(&symbols, &graph, NO_ALLOC);
     let reach_progress = Reachability::from_entries_for(&symbols, &graph, LOOP_PROGRESS);
-    let rules_per_file: Vec<crate::config::RuleSet> =
-        files.iter().map(|f| config.rules_for(&f.crate_name)).collect();
 
     let mut diags = Vec::new();
-    let mut ctx = Ctx { files, symbols: &symbols, rules: &rules_per_file, diags: &mut diags };
+    let mut ctx = Ctx { files, symbols: &symbols, rules, diags: &mut diags };
 
     hot_path_rules(&mut ctx, &reach_panic, &reach_alloc);
     lock_order(&mut ctx, &graph);
@@ -121,7 +113,6 @@ pub fn analyze(
     taint_flow(&mut ctx, &resolved);
     loop_progress(&mut ctx, &reach_progress);
     swallowed_errors(&mut ctx, &resolved);
-    shared_state(&mut ctx);
     guard_across_blocking(&mut ctx, &graph);
     channel_protocol(&mut ctx);
     diags
@@ -130,7 +121,7 @@ pub fn analyze(
 struct Ctx<'a> {
     files: &'a [SourceFile],
     symbols: &'a SymbolTable<'a>,
-    rules: &'a [crate::config::RuleSet],
+    rules: &'a [RuleSet],
     diags: &'a mut Vec<Diagnostic>,
 }
 
@@ -140,21 +131,7 @@ impl Ctx<'_> {
     }
 
     fn emit(&mut self, rule: &str, file: usize, pos: Pos, message: String) {
-        let f = &self.files[file];
-        let snippet = f
-            .source
-            .lines()
-            .nth(pos.line.saturating_sub(1) as usize)
-            .map(|s| s.trim().to_string())
-            .unwrap_or_default();
-        self.diags.push(Diagnostic {
-            rule: rule.to_string(),
-            file: f.path.clone(),
-            line: pos.line,
-            col: pos.col,
-            message,
-            snippet,
-        });
+        self.diags.push(self.files[file].diagnostic(rule, pos.line, pos.col, message));
     }
 }
 
@@ -584,48 +561,6 @@ fn swallowed_errors(ctx: &mut Ctx<'_>, resolved: &[Vec<Vec<usize>>]) {
                     "{msg}; handle the error or suppress with a reasoned `allow({NO_SWALLOWED_ERROR})`"
                 );
                 ctx.emit(NO_SWALLOWED_ERROR, f.file, d.pos, msg);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// shared-state-discipline
-// ---------------------------------------------------------------------
-
-fn shared_state(ctx: &mut Ctx<'_>) {
-    for f in &ctx.symbols.fns {
-        if f.def.is_test || !ctx.enabled(f.file, SHARED_STATE) {
-            continue;
-        }
-        for spawn in &f.def.spawns {
-            for cap in &spawn.captures {
-                // Capture candidates are bare names; only ones that
-                // resolve to a shared-ownership binding of the spawning
-                // function matter, and only the hazardous kinds fire.
-                let Some(sv) = f.def.shared_vals.iter().find(|sv| sv.name == cap.name) else {
-                    continue;
-                };
-                if !sv.kind.is_spawn_hazard() {
-                    continue;
-                }
-                let hazard = match sv.kind {
-                    SharedKind::Rc => {
-                        "`Rc`'s reference count is not atomic, so a clone or drop on the spawned thread corrupts it"
-                    }
-                    _ => {
-                        "`RefCell`/`Cell` interior mutability has no internal synchronization, so concurrent access is a data race"
-                    }
-                };
-                let msg = format!(
-                    "`{}` ({}, created at line {}) crosses a spawn boundary in `{}`: the closure spawned here captures it (first use at line {}) while the spawning thread keeps its own handle — {hazard}; share it through `Arc<Mutex<…>>`/`Arc<RwLock<…>>`/an atomic, or move ownership over a channel",
-                    sv.name,
-                    sv.kind.describe(),
-                    sv.pos.line,
-                    f.qual_name(),
-                    cap.pos.line,
-                );
-                ctx.emit(SHARED_STATE, f.file, spawn.pos, msg);
             }
         }
     }

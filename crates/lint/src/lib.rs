@@ -5,7 +5,8 @@
 //! at any shard count** — and the paper's continuous-monitoring setting
 //! (Yan/Ooi/Zhou, ICDE 2008, §VI assumes uninterrupted operation) are
 //! properties of the *code*, not of any one test run. This crate enforces
-//! them mechanically, in two layers sharing one hand-rolled lexer (no
+//! them mechanically, in one pass — read, lex, parse, summarise, link,
+//! report — with two layers of rules sharing one hand-rolled lexer (no
 //! external parser dependencies, consistent with the workspace's offline
 //! stand-in policy):
 //!
@@ -13,19 +14,22 @@
 //!    structural bans (order-randomized collections, wall-clock reads,
 //!    std locks, unaudited `unsafe`).
 //! 2. **Workspace semantic analyses** ([`flow`]) — a recursive-descent
-//!    [`parser`] builds a lint-grade [`ast`], a [`symbols`] table and a
-//!    [`callgraph`] link every file, and the analyses run over the whole
-//!    workspace at once: interprocedural hot-path inference (panic- and
-//!    allocation-freedom from `// vdsms-lint: entry` markers), lock-order
-//!    deadlock detection, taint-based overflow checking and float-compare
-//!    determinism.
+//!    [`parser`] builds a lint-grade [`ast`], per-function [`summaries`]
+//!    are the only thing that crosses from the AST walkers to the link
+//!    phase, a [`symbols`] table and a [`callgraph`] link every file, and
+//!    the analyses run over the whole workspace at once: interprocedural
+//!    hot-path inference (panic- and allocation-freedom from
+//!    `// vdsms-lint: entry` markers), lock-order deadlock detection,
+//!    taint-based overflow checking and float-compare determinism.
 //!
 //! Both layers share inline suppressions with mandatory reasons,
 //! per-crate configuration in `lint.toml`, and machine-readable JSON
 //! output for CI. See [`rules`] for the rule catalog and suppression
 //! syntax, or `vdsms-lint --explain <rule>` for any single rule. Run the
-//! gate as `cargo run -p vdsms-lint --release` (what `ci.sh` does) or via
-//! the operator-facing alias `vdsms lint`.
+//! gate as `cargo run -p vdsms-lint --release` (what `ci.sh` does); the
+//! binary, the tests and the self-check all go through
+//! [`lint_workspace`] → [`lint_sources`], and every run computes its
+//! verdict from the sources (≈ 50 ms for the whole tree).
 //!
 //! The lint scope is each crate's `src/` tree: integration tests,
 //! benches and examples are test/demo code by definition, and `#[cfg(test)]`
@@ -33,7 +37,6 @@
 //! tracking.
 
 pub mod ast;
-pub mod cache;
 pub mod callgraph;
 pub mod config;
 pub mod diag;
@@ -41,13 +44,12 @@ pub mod flow;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
-pub mod sarif;
 pub mod summaries;
 pub mod symbols;
 
 pub use config::{parse_config, ConfigError, LintConfig, RuleSet};
 pub use diag::{Diagnostic, Report};
-pub use rules::{check_file, FileReport};
+pub use rules::FileReport;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -66,6 +68,26 @@ pub struct SourceFile {
     /// Whether this is the crate root (`src/lib.rs` / `src/main.rs`),
     /// where `#![forbid(unsafe_code)]` is required.
     pub is_crate_root: bool,
+}
+
+impl SourceFile {
+    /// A finding in this file, with the offending source line (trimmed)
+    /// as its snippet.
+    pub(crate) fn diagnostic(
+        &self,
+        rule: &str,
+        line: u32,
+        col: u32,
+        message: String,
+    ) -> Diagnostic {
+        let snippet = self
+            .source
+            .lines()
+            .nth(line.saturating_sub(1) as usize)
+            .map(|s| s.trim().to_string())
+            .unwrap_or_default();
+        Diagnostic { rule: rule.to_string(), file: self.path.clone(), line, col, message, snippet }
+    }
 }
 
 /// Errors while driving a workspace lint run.
@@ -172,45 +194,38 @@ fn rust_files(dir: &Path) -> Result<Vec<PathBuf>, LintError> {
     Ok(out)
 }
 
-/// Extract one file's analysis summary: lex, parse (tolerantly) and
-/// summarize. This is the expensive per-file phase the incremental
-/// cache stores; [`lint_summaries`] consumes its output.
-pub fn summarize_file(file: &SourceFile) -> summaries::FileSummary {
-    let lexed = lexer::lex(&file.source);
-    let ast = parser::parse_file(&lexed);
-    summaries::summarize(file, &lexed, &ast)
-}
-
-/// The link phase: token-finding filtering per file, the cross-file
-/// semantic analyses over summaries, then suppressions (one pass,
-/// shared by both layers) and the canonical sort. `files[i]` and
-/// `summaries[i]` must correspond; summaries may come from
-/// [`summarize_file`] or the incremental cache — the result is
-/// identical by construction.
-pub fn lint_summaries(
-    files: &[SourceFile],
-    summaries: &[summaries::FileSummary],
-    config: &LintConfig,
-) -> Report {
+/// Lint a set of in-memory sources as one workspace, in one pass: lex
+/// each file, run its crate's token rules, parse and summarise it; link
+/// the summaries and run the cross-file analyses; then apply
+/// suppressions (one pass, shared by both layers) and sort canonically.
+pub fn lint_sources(files: &[SourceFile], config: &LintConfig) -> Report {
+    let rule_sets: Vec<RuleSet> = files.iter().map(|f| config.rules_for(&f.crate_name)).collect();
     let mut per_file: Vec<Vec<Diagnostic>> = Vec::with_capacity(files.len());
-    for (file, summary) in files.iter().zip(summaries) {
-        let rules = config.rules_for(&file.crate_name);
-        per_file.push(rules::filter_token_findings(file, &summary.token_findings, &rules));
+    let mut summaries: Vec<summaries::FileSummary> = Vec::with_capacity(files.len());
+    for (file, rules) in files.iter().zip(&rule_sets) {
+        let lexed = lexer::lex(&file.source);
+        per_file.push(rules::token_rules(file, &lexed, rules));
+        summaries.push(summaries::summarize(&lexed, &parser::parse_file(&lexed)));
     }
 
     // Workspace analyses emit diagnostics keyed by path label; route
     // them back to their files so suppressions apply uniformly.
     let by_path: BTreeMap<&str, usize> =
         files.iter().enumerate().map(|(i, f)| (f.path.as_str(), i)).collect();
-    for diag in flow::analyze(files, summaries, config) {
+    for diag in flow::analyze(files, &summaries, &rule_sets) {
         if let Some(&i) = by_path.get(diag.file.as_str()) {
             per_file[i].push(diag);
         }
     }
 
     let mut report = Report::default();
-    for ((file, summary), diags) in files.iter().zip(summaries).zip(per_file) {
-        let fr = rules::apply_suppressions(&file.path, &summary.comments, diags);
+    for (i, diags) in per_file.into_iter().enumerate() {
+        let fr = rules::apply_suppressions(
+            &files[i].path,
+            &summaries[i].comments,
+            diags,
+            &rule_sets[i],
+        );
         report.files_scanned += 1;
         report.suppressed += fr.suppressed;
         report.diagnostics.extend(fr.diagnostics);
@@ -221,16 +236,9 @@ pub fn lint_summaries(
     report
 }
 
-/// Lint a set of in-memory sources as one workspace: summarize every
-/// file, then link.
-pub fn lint_sources(files: &[SourceFile], config: &LintConfig) -> Report {
-    let summaries: Vec<summaries::FileSummary> = files.iter().map(summarize_file).collect();
-    lint_summaries(files, &summaries, config)
-}
-
 /// Read every crate's `src/` tree under `root` into [`SourceFile`]s,
 /// in the canonical (crate, path) order.
-pub fn collect_workspace_files(root: &Path) -> Result<Vec<SourceFile>, LintError> {
+fn collect_workspace_files(root: &Path) -> Result<Vec<SourceFile>, LintError> {
     let mut files = Vec::new();
     for krate in discover_crates(root)? {
         let src = krate.dir.join("src");
@@ -263,44 +271,16 @@ pub fn lint_workspace(root: &Path, config: &LintConfig) -> Result<Report, LintEr
     Ok(lint_sources(&files, config))
 }
 
-/// Like [`lint_workspace`], but reusing the on-disk caches under
-/// [`cache::cache_dir`] (`$CARGO_TARGET_DIR`-aware); also returns the
-/// hit/miss split.
-///
-/// Two layers: per-file summaries (only touched files re-parse) and a
-/// whole-workspace report keyed by every file's cache key plus the
-/// config fingerprint. On a fully-unchanged tree the second layer
-/// skips summary loading and the link phase entirely, so a warm run
-/// costs little more than hashing the sources.
-pub fn lint_workspace_cached(
-    root: &Path,
-    config: &LintConfig,
-) -> Result<(Report, cache::CacheStats), LintError> {
-    let files = collect_workspace_files(root)?;
-    let key = cache::report_key(&files, config);
-    if let Some(report) = cache::load_cached_report(root, key) {
-        // Nothing changed since the stored report was linked: every
-        // file's summary would be reused and the link inputs are
-        // identical, so the report itself is reusable byte-for-byte.
-        let stats = cache::CacheStats { reused: files.len(), parsed: 0 };
-        return Ok((report, stats));
-    }
-    let (summaries, stats) = cache::summarize_with_cache(root, &files);
-    let report = lint_summaries(&files, &summaries, config);
-    cache::store_cached_report(root, key, &report);
-    Ok((report, stats))
-}
-
 /// Load and parse `<root>/lint.toml`.
-pub fn load_config(root: &Path) -> Result<LintConfig, LintError> {
+fn load_config(root: &Path) -> Result<LintConfig, LintError> {
     let config_path = root.join("lint.toml");
     let text = std::fs::read_to_string(&config_path)
         .map_err(|e| LintError::Config(format!("{}: {e}", config_path.display())))?;
     parse_config(&text).map_err(|e| LintError::Config(e.to_string()))
 }
 
-/// Load `<root>/lint.toml` and lint the workspace — the entry point the
-/// binary and the `vdsms lint` CLI subcommand share.
+/// Load `<root>/lint.toml` and lint the workspace — what the binary
+/// runs.
 pub fn lint_workspace_with_default_config(root: &Path) -> Result<Report, LintError> {
     let config = load_config(root)?;
     lint_workspace(root, &config)

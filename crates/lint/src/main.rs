@@ -2,7 +2,7 @@
 //! `vdsms-lint` — run the workspace static-analysis gate.
 //!
 //! ```text
-//! vdsms-lint [--format human|json|sarif] [--root DIR] [--no-cache]
+//! vdsms-lint [--format human|json] [--root DIR]
 //! vdsms-lint --explain <rule>
 //! ```
 //!
@@ -14,19 +14,16 @@ const USAGE: &str = "\
 vdsms-lint — workspace static-analysis gate
 
 USAGE:
-  vdsms-lint [--format human|json|sarif] [--root DIR] [--no-cache]
+  vdsms-lint [--format human|json] [--root DIR]
   vdsms-lint --explain <rule>
 
-  --format FMT    report format: human (default), json, or sarif
+  --format FMT    report format: human (default) or json
   --json          alias for --format json
   --root DIR      workspace root (default: nearest ancestor with lint.toml)
-  --no-cache      ignore the incremental summary cache
   --explain RULE  print a rule's rationale, example and suppression syntax
 
-Per-file analysis summaries are cached under $CARGO_TARGET_DIR/vdsms-lint-cache
-(<root>/target/vdsms-lint-cache when the variable is unset), keyed by
-content hash; warm runs re-parse only changed files and produce
-byte-identical output. The hit/miss split is reported on stderr.
+Every run reads, parses and analyses the whole workspace; nothing is
+kept between runs.
 
 Rules and per-crate configuration live in <root>/lint.toml.
 Mark a streaming entry point (root of the hot-path analyses) with:
@@ -41,7 +38,6 @@ Suppress a finding inline with a mandatory reason:
 enum Format {
     Human,
     Json,
-    Sarif,
 }
 
 fn explain_rule(id: &str) -> ExitCode {
@@ -70,7 +66,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut format = Format::Human;
     let mut root: Option<String> = None;
-    let mut use_cache = true;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -80,9 +75,8 @@ fn main() -> ExitCode {
                 format = match args.get(i).map(String::as_str) {
                     Some("human") => Format::Human,
                     Some("json") => Format::Json,
-                    Some("sarif") => Format::Sarif,
                     Some(other) => {
-                        eprintln!("error: unknown format `{other}` (human, json, sarif)\n{USAGE}");
+                        eprintln!("error: unknown format `{other}` (human, json)\n{USAGE}");
                         return ExitCode::from(2);
                     }
                     None => {
@@ -91,7 +85,6 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            "--no-cache" => use_cache = false,
             "--explain" => {
                 i += 1;
                 return match args.get(i) {
@@ -144,29 +137,23 @@ fn main() -> ExitCode {
         }
     };
 
-    let result = vdsms_lint::load_config(&root).and_then(|config| {
-        if use_cache {
-            vdsms_lint::lint_workspace_cached(&root, &config)
-        } else {
-            vdsms_lint::lint_workspace(&root, &config)
-                .map(|r| (r, vdsms_lint::cache::CacheStats::default()))
-        }
-    });
-    match result {
-        Ok((report, stats)) => {
-            if use_cache {
-                eprintln!("cache: {} reused, {} parsed", stats.reused, stats.parsed);
-            }
+    match vdsms_lint::lint_workspace_with_default_config(&root) {
+        Ok(report) => {
             match format {
                 Format::Human => print!("{}", report.render()),
                 Format::Json => print!("{}", report.to_json()),
-                Format::Sarif => print!("{}", vdsms_lint::sarif::to_sarif(&report)),
             }
             if report.is_clean() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::from(1)
             }
+        }
+        // A missing or malformed `lint.toml` is a usage error: the
+        // usage text says where the file lives and what goes in it.
+        Err(e @ vdsms_lint::LintError::Config(_)) => {
+            eprintln!("error: {e}\n{USAGE}");
+            ExitCode::from(2)
         }
         Err(e) => {
             eprintln!("error: {e}");

@@ -1,7 +1,7 @@
 //! The per-file token rules, the rule registry (ids + explanations),
 //! and inline-suppression handling.
 //!
-//! ## Rule catalog (v3)
+//! ## Rule catalog
 //!
 //! Per-file token rules (this module):
 //!
@@ -24,7 +24,6 @@
 //! | `taint-unchecked-flow` | untrusted bytes/lengths reaching slice indexing, capacity reservation or loop bounds with no bounds check — interprocedural, with witness chains |
 //! | `loop-progress` | `while`/`loop` loops on hot or recovery paths with no provably advancing cursor (livelock hazard) |
 //! | `no-swallowed-error` | `Result`s discarded via `let _ =` or statement-`.ok()` without a reasoned `allow` |
-//! | `shared-state-discipline` | values captured by spawned closures without synchronization (`Arc<RefCell/Cell>`, `Rc`, `static mut`) — witness chain spawn-site → access |
 //! | `guard-across-blocking` | lock guards held across `.recv()`, zero-arg `.join()`, bounded-channel `send` or any transitively-blocking call (deadlock shape `lock-order` can't see) |
 //! | `channel-protocol` | channel misuse: send after the receiver was dropped, a one-shot reply `sync_channel(1)` sent more than once, a bare-statement `send` whose `Result` vanishes |
 //!
@@ -36,8 +35,10 @@
 //! ```
 //!
 //! The reason is mandatory; a directive without one is itself reported
-//! (rule `invalid-suppression`, which cannot be suppressed). The only
-//! other directive is `// vdsms-lint: entry`, which marks the function
+//! (rule `invalid-suppression`, which cannot be suppressed), and so is a
+//! well-formed `allow` that silences nothing — a dead directive hides no
+//! finding today and would hide a real one tomorrow. The only other
+//! directive is `// vdsms-lint: entry`, which marks the function
 //! below it as a hot-path entry point; the scoped form
 //! `entry(no-panic-hot-path)` seeds only the named hot-path rule, for
 //! entries (batch evaluation, report generation) that must not panic
@@ -72,8 +73,6 @@ pub const LOOP_PROGRESS: &str = "loop-progress";
 pub const NO_SWALLOWED_ERROR: &str = "no-swallowed-error";
 /// Rule id: unsafe must be audited.
 pub const UNSAFE_AUDIT: &str = "unsafe-audit";
-/// Rule id: spawned closures may only share synchronized state.
-pub const SHARED_STATE: &str = "shared-state-discipline";
 /// Rule id: no lock guard held across a blocking operation.
 pub const GUARD_BLOCKING: &str = "guard-across-blocking";
 /// Rule id: channel endpoint protocol violations.
@@ -179,13 +178,6 @@ pub fn registry() -> &'static [RuleInfo] {
             suppression: SUPPRESS,
         },
         RuleInfo {
-            id: SHARED_STATE,
-            summary: "state crossing a spawn boundary must be synchronized",
-            rationale: "Shards, snapshot publishers and (next) the serve daemon all hand state to spawned threads; the only sound vehicles are `Arc<Mutex/RwLock/Atomic…>` and channels. A closure that captures an `Arc<RefCell<…>>`/`Arc<Cell<…>>` smuggles unsynchronized interior mutability across threads, an `Rc` shares a non-atomic refcount, and a `static mut` is a data race by construction — rustc catches many of these, but macro-generated and cfg-gated code slips through, and the lint sees the shape regardless. Diagnostics print the witness chain: where the value was created, where the thread was spawned, and where the closure touches it.",
-            example: "bad:  let cache = Arc::new(RefCell::new(map)); thread::spawn(move || cache.borrow_mut().insert(k, v));\ngood: let cache = Arc::new(Mutex::new(map)); thread::spawn(move || cache.lock().insert(k, v));",
-            suppression: SUPPRESS,
-        },
-        RuleInfo {
             id: GUARD_BLOCKING,
             summary: "no lock guard held across a blocking operation",
             rationale: "A guard held across `.recv()`, a zero-arg `.join()` or a `send` on a bounded channel stalls every thread that wants the lock for as long as the blocked peer takes — and if the peer needs that same lock to make progress, the fleet deadlocks without any lock-order cycle for `lock-order` to see. The analysis replays each function's ordered lock events against its blocking sites and a transitive blocks-summary of its callees, so a guard held across a call that blocks three frames deeper is still caught; the diagnostic names the guard and the full call chain down to the blocking operation. `Condvar::wait` is exempt — waiting is the one blocking call that must hold its guard.",
@@ -208,8 +200,8 @@ pub fn registry() -> &'static [RuleInfo] {
         },
         RuleInfo {
             id: INVALID_SUPPRESSION,
-            summary: "malformed vdsms-lint directives are findings",
-            rationale: "A typo'd allow would silently fail open (the finding it meant to suppress still fires) or silently fail closed (suppressing nothing, forever). Every `// vdsms-lint:` comment must parse: either `entry`, or `allow(known-rule) reason=\"non-empty\"`. This rule cannot be suppressed.",
+            summary: "malformed or dead vdsms-lint directives are findings",
+            rationale: "A typo'd allow would silently fail open (the finding it meant to suppress still fires) or silently fail closed (suppressing nothing, forever). Every `// vdsms-lint:` comment must parse: either `entry`, or `allow(known-rule) reason=\"non-empty\"` — and an `allow` naming a rule that is on for its crate must silence at least one finding on its own line or the line below; one that matches nothing is reported so it cannot sit there until the code under it changes. This rule cannot be suppressed.",
             example: "bad:  // vdsms-lint: allow(no-panic-hot-path)\ngood: // vdsms-lint: allow(no-panic-hot-path) reason=\"index invariant: set at construction\"",
             suppression: "not suppressible — fix the directive",
         },
@@ -230,139 +222,113 @@ pub struct FileReport {
     pub suppressed: usize,
 }
 
-/// One raw token-rule finding, before rule-switch filtering. The full
-/// set is computed unconditionally so it can live in a config-independent
-/// summary cache; [`filter_token_findings`] applies the active switches.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TokenFinding {
-    /// Rule id.
-    pub rule: String,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-    /// Diagnostic message.
-    pub message: String,
-    /// Whether this is the crate-root `#![forbid(unsafe_code)]` finding,
-    /// which `unsafe-allowed = true` waives (the other `unsafe-audit`
-    /// findings are not waivable).
-    pub root_forbid: bool,
-}
-
-/// Run every per-file token rule, unconditionally. The result depends
-/// only on the file's bytes — rule switches are applied later by
-/// [`filter_token_findings`], so the cache can store this verbatim.
-pub fn token_findings(file: &SourceFile, lexed: &LexedFile) -> Vec<TokenFinding> {
-    let mut findings: Vec<TokenFinding> = Vec::new();
-    {
-        let mut emit = |rule: &str, line: u32, col: u32, message: String| {
-            findings.push(TokenFinding { rule: rule.to_string(), line, col, message, root_forbid: false });
-        };
-        rule_deterministic_iteration(lexed, &mut emit);
-        rule_no_wall_clock(lexed, &mut emit);
-        rule_lock_discipline(lexed, &mut emit);
-        rule_unsafe_blocks(lexed, &mut emit);
-        rule_static_mut(lexed, &mut emit);
-    }
-    if file.is_crate_root {
-        // Tagged, so the filter can drop it when `unsafe-allowed` is set.
-        let mut emit = |rule: &str, line: u32, col: u32, message: String| {
-            findings.push(TokenFinding { rule: rule.to_string(), line, col, message, root_forbid: true });
-        };
-        rule_root_forbid(lexed, &mut emit);
-    }
-    findings
-}
-
-/// Apply rule switches to pre-computed findings and render diagnostics.
-pub fn filter_token_findings(
-    file: &SourceFile,
-    findings: &[TokenFinding],
-    rules: &RuleSet,
-) -> Vec<Diagnostic> {
-    let lines: Vec<&str> = file.source.lines().collect();
-    let snippet = |line: u32| -> String {
-        lines.get(line as usize - 1).map(|s| s.trim().to_string()).unwrap_or_default()
-    };
-    findings
-        .iter()
-        .filter(|t| rules.enabled(&t.rule))
-        .filter(|t| !(t.root_forbid && rules.enabled("unsafe-allowed")))
-        .map(|t| Diagnostic {
-            rule: t.rule.clone(),
-            file: file.path.clone(),
-            line: t.line,
-            col: t.col,
-            message: t.message.clone(),
-            snippet: snippet(t.line),
-        })
-        .collect()
-}
-
-/// Run the per-file token rules on an already-lexed file; diagnostics
-/// are raw (suppressions are the driver's second pass, so workspace
-/// analyses share them).
+/// Run the per-file token rules that `rules` switches on. Diagnostics
+/// are raw: suppressions are the driver's second pass
+/// ([`apply_suppressions`]), so the workspace analyses share them.
 pub fn token_rules(file: &SourceFile, lexed: &LexedFile, rules: &RuleSet) -> Vec<Diagnostic> {
-    filter_token_findings(file, &token_findings(file, lexed), rules)
+    let mut diags = Vec::new();
+    let mut emit = |rule: &str, line: u32, col: u32, message: String| {
+        diags.push(file.diagnostic(rule, line, col, message));
+    };
+    if rules.enabled(DET_ITER) {
+        rule_deterministic_iteration(lexed, &mut emit);
+    }
+    if rules.enabled(NO_WALL_CLOCK) {
+        rule_no_wall_clock(lexed, &mut emit);
+    }
+    if rules.enabled(LOCK_DISCIPLINE) {
+        rule_lock_discipline(lexed, &mut emit);
+    }
+    if rules.enabled(UNSAFE_AUDIT) {
+        rule_unsafe_blocks(lexed, &mut emit);
+        // `unsafe-allowed` waives only the crate-root requirement; the
+        // `// SAFETY:` comments stay mandatory.
+        if file.is_crate_root && !rules.enabled("unsafe-allowed") {
+            rule_root_forbid(lexed, &mut emit);
+        }
+    }
+    diags
 }
 
-/// Lint one file in isolation: token rules + suppressions. The
-/// workspace analyses need the whole workspace — use
-/// [`crate::lint_sources`] for those.
-pub fn check_file(file: &SourceFile, rules: &RuleSet) -> FileReport {
-    let lexed = crate::lexer::lex(&file.source);
-    let diags = token_rules(file, &lexed, rules);
-    apply_suppressions(&file.path, &lexed.comments, diags)
-}
-
-/// Parse directives, silence covered findings, report malformed ones.
+/// Parse directives, silence covered findings, and report the
+/// directives themselves when they are malformed or dead. `diags` must
+/// hold every raw finding for the file — token *and* flow — or a live
+/// `allow` for a rule that has not run yet reads as dead; `rules` is the
+/// file's crate's rule set, so an `allow` for a rule switched off there
+/// is left alone.
 pub fn apply_suppressions(
     path: &str,
     comments: &[Comment],
     diags: Vec<Diagnostic>,
+    rules: &RuleSet,
 ) -> FileReport {
+    let directive_finding = |c: &Comment, message: String| Diagnostic {
+        rule: INVALID_SUPPRESSION.to_string(),
+        file: path.to_string(),
+        line: c.line,
+        col: 1,
+        message,
+        snippet: format!("//{}", c.text.trim_end()),
+    };
     let mut suppressions: Vec<Suppression> = Vec::new();
     let mut report = FileReport::default();
     for c in comments {
         match parse_directive(c) {
             DirectiveParse::None => {}
-            DirectiveParse::Valid(s) => suppressions.push(s),
+            DirectiveParse::Valid(ids) => {
+                suppressions.push(Suppression { rules: ids, comment: c, used: false });
+            }
             DirectiveParse::Invalid(message) => {
-                report.diagnostics.push(Diagnostic {
-                    rule: INVALID_SUPPRESSION.to_string(),
-                    file: path.to_string(),
-                    line: c.line,
-                    col: 1,
-                    message,
-                    snippet: format!("//{}", c.text.trim_end()),
-                });
+                report.diagnostics.push(directive_finding(c, message));
             }
         }
     }
     for d in diags {
-        let covered = suppressions.iter().any(|s| {
-            s.rules.iter().any(|r| r == &d.rule)
-                && (s.line == d.line || s.end_line + 1 == d.line)
-        });
+        let mut covered = false;
+        for s in suppressions.iter_mut().filter(|s| s.covers(&d)) {
+            s.used = true;
+            covered = true;
+        }
         if covered {
             report.suppressed += 1;
         } else {
             report.diagnostics.push(d);
         }
     }
+    for s in &suppressions {
+        if !s.used && s.rules.iter().any(|r| rules.enabled(r)) {
+            let message = format!(
+                "`allow({})` silences nothing: no such finding on its line or the line below; \
+                 remove the directive",
+                s.rules.join(", ")
+            );
+            report.diagnostics.push(directive_finding(s.comment, message));
+        }
+    }
     report.diagnostics.sort_by(|a, b| (a.line, a.col, &a.rule).cmp(&(b.line, b.col, &b.rule)));
     report
 }
 
-struct Suppression {
+/// One well-formed `allow` directive.
+struct Suppression<'a> {
     rules: Vec<String>,
-    line: u32,
-    end_line: u32,
+    comment: &'a Comment,
+    /// Whether it has silenced a finding yet.
+    used: bool,
+}
+
+impl Suppression<'_> {
+    /// A directive covers its own line and the line after its comment.
+    fn covers(&self, d: &Diagnostic) -> bool {
+        self.rules.iter().any(|r| r == &d.rule)
+            && (self.comment.line == d.line || self.comment.end_line + 1 == d.line)
+    }
 }
 
 enum DirectiveParse {
     None,
-    Valid(Suppression),
+    /// A well-formed `allow`, with the rule ids it names.
+    Valid(Vec<String>),
     Invalid(String),
 }
 
@@ -436,7 +402,7 @@ fn parse_directive(c: &Comment) -> DirectiveParse {
     if !ok_reason || body.is_empty() {
         return DirectiveParse::Invalid("allow reason must be a non-empty quoted string".to_string());
     }
-    DirectiveParse::Valid(Suppression { rules, line: c.line, end_line: c.end_line })
+    DirectiveParse::Valid(rules)
 }
 
 /// `deterministic-iteration`: any appearance of an order-randomized
@@ -512,27 +478,6 @@ fn rule_lock_discipline(lexed: &LexedFile, emit: &mut impl FnMut(&str, u32, u32,
     }
 }
 
-/// `shared-state-discipline` (token half): `static mut` is a data race
-/// by construction. `&'static mut` is safe from false positives —
-/// `'static` lexes as a lifetime, not an identifier.
-fn rule_static_mut(lexed: &LexedFile, emit: &mut impl FnMut(&str, u32, u32, String)) {
-    let t = &lexed.tokens;
-    for i in 0..t.len() {
-        if lexed.is_test(i) {
-            continue;
-        }
-        if t[i].is_ident("static") && t.get(i + 1).is_some_and(|n| n.is_ident("mut")) {
-            let name = t.get(i + 2).and_then(|n| n.ident()).unwrap_or("_");
-            emit(
-                SHARED_STATE,
-                t[i].line,
-                t[i].col,
-                format!("`static mut {name}` is unsynchronized global mutable state — any two threads touching it race; use an atomic, a lock, or pass the state explicitly"),
-            );
-        }
-    }
-}
-
 /// `unsafe-audit` (block half): `unsafe` needs an adjacent `// SAFETY:`
 /// comment.
 fn rule_unsafe_blocks(lexed: &LexedFile, emit: &mut impl FnMut(&str, u32, u32, String)) {
@@ -589,6 +534,12 @@ mod tests {
             source: src.to_string(),
             is_crate_root: false,
         }
+    }
+
+    /// Token rules + suppressions on one file in isolation.
+    fn check_file(file: &SourceFile, rules: &RuleSet) -> FileReport {
+        let lexed = crate::lexer::lex(&file.source);
+        apply_suppressions(&file.path, &lexed.comments, token_rules(file, &lexed, rules), rules)
     }
 
     fn check(src: &str) -> FileReport {

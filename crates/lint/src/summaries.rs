@@ -1,35 +1,23 @@
-//! Per-function analysis summaries — the unit of incremental caching.
+//! Per-function analysis summaries — the boundary between the AST
+//! walkers and the cross-file link phase.
 //!
 //! [`summarize`] distils one parsed file into a [`FileSummary`]: every
 //! fact the link phase ([`crate::flow`]) needs, and nothing that
-//! depends on *other* files or on the active rule configuration. That
-//! independence is the whole design: a summary is a pure function of
-//! one file's bytes, so the on-disk cache ([`crate::cache`]) can key it
-//! by content hash alone and re-linking after an edit only re-parses
-//! the files that changed. Rule switches, suppressions and
-//! cross-function resolution are all applied later, at link time.
+//! depends on *other* files or on the active rule configuration. Rule
+//! switches, suppressions and cross-function resolution are all applied
+//! later, at link time, so `flow` never walks an AST and the walkers
+//! here never see the symbol table.
 //!
-//! The extraction walkers here are ports of what used to be the local
-//! halves of the flow analyses (panic/alloc sites, lock acquisition
-//! events, local arithmetic taint, float comparisons) plus the local
-//! halves of the v3 rules: the untrusted-byte taint walker
-//! (`taint-unchecked-flow`), the loop cursor scanner (`loop-progress`)
-//! and the discarded-`Result` scanner (`no-swallowed-error`).
-//!
-//! Serialization is hand-rolled over [`vdsms_json`] (compact arrays,
-//! short keys); [`FileSummary::from_json`] returns `None` on any shape
-//! mismatch, which the cache treats as a miss — a stale or corrupt
-//! cache file can never break a lint run, only slow it down.
+//! The extraction walkers are the local halves of the flow analyses:
+//! panic/alloc sites, lock acquisition events, local arithmetic taint,
+//! float comparisons, the untrusted-byte taint walker
+//! (`taint-unchecked-flow`), the loop cursor scanner (`loop-progress`),
+//! the discarded-`Result` scanner (`no-swallowed-error`) and the
+//! channel/blocking walk (`guard-across-blocking`, `channel-protocol`).
 
 use crate::ast::{walk_fns, walk_stmts, AstFile, BinOp, Expr, ExprKind, Pos, Stmt};
 use crate::lexer::{Comment, LexedFile};
-use crate::SourceFile;
 use std::collections::BTreeMap;
-use vdsms_json::Json;
-
-/// Bumped whenever the summary shape or extraction semantics change;
-/// part of the cache key, so old cache files simply stop matching.
-pub const SUMMARY_VERSION: u64 = 3;
 
 /// A flagged position with a short description (`what` is the panic
 /// site kind, the allocation kind, the arithmetic operator, or the
@@ -190,107 +178,6 @@ pub struct TaintedArg {
     pub src: TaintSrc,
 }
 
-/// How a shared-ownership value created in a function body is
-/// protected — the classification `shared-state-discipline` judges when
-/// the value crosses a spawn boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SharedKind {
-    /// `Arc<Mutex<_>>` — synchronized, fine to capture.
-    ArcMutex,
-    /// `Arc<RwLock<_>>` — synchronized, fine to capture.
-    ArcRwLock,
-    /// `Arc<Atomic*>` — synchronized, fine to capture.
-    ArcAtomic,
-    /// `Arc<RefCell<_>>` / `Arc<Cell<_>>` / `Arc<UnsafeCell<_>>` —
-    /// unsynchronized interior mutability behind a shared handle, the
-    /// shape the rule exists to flag.
-    ArcCell,
-    /// `Arc<T>` with no recognized interior wrapper (shared immutable
-    /// data — fine).
-    ArcPlain,
-    /// `Rc<_>` — single-threaded sharing; crossing a spawn is a bug
-    /// shape regardless of what rustc would say about macro-expanded
-    /// code it cannot see.
-    Rc,
-}
-
-impl SharedKind {
-    /// Compact cache-format code.
-    pub fn code(self) -> usize {
-        match self {
-            SharedKind::ArcMutex => 0,
-            SharedKind::ArcRwLock => 1,
-            SharedKind::ArcAtomic => 2,
-            SharedKind::ArcCell => 3,
-            SharedKind::ArcPlain => 4,
-            SharedKind::Rc => 5,
-        }
-    }
-
-    fn from_code(code: usize) -> Option<SharedKind> {
-        Some(match code {
-            0 => SharedKind::ArcMutex,
-            1 => SharedKind::ArcRwLock,
-            2 => SharedKind::ArcAtomic,
-            3 => SharedKind::ArcCell,
-            4 => SharedKind::ArcPlain,
-            5 => SharedKind::Rc,
-            _ => return None,
-        })
-    }
-
-    /// Human rendering for witness messages (`Arc<RefCell<…>>`).
-    pub fn describe(self) -> &'static str {
-        match self {
-            SharedKind::ArcMutex => "Arc<Mutex<…>>",
-            SharedKind::ArcRwLock => "Arc<RwLock<…>>",
-            SharedKind::ArcAtomic => "Arc<Atomic…>",
-            SharedKind::ArcCell => "Arc<RefCell/Cell<…>>",
-            SharedKind::ArcPlain => "Arc<…>",
-            SharedKind::Rc => "Rc<…>",
-        }
-    }
-
-    /// Whether capture by a spawned closure is a discipline violation.
-    pub fn is_spawn_hazard(self) -> bool {
-        matches!(self, SharedKind::ArcCell | SharedKind::Rc)
-    }
-}
-
-/// A shared-ownership value bound by `let` in a function body: the
-/// binding name, how it is protected, and where it was created (or
-/// cloned — clones inherit the original's classification).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SharedVal {
-    /// Binding name.
-    pub name: String,
-    /// Protection classification.
-    pub kind: SharedKind,
-    /// Creation / clone site.
-    pub pos: Pos,
-}
-
-/// A name referenced inside a spawned closure but bound outside it —
-/// a capture candidate, matched against [`SharedVal`]s and channel
-/// endpoints by name at link time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Capture {
-    /// Captured name.
-    pub name: String,
-    /// First use inside the closure (the witness position).
-    pub pos: Pos,
-}
-
-/// A thread-spawn site (`thread::spawn(…)`, `builder.spawn(…)`) whose
-/// argument is a closure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpawnSite {
-    /// Spawn call site.
-    pub pos: Pos,
-    /// Capture candidates, in first-use order.
-    pub captures: Vec<Capture>,
-}
-
 /// A channel pair bound by a tuple `let`:
 /// `let (tx, rx) = mpsc::channel();` / `sync_channel(n)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -316,26 +203,6 @@ pub enum ChanOpKind {
     Recv,
     /// `drop(endpoint)`.
     Drop,
-}
-
-impl ChanOpKind {
-    /// Compact cache-format code.
-    pub fn code(self) -> usize {
-        match self {
-            ChanOpKind::Send => 0,
-            ChanOpKind::Recv => 1,
-            ChanOpKind::Drop => 2,
-        }
-    }
-
-    fn from_code(code: usize) -> Option<ChanOpKind> {
-        Some(match code {
-            0 => ChanOpKind::Send,
-            1 => ChanOpKind::Recv,
-            2 => ChanOpKind::Drop,
-            _ => return None,
-        })
-    }
 }
 
 /// One channel-endpoint operation, in body walk order — the sequence
@@ -413,11 +280,6 @@ pub struct FnSummary {
     pub tainted_args: Vec<TaintedArg>,
     /// Discarded `Result`s (see [`Discard`]).
     pub discards: Vec<Discard>,
-    /// Thread-spawn sites with their closures' capture candidates.
-    pub spawns: Vec<SpawnSite>,
-    /// Shared-ownership values (`Arc`/`Rc` creations and clones),
-    /// classified by protection.
-    pub shared_vals: Vec<SharedVal>,
     /// Channel pairs bound by tuple `let`s.
     pub channels: Vec<ChannelBind>,
     /// Channel-endpoint operations, in body walk order.
@@ -444,828 +306,14 @@ impl FnSummary {
     }
 }
 
-/// One file's complete summary: comments (for suppressions), token-rule
-/// findings (pre-computed for **all** rules; filtered at link time) and
-/// per-function summaries in definition order.
+/// One file's complete summary: directive comments (for suppressions)
+/// and per-function summaries in definition order.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FileSummary {
     /// Directive (`vdsms-lint:`) comments, for the suppression pass.
     pub comments: Vec<Comment>,
-    /// Token-rule findings, unconditional (every rule evaluated).
-    pub token_findings: Vec<crate::rules::TokenFinding>,
     /// Function summaries in [`walk_fns`] order.
     pub fns: Vec<FnSummary>,
-}
-
-// ---------------------------------------------------------------------
-// JSON serialization (compact arrays, short keys)
-// ---------------------------------------------------------------------
-
-fn jn(v: usize) -> Json {
-    Json::num(v)
-}
-
-fn jline(p: Pos) -> Json {
-    jn(p.line as usize)
-}
-
-fn jcol(p: Pos) -> Json {
-    jn(p.col as usize)
-}
-
-fn jpos(p: Pos) -> Json {
-    Json::Arr(vec![jline(p), jcol(p)])
-}
-
-fn jbool(b: bool) -> Json {
-    Json::Bool(b)
-}
-
-fn rd_u32(v: &Json) -> Option<u32> {
-    v.as_usize().and_then(|n| u32::try_from(n).ok())
-}
-
-fn rd_pos(l: &Json, c: &Json) -> Option<Pos> {
-    Some(Pos::new(rd_u32(l)?, rd_u32(c)?))
-}
-
-fn rd_str(v: &Json) -> Option<String> {
-    v.as_str().map(str::to_string)
-}
-
-fn site_json(s: &Site) -> Json {
-    Json::Arr(vec![jline(s.pos), jcol(s.pos), Json::str(&s.what)])
-}
-
-fn rd_site(v: &Json) -> Option<Site> {
-    let [l, c, w] = v.as_arr()? else { return None };
-    Some(Site { pos: rd_pos(l, c)?, what: rd_str(w)? })
-}
-
-fn callref_json(c: &CallRef) -> Json {
-    match c {
-        CallRef::Path { segs, pos } => {
-            let mut a = vec![Json::str("p"), jline(*pos), jcol(*pos)];
-            a.extend(segs.iter().map(Json::str));
-            Json::Arr(a)
-        }
-        CallRef::Method { recv_self, name, pos } => Json::Arr(vec![
-            Json::str("m"),
-            jline(*pos),
-            jcol(*pos),
-            jbool(*recv_self),
-            Json::str(name),
-        ]),
-    }
-}
-
-fn rd_callref(v: &Json) -> Option<CallRef> {
-    let a = v.as_arr()?;
-    match a {
-        [tag, l, c, rest @ ..] if tag.as_str() == Some("p") => Some(CallRef::Path {
-            segs: rest.iter().map(rd_str).collect::<Option<Vec<_>>>()?,
-            pos: rd_pos(l, c)?,
-        }),
-        [tag, l, c, rs, name] if tag.as_str() == Some("m") => Some(CallRef::Method {
-            recv_self: rs.as_bool()?,
-            name: rd_str(name)?,
-            pos: rd_pos(l, c)?,
-        }),
-        _ => None,
-    }
-}
-
-fn lock_event_json(e: &LockEvent) -> Json {
-    match e {
-        LockEvent::Direct { held, acquired, pos, note } => {
-            let mut a = vec![
-                Json::str("d"),
-                jline(*pos),
-                jcol(*pos),
-                Json::str(acquired),
-                Json::str(note),
-            ];
-            a.extend(held.iter().map(Json::str));
-            Json::Arr(a)
-        }
-        LockEvent::Call { pos, held } => {
-            let mut a = vec![Json::str("c"), jline(*pos), jcol(*pos)];
-            a.extend(held.iter().map(Json::str));
-            Json::Arr(a)
-        }
-    }
-}
-
-fn rd_lock_event(v: &Json) -> Option<LockEvent> {
-    let a = v.as_arr()?;
-    match a {
-        [tag, l, c, acq, note, held @ ..] if tag.as_str() == Some("d") => Some(LockEvent::Direct {
-            held: held.iter().map(rd_str).collect::<Option<Vec<_>>>()?,
-            acquired: rd_str(acq)?,
-            pos: rd_pos(l, c)?,
-            note: rd_str(note)?,
-        }),
-        [tag, l, c, held @ ..] if tag.as_str() == Some("c") => Some(LockEvent::Call {
-            pos: rd_pos(l, c)?,
-            held: held.iter().map(rd_str).collect::<Option<Vec<_>>>()?,
-        }),
-        _ => None,
-    }
-}
-
-fn discard_json(d: &Discard) -> Json {
-    let call = match d.call {
-        Some(i) => jn(i),
-        None => Json::Null,
-    };
-    Json::Arr(vec![jline(d.pos), jcol(d.pos), Json::str(&d.what), call])
-}
-
-fn rd_discard(v: &Json) -> Option<Discard> {
-    let [l, c, w, call] = v.as_arr()? else { return None };
-    let call = match call {
-        Json::Null => None,
-        other => Some(other.as_usize()?),
-    };
-    Some(Discard { call, pos: rd_pos(l, c)?, what: rd_str(w)? })
-}
-
-fn tainted_arg_json(t: &TaintedArg) -> Json {
-    let (kind, src) = match &t.src {
-        TaintSrc::Direct(s) => (jn(0), Json::str(s)),
-        TaintSrc::FromCall(i) => (jn(1), jn(*i)),
-    };
-    Json::Arr(vec![jn(t.call), jn(t.arg), jline(t.pos), jcol(t.pos), kind, src])
-}
-
-fn rd_tainted_arg(v: &Json) -> Option<TaintedArg> {
-    let [call, arg, l, c, kind, src] = v.as_arr()? else { return None };
-    let src = match kind.as_usize()? {
-        0 => TaintSrc::Direct(rd_str(src)?),
-        1 => TaintSrc::FromCall(src.as_usize()?),
-        _ => return None,
-    };
-    Some(TaintedArg { call: call.as_usize()?, arg: arg.as_usize()?, pos: rd_pos(l, c)?, src })
-}
-
-fn spawn_json(sp: &SpawnSite) -> Json {
-    let mut a = vec![jline(sp.pos), jcol(sp.pos)];
-    a.extend(
-        sp.captures
-            .iter()
-            .map(|c| Json::Arr(vec![jline(c.pos), jcol(c.pos), Json::str(&c.name)])),
-    );
-    Json::Arr(a)
-}
-
-fn rd_spawn(v: &Json) -> Option<SpawnSite> {
-    let [l, c, rest @ ..] = v.as_arr()? else { return None };
-    Some(SpawnSite {
-        pos: rd_pos(l, c)?,
-        captures: rest
-            .iter()
-            .map(|x| {
-                let [l, c, n] = x.as_arr()? else { return None };
-                Some(Capture { name: rd_str(n)?, pos: rd_pos(l, c)? })
-            })
-            .collect::<Option<Vec<_>>>()?,
-    })
-}
-
-fn shared_val_json(sv: &SharedVal) -> Json {
-    Json::Arr(vec![jn(sv.kind.code()), jline(sv.pos), jcol(sv.pos), Json::str(&sv.name)])
-}
-
-fn rd_shared_val(v: &Json) -> Option<SharedVal> {
-    let [k, l, c, n] = v.as_arr()? else { return None };
-    Some(SharedVal {
-        name: rd_str(n)?,
-        kind: SharedKind::from_code(k.as_usize()?)?,
-        pos: rd_pos(l, c)?,
-    })
-}
-
-fn channel_json(cb: &ChannelBind) -> Json {
-    let cap = match cb.cap {
-        Some(n) => jn(n as usize),
-        None => Json::Null,
-    };
-    Json::Arr(vec![
-        jbool(cb.sync),
-        cap,
-        jline(cb.pos),
-        jcol(cb.pos),
-        Json::str(&cb.tx),
-        Json::str(&cb.rx),
-    ])
-}
-
-fn rd_channel(v: &Json) -> Option<ChannelBind> {
-    let [sync, cap, l, c, tx, rx] = v.as_arr()? else { return None };
-    let cap = match cap {
-        Json::Null => None,
-        other => Some(other.as_usize()? as u64),
-    };
-    Some(ChannelBind {
-        sync: sync.as_bool()?,
-        cap,
-        tx: rd_str(tx)?,
-        rx: rd_str(rx)?,
-        pos: rd_pos(l, c)?,
-    })
-}
-
-fn chan_op_json(co: &ChanOp) -> Json {
-    Json::Arr(vec![
-        jn(co.op.code()),
-        jline(co.pos),
-        jcol(co.pos),
-        jbool(co.in_loop),
-        jbool(co.discarded),
-        Json::str(&co.name),
-    ])
-}
-
-fn rd_chan_op(v: &Json) -> Option<ChanOp> {
-    let [op, l, c, il, di, n] = v.as_arr()? else { return None };
-    Some(ChanOp {
-        name: rd_str(n)?,
-        op: ChanOpKind::from_code(op.as_usize()?)?,
-        pos: rd_pos(l, c)?,
-        in_loop: il.as_bool()?,
-        discarded: di.as_bool()?,
-    })
-}
-
-fn vec_json<T>(items: &[T], f: impl Fn(&T) -> Json) -> Json {
-    Json::Arr(items.iter().map(f).collect())
-}
-
-fn rd_vec<T>(v: &Json, f: impl Fn(&Json) -> Option<T>) -> Option<Vec<T>> {
-    v.as_arr()?.iter().map(f).collect()
-}
-
-fn fn_json(f: &FnSummary) -> Json {
-    let mut o: Vec<(String, Json)> = Vec::new();
-    let mut put = |k: &str, v: Json| o.push((k.to_string(), v));
-    put("n", Json::str(&f.name));
-    if let Some(t) = &f.self_ty {
-        put("t", Json::str(t));
-    }
-    put("p", jpos(f.pos));
-    put("x", jbool(f.is_test));
-    if let Some(rules) = &f.entry {
-        put("e", Json::Arr(rules.iter().map(Json::str).collect()));
-    }
-    put("r", jbool(f.returns_result));
-    put("pc", jn(f.param_count));
-    put("sf", jbool(f.has_self_param));
-    put("c", vec_json(&f.calls, callref_json));
-    put("pa", vec_json(&f.panic_sites, site_json));
-    put("al", vec_json(&f.alloc_sites, site_json));
-    put("ar", vec_json(&f.arith_sites, site_json));
-    put("fl", vec_json(&f.float_sites, |p| jpos(*p)));
-    put("dl", Json::Arr(f.direct_locks.iter().map(Json::str).collect()));
-    put("le", vec_json(&f.lock_events, lock_event_json));
-    put("sl", vec_json(&f.stalled_loops, site_json));
-    put("rt", jbool(f.returns_taint));
-    put("rc", Json::Arr(f.taint_return_calls.iter().map(|&i| jn(i)).collect()));
-    put(
-        "tl",
-        vec_json(&f.taint_locals, |t| {
-            Json::Arr(vec![jline(t.pos), jcol(t.pos), Json::str(&t.sink), Json::str(&t.src)])
-        }),
-    );
-    put(
-        "tc",
-        vec_json(&f.taint_call_flows, |t| {
-            Json::Arr(vec![jn(t.call), jline(t.pos), jcol(t.pos), Json::str(&t.sink)])
-        }),
-    );
-    put(
-        "ps",
-        vec_json(&f.param_sinks, |t| {
-            Json::Arr(vec![jn(t.param), jline(t.pos), jcol(t.pos), Json::str(&t.sink)])
-        }),
-    );
-    put(
-        "pk",
-        vec_json(&f.param_sink_calls, |t| {
-            Json::Arr(vec![jn(t.param), jn(t.call), jn(t.callee_param)])
-        }),
-    );
-    put("ta", vec_json(&f.tainted_args, tainted_arg_json));
-    put("di", vec_json(&f.discards, discard_json));
-    put("sp", vec_json(&f.spawns, spawn_json));
-    put("sv", vec_json(&f.shared_vals, shared_val_json));
-    put("cb", vec_json(&f.channels, channel_json));
-    put("cp", vec_json(&f.chan_ops, chan_op_json));
-    put("bk", vec_json(&f.blocking, site_json));
-    Json::Obj(o)
-}
-
-fn rd_fn(v: &Json) -> Option<FnSummary> {
-    let pos = {
-        let [l, c] = v.get("p")?.as_arr()? else { return None };
-        rd_pos(l, c)?
-    };
-    let entry = match v.get("e") {
-        Some(e) => Some(rd_vec(e, rd_str)?),
-        None => None,
-    };
-    Some(FnSummary {
-        name: rd_str(v.get("n")?)?,
-        self_ty: match v.get("t") {
-            Some(t) => Some(rd_str(t)?),
-            None => None,
-        },
-        pos,
-        is_test: v.get("x")?.as_bool()?,
-        entry,
-        returns_result: v.get("r")?.as_bool()?,
-        param_count: v.get("pc")?.as_usize()?,
-        has_self_param: v.get("sf")?.as_bool()?,
-        calls: rd_vec(v.get("c")?, rd_callref)?,
-        panic_sites: rd_vec(v.get("pa")?, rd_site)?,
-        alloc_sites: rd_vec(v.get("al")?, rd_site)?,
-        arith_sites: rd_vec(v.get("ar")?, rd_site)?,
-        float_sites: rd_vec(v.get("fl")?, |p| {
-            let [l, c] = p.as_arr()? else { return None };
-            rd_pos(l, c)
-        })?,
-        direct_locks: rd_vec(v.get("dl")?, rd_str)?,
-        lock_events: rd_vec(v.get("le")?, rd_lock_event)?,
-        stalled_loops: rd_vec(v.get("sl")?, rd_site)?,
-        returns_taint: v.get("rt")?.as_bool()?,
-        taint_return_calls: rd_vec(v.get("rc")?, Json::as_usize)?,
-        taint_locals: rd_vec(v.get("tl")?, |t| {
-            let [l, c, sink, src] = t.as_arr()? else { return None };
-            Some(TaintLocal { pos: rd_pos(l, c)?, sink: rd_str(sink)?, src: rd_str(src)? })
-        })?,
-        taint_call_flows: rd_vec(v.get("tc")?, |t| {
-            let [call, l, c, sink] = t.as_arr()? else { return None };
-            Some(TaintCallFlow { call: call.as_usize()?, pos: rd_pos(l, c)?, sink: rd_str(sink)? })
-        })?,
-        param_sinks: rd_vec(v.get("ps")?, |t| {
-            let [p, l, c, sink] = t.as_arr()? else { return None };
-            Some(ParamSink { param: p.as_usize()?, pos: rd_pos(l, c)?, sink: rd_str(sink)? })
-        })?,
-        param_sink_calls: rd_vec(v.get("pk")?, |t| {
-            let [p, call, cp] = t.as_arr()? else { return None };
-            Some(ParamSinkCall {
-                param: p.as_usize()?,
-                call: call.as_usize()?,
-                callee_param: cp.as_usize()?,
-            })
-        })?,
-        tainted_args: rd_vec(v.get("ta")?, rd_tainted_arg)?,
-        discards: rd_vec(v.get("di")?, rd_discard)?,
-        spawns: rd_vec(v.get("sp")?, rd_spawn)?,
-        shared_vals: rd_vec(v.get("sv")?, rd_shared_val)?,
-        channels: rd_vec(v.get("cb")?, rd_channel)?,
-        chan_ops: rd_vec(v.get("cp")?, rd_chan_op)?,
-        blocking: rd_vec(v.get("bk")?, rd_site)?,
-    })
-}
-
-impl FileSummary {
-    /// Serialize to the compact cache format.
-    pub fn to_json(&self) -> String {
-        let comments = vec_json(&self.comments, |c| {
-            Json::Arr(vec![
-                jn(c.line as usize),
-                jn(c.end_line as usize),
-                Json::str(&c.text),
-            ])
-        });
-        let findings = vec_json(&self.token_findings, |t| {
-            Json::Arr(vec![
-                Json::str(&t.rule),
-                jn(t.line as usize),
-                jn(t.col as usize),
-                Json::str(&t.message),
-                jbool(t.root_forbid),
-            ])
-        });
-        Json::Obj(vec![
-            ("v".to_string(), jn(SUMMARY_VERSION as usize)),
-            ("cm".to_string(), comments),
-            ("tf".to_string(), findings),
-            ("fn".to_string(), vec_json(&self.fns, fn_json)),
-        ])
-        .to_compact()
-    }
-
-    /// Parse the cache format; `None` on any mismatch (treated as a
-    /// cache miss by the caller).
-    ///
-    /// The hot path is a strict [`Scan`] over the exact byte layout
-    /// [`FileSummary::to_json`] writes — no intermediate value tree, so
-    /// a warm cache load is dominated by string allocation rather than
-    /// parsing. Anything the scanner does not recognize (reordered
-    /// keys, pretty-printing, hand edits) falls back to the lenient
-    /// tree parser before being declared a miss.
-    pub fn from_json(text: &str) -> Option<FileSummary> {
-        fast_from_json(text).or_else(|| Self::from_json_tree(text))
-    }
-
-    fn from_json_tree(text: &str) -> Option<FileSummary> {
-        let v = Json::parse(text).ok()?;
-        if v.get("v")?.as_usize()? != SUMMARY_VERSION as usize {
-            return None;
-        }
-        Some(FileSummary {
-            comments: rd_vec(v.get("cm")?, |c| {
-                let [line, end_line, text] = c.as_arr()? else { return None };
-                Some(Comment {
-                    text: rd_str(text)?,
-                    line: rd_u32(line)?,
-                    end_line: rd_u32(end_line)?,
-                })
-            })?,
-            token_findings: rd_vec(v.get("tf")?, |t| {
-                let [rule, l, c, message, rf] = t.as_arr()? else { return None };
-                Some(crate::rules::TokenFinding {
-                    rule: rd_str(rule)?,
-                    line: rd_u32(l)?,
-                    col: rd_u32(c)?,
-                    message: rd_str(message)?,
-                    root_forbid: rf.as_bool()?,
-                })
-            })?,
-            fns: rd_vec(v.get("fn")?, rd_fn)?,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Fast cache-format reader
-// ---------------------------------------------------------------------
-//
-// A strict [`Scan`] mirror of `to_json`'s exact byte layout. Every
-// helper here must stay in lockstep with its `*_json` counterpart
-// above; `roundtrip` tests and the tree-parser fallback both guard the
-// pairing.
-
-use vdsms_json::Scan;
-
-fn sc_u32(s: &mut Scan) -> Option<u32> {
-    u32::try_from(s.usize_()?).ok()
-}
-
-fn sc_pos(s: &mut Scan) -> Option<Pos> {
-    let line = sc_u32(s)?;
-    s.lit(",")?;
-    Some(Pos::new(line, sc_u32(s)?))
-}
-
-/// `[item,item,...]` with `f` reading each item.
-fn sc_arr<T>(s: &mut Scan, f: impl Fn(&mut Scan) -> Option<T>) -> Option<Vec<T>> {
-    s.lit("[")?;
-    let mut out = Vec::new();
-    if s.lit("]").is_some() {
-        return Some(out);
-    }
-    loop {
-        out.push(f(s)?);
-        if s.lit(",").is_some() {
-            continue;
-        }
-        s.lit("]")?;
-        return Some(out);
-    }
-}
-
-/// The trailing `,"str",...]` tail of an already-open array.
-fn sc_str_tail(s: &mut Scan) -> Option<Vec<String>> {
-    let mut out = Vec::new();
-    loop {
-        if s.lit("]").is_some() {
-            return Some(out);
-        }
-        s.lit(",")?;
-        out.push(s.string()?);
-    }
-}
-
-fn sc_site(s: &mut Scan) -> Option<Site> {
-    s.lit("[")?;
-    let pos = sc_pos(s)?;
-    s.lit(",")?;
-    let what = s.string()?;
-    s.lit("]")?;
-    Some(Site { pos, what })
-}
-
-fn sc_callref(s: &mut Scan) -> Option<CallRef> {
-    if s.lit("[\"p\",").is_some() {
-        let pos = sc_pos(s)?;
-        Some(CallRef::Path { segs: sc_str_tail(s)?, pos })
-    } else {
-        s.lit("[\"m\",")?;
-        let pos = sc_pos(s)?;
-        s.lit(",")?;
-        let recv_self = s.bool_()?;
-        s.lit(",")?;
-        let name = s.string()?;
-        s.lit("]")?;
-        Some(CallRef::Method { recv_self, name, pos })
-    }
-}
-
-fn sc_lock_event(s: &mut Scan) -> Option<LockEvent> {
-    if s.lit("[\"d\",").is_some() {
-        let pos = sc_pos(s)?;
-        s.lit(",")?;
-        let acquired = s.string()?;
-        s.lit(",")?;
-        let note = s.string()?;
-        Some(LockEvent::Direct { held: sc_str_tail(s)?, acquired, pos, note })
-    } else {
-        s.lit("[\"c\",")?;
-        let pos = sc_pos(s)?;
-        Some(LockEvent::Call { pos, held: sc_str_tail(s)? })
-    }
-}
-
-fn sc_discard(s: &mut Scan) -> Option<Discard> {
-    s.lit("[")?;
-    let pos = sc_pos(s)?;
-    s.lit(",")?;
-    let what = s.string()?;
-    s.lit(",")?;
-    let call = if s.lit("null").is_some() { None } else { Some(s.usize_()?) };
-    s.lit("]")?;
-    Some(Discard { call, pos, what })
-}
-
-fn sc_tainted_arg(s: &mut Scan) -> Option<TaintedArg> {
-    s.lit("[")?;
-    let call = s.usize_()?;
-    s.lit(",")?;
-    let arg = s.usize_()?;
-    s.lit(",")?;
-    let pos = sc_pos(s)?;
-    s.lit(",")?;
-    let src = match s.usize_()? {
-        0 => {
-            s.lit(",")?;
-            TaintSrc::Direct(s.string()?)
-        }
-        1 => {
-            s.lit(",")?;
-            TaintSrc::FromCall(s.usize_()?)
-        }
-        _ => return None,
-    };
-    s.lit("]")?;
-    Some(TaintedArg { call, arg, pos, src })
-}
-
-fn sc_spawn(s: &mut Scan) -> Option<SpawnSite> {
-    s.lit("[")?;
-    let pos = sc_pos(s)?;
-    let mut captures = Vec::new();
-    loop {
-        if s.lit("]").is_some() {
-            return Some(SpawnSite { pos, captures });
-        }
-        s.lit(",[")?;
-        let pos = sc_pos(s)?;
-        s.lit(",")?;
-        let name = s.string()?;
-        s.lit("]")?;
-        captures.push(Capture { name, pos });
-    }
-}
-
-fn sc_shared_val(s: &mut Scan) -> Option<SharedVal> {
-    s.lit("[")?;
-    let kind = SharedKind::from_code(s.usize_()?)?;
-    s.lit(",")?;
-    let pos = sc_pos(s)?;
-    s.lit(",")?;
-    let name = s.string()?;
-    s.lit("]")?;
-    Some(SharedVal { name, kind, pos })
-}
-
-fn sc_channel(s: &mut Scan) -> Option<ChannelBind> {
-    s.lit("[")?;
-    let sync = s.bool_()?;
-    s.lit(",")?;
-    let cap = if s.lit("null").is_some() { None } else { Some(s.usize_()? as u64) };
-    s.lit(",")?;
-    let pos = sc_pos(s)?;
-    s.lit(",")?;
-    let tx = s.string()?;
-    s.lit(",")?;
-    let rx = s.string()?;
-    s.lit("]")?;
-    Some(ChannelBind { sync, cap, tx, rx, pos })
-}
-
-fn sc_chan_op(s: &mut Scan) -> Option<ChanOp> {
-    s.lit("[")?;
-    let op = ChanOpKind::from_code(s.usize_()?)?;
-    s.lit(",")?;
-    let pos = sc_pos(s)?;
-    s.lit(",")?;
-    let in_loop = s.bool_()?;
-    s.lit(",")?;
-    let discarded = s.bool_()?;
-    s.lit(",")?;
-    let name = s.string()?;
-    s.lit("]")?;
-    Some(ChanOp { name, op, pos, in_loop, discarded })
-}
-
-fn sc_fn(s: &mut Scan) -> Option<FnSummary> {
-    s.lit("{\"n\":")?;
-    let name = s.string()?;
-    let self_ty = if s.lit(",\"t\":").is_some() { Some(s.string()?) } else { None };
-    s.lit(",\"p\":[")?;
-    let pos = sc_pos(s)?;
-    s.lit("],\"x\":")?;
-    let is_test = s.bool_()?;
-    let entry = if s.lit(",\"e\":[").is_some() {
-        let mut rules = Vec::new();
-        if s.lit("]").is_none() {
-            loop {
-                rules.push(s.string()?);
-                if s.lit(",").is_some() {
-                    continue;
-                }
-                s.lit("]")?;
-                break;
-            }
-        }
-        Some(rules)
-    } else {
-        None
-    };
-    s.lit(",\"r\":")?;
-    let returns_result = s.bool_()?;
-    s.lit(",\"pc\":")?;
-    let param_count = s.usize_()?;
-    s.lit(",\"sf\":")?;
-    let has_self_param = s.bool_()?;
-    s.lit(",\"c\":")?;
-    let calls = sc_arr(s, sc_callref)?;
-    s.lit(",\"pa\":")?;
-    let panic_sites = sc_arr(s, sc_site)?;
-    s.lit(",\"al\":")?;
-    let alloc_sites = sc_arr(s, sc_site)?;
-    s.lit(",\"ar\":")?;
-    let arith_sites = sc_arr(s, sc_site)?;
-    s.lit(",\"fl\":")?;
-    let float_sites = sc_arr(s, |s| {
-        s.lit("[")?;
-        let p = sc_pos(s)?;
-        s.lit("]")?;
-        Some(p)
-    })?;
-    s.lit(",\"dl\":")?;
-    let direct_locks = sc_arr(s, |s| s.string())?;
-    s.lit(",\"le\":")?;
-    let lock_events = sc_arr(s, sc_lock_event)?;
-    s.lit(",\"sl\":")?;
-    let stalled_loops = sc_arr(s, sc_site)?;
-    s.lit(",\"rt\":")?;
-    let returns_taint = s.bool_()?;
-    s.lit(",\"rc\":")?;
-    let taint_return_calls = sc_arr(s, |s| s.usize_())?;
-    s.lit(",\"tl\":")?;
-    let taint_locals = sc_arr(s, |s| {
-        s.lit("[")?;
-        let pos = sc_pos(s)?;
-        s.lit(",")?;
-        let sink = s.string()?;
-        s.lit(",")?;
-        let src = s.string()?;
-        s.lit("]")?;
-        Some(TaintLocal { pos, sink, src })
-    })?;
-    s.lit(",\"tc\":")?;
-    let taint_call_flows = sc_arr(s, |s| {
-        s.lit("[")?;
-        let call = s.usize_()?;
-        s.lit(",")?;
-        let pos = sc_pos(s)?;
-        s.lit(",")?;
-        let sink = s.string()?;
-        s.lit("]")?;
-        Some(TaintCallFlow { call, pos, sink })
-    })?;
-    s.lit(",\"ps\":")?;
-    let param_sinks = sc_arr(s, |s| {
-        s.lit("[")?;
-        let param = s.usize_()?;
-        s.lit(",")?;
-        let pos = sc_pos(s)?;
-        s.lit(",")?;
-        let sink = s.string()?;
-        s.lit("]")?;
-        Some(ParamSink { param, pos, sink })
-    })?;
-    s.lit(",\"pk\":")?;
-    let param_sink_calls = sc_arr(s, |s| {
-        s.lit("[")?;
-        let param = s.usize_()?;
-        s.lit(",")?;
-        let call = s.usize_()?;
-        s.lit(",")?;
-        let callee_param = s.usize_()?;
-        s.lit("]")?;
-        Some(ParamSinkCall { param, call, callee_param })
-    })?;
-    s.lit(",\"ta\":")?;
-    let tainted_args = sc_arr(s, sc_tainted_arg)?;
-    s.lit(",\"di\":")?;
-    let discards = sc_arr(s, sc_discard)?;
-    s.lit(",\"sp\":")?;
-    let spawns = sc_arr(s, sc_spawn)?;
-    s.lit(",\"sv\":")?;
-    let shared_vals = sc_arr(s, sc_shared_val)?;
-    s.lit(",\"cb\":")?;
-    let channels = sc_arr(s, sc_channel)?;
-    s.lit(",\"cp\":")?;
-    let chan_ops = sc_arr(s, sc_chan_op)?;
-    s.lit(",\"bk\":")?;
-    let blocking = sc_arr(s, sc_site)?;
-    s.lit("}")?;
-    Some(FnSummary {
-        name,
-        self_ty,
-        pos,
-        is_test,
-        entry,
-        returns_result,
-        param_count,
-        has_self_param,
-        calls,
-        panic_sites,
-        alloc_sites,
-        arith_sites,
-        float_sites,
-        direct_locks,
-        lock_events,
-        stalled_loops,
-        returns_taint,
-        taint_return_calls,
-        taint_locals,
-        taint_call_flows,
-        param_sinks,
-        param_sink_calls,
-        tainted_args,
-        discards,
-        spawns,
-        shared_vals,
-        channels,
-        chan_ops,
-        blocking,
-    })
-}
-
-fn fast_from_json(text: &str) -> Option<FileSummary> {
-    let mut s = Scan::new(text);
-    s.lit("{\"v\":")?;
-    if s.usize_()? != SUMMARY_VERSION as usize {
-        return None;
-    }
-    s.lit(",\"cm\":")?;
-    let comments = sc_arr(&mut s, |s| {
-        s.lit("[")?;
-        let line = sc_u32(s)?;
-        s.lit(",")?;
-        let end_line = sc_u32(s)?;
-        s.lit(",")?;
-        let text = s.string()?;
-        s.lit("]")?;
-        Some(Comment { text, line, end_line })
-    })?;
-    s.lit(",\"tf\":")?;
-    let token_findings = sc_arr(&mut s, |s| {
-        s.lit("[")?;
-        let rule = s.string()?;
-        s.lit(",")?;
-        let line = sc_u32(s)?;
-        s.lit(",")?;
-        let col = sc_u32(s)?;
-        s.lit(",")?;
-        let message = s.string()?;
-        s.lit(",")?;
-        let root_forbid = s.bool_()?;
-        s.lit("]")?;
-        Some(crate::rules::TokenFinding { rule, line, col, message, root_forbid })
-    })?;
-    s.lit(",\"fn\":")?;
-    let fns = sc_arr(&mut s, sc_fn)?;
-    s.lit("}")?;
-    if !s.at_end() {
-        return None;
-    }
-    Some(FileSummary { comments, token_findings, fns })
 }
 
 // ---------------------------------------------------------------------
@@ -1304,22 +352,20 @@ fn is_sanitizer_method(method: &str) -> bool {
 
 /// Summarize one parsed file. Pure function of the file's bytes: no
 /// configuration, no other files.
-pub fn summarize(file: &SourceFile, lexed: &LexedFile, ast: &AstFile) -> FileSummary {
+pub fn summarize(lexed: &LexedFile, ast: &AstFile) -> FileSummary {
     let mut fns = Vec::new();
     walk_fns(&ast.items, &mut |self_ty, def| {
         fns.push(summarize_fn(self_ty, def));
     });
     FileSummary {
         // Only directive comments feed the link phase (suppressions and
-        // their validation); doc comments would bloat every cache entry
-        // for nothing.
+        // their validation).
         comments: lexed
             .comments
             .iter()
             .filter(|c| c.text.trim().starts_with("vdsms-lint:"))
             .cloned()
             .collect(),
-        token_findings: crate::rules::token_findings(file, lexed),
         fns,
     }
 }
@@ -1415,11 +461,10 @@ fn summarize_fn(self_ty: Option<&str>, def: &crate::ast::FnDef) -> FnSummary {
         }
     });
 
-    // Thread/sync model: spawns + captures, shared-ownership values,
-    // channel binds and endpoint operations, direct blocking sites.
+    // Thread/sync model: channel binds and endpoint operations, direct
+    // blocking sites.
     {
         let mut cw = ConcWalker {
-            env: BTreeMap::new(),
             sync_txs: std::collections::BTreeSet::new(),
             loop_depth: 0,
             out: &mut f,
@@ -1890,81 +935,7 @@ fn channel_ctor(e: &Expr) -> Option<(bool, Option<u64>)> {
     }
 }
 
-/// Classification of an `Arc::new(inner)` payload.
-fn arc_payload_kind(args: &[Expr]) -> SharedKind {
-    let Some(inner) = args.first() else { return SharedKind::ArcPlain };
-    let ExprKind::Call { callee, .. } = &inner.kind else { return SharedKind::ArcPlain };
-    let Some([.., ty, ctor]) = callee.as_path() else { return SharedKind::ArcPlain };
-    if ctor != "new" && ctor != "default" {
-        return SharedKind::ArcPlain;
-    }
-    match ty.as_str() {
-        "Mutex" => SharedKind::ArcMutex,
-        "RwLock" => SharedKind::ArcRwLock,
-        "RefCell" | "Cell" | "UnsafeCell" => SharedKind::ArcCell,
-        t if t.starts_with("Atomic") => SharedKind::ArcAtomic,
-        _ => SharedKind::ArcPlain,
-    }
-}
-
-/// Every `let`-bound name under a statement list (closure-local
-/// bindings shadow would-be captures).
-fn let_names_stmts(stmts: &[Stmt], out: &mut std::collections::BTreeSet<String>) {
-    for s in stmts {
-        match s {
-            Stmt::Let { name, tuple, init, .. } => {
-                if let Some(n) = name {
-                    out.insert(n.clone());
-                }
-                out.extend(tuple.iter().cloned());
-                if let Some(e) = init {
-                    let_names_expr(e, out);
-                }
-            }
-            Stmt::Expr(e, _) => let_names_expr(e, out),
-            Stmt::Item(_) => {}
-        }
-    }
-}
-
-fn let_names_expr(e: &Expr, out: &mut std::collections::BTreeSet<String>) {
-    match &e.kind {
-        ExprKind::Block(stmts) | ExprKind::Loop { body: stmts } => let_names_stmts(stmts, out),
-        ExprKind::If { cond, then, alt } => {
-            let_names_expr(cond, out);
-            let_names_stmts(then, out);
-            if let Some(a) = alt {
-                let_names_expr(a, out);
-            }
-        }
-        ExprKind::While { cond, body } => {
-            let_names_expr(cond, out);
-            let_names_stmts(body, out);
-        }
-        ExprKind::For { iter, body } => {
-            let_names_expr(iter, out);
-            let_names_stmts(body, out);
-        }
-        ExprKind::Match { scrutinee, arms } => {
-            let_names_expr(scrutinee, out);
-            for a in arms {
-                let_names_expr(a, out);
-            }
-        }
-        _ => {
-            let mut children: Vec<&Expr> = Vec::new();
-            collect_children(e, &mut children);
-            for c in children {
-                let_names_expr(c, out);
-            }
-        }
-    }
-}
-
 struct ConcWalker<'a> {
-    /// Shared-ownership bindings seen so far (flat scope — shadowing is
-    /// tolerated, consistent with the lock-identity scheme).
-    env: BTreeMap<String, SharedKind>,
     /// Senders of locally-bound `sync_channel`s: their `send` blocks.
     sync_txs: std::collections::BTreeSet<String>,
     loop_depth: u32,
@@ -1975,17 +946,7 @@ impl ConcWalker<'_> {
     fn scan_stmts(&mut self, stmts: &[Stmt]) {
         for stmt in stmts {
             match stmt {
-                Stmt::Let { name, tuple, init: Some(e), .. } => {
-                    if let Some(n) = name {
-                        if let Some(kind) = self.classify_shared(e) {
-                            self.out.shared_vals.push(SharedVal {
-                                name: n.clone(),
-                                kind,
-                                pos: e.pos,
-                            });
-                            self.env.insert(n.clone(), kind);
-                        }
-                    }
+                Stmt::Let { tuple, init: Some(e), .. } => {
                     if let [tx, rx] = tuple.as_slice() {
                         if let Some((sync, cap)) = channel_ctor(e) {
                             if sync {
@@ -2012,29 +973,6 @@ impl ConcWalker<'_> {
         }
     }
 
-    /// The shared-ownership classification of a `let` initializer, if
-    /// it creates or clones an `Arc`/`Rc`.
-    fn classify_shared(&self, e: &Expr) -> Option<SharedKind> {
-        match &e.kind {
-            ExprKind::Call { callee, args } => match callee.as_path()? {
-                [.., ty, ctor] if ty == "Arc" && ctor == "new" => Some(arc_payload_kind(args)),
-                [.., ty, ctor] if ty == "Rc" && ctor == "new" => Some(SharedKind::Rc),
-                // `Arc::clone(&x)` inherits `x`'s classification.
-                [.., ty, ctor] if (ty == "Arc" || ty == "Rc") && ctor == "clone" => {
-                    self.env.get(args.first()?.chain_name()?).copied()
-                }
-                _ => None,
-            },
-            // `x.clone()` on a known shared value inherits too.
-            ExprKind::MethodCall { recv, method, args }
-                if method == "clone" && args.is_empty() =>
-            {
-                self.env.get(recv.chain_name()?).copied()
-            }
-            _ => None,
-        }
-    }
-
     fn scan_expr(&mut self, e: &Expr, stmt_root: bool) {
         match &e.kind {
             ExprKind::Call { callee, args } => {
@@ -2052,9 +990,6 @@ impl ConcWalker<'_> {
                             }
                         }
                     }
-                    if last == "spawn" {
-                        self.record_spawn(e.pos, args);
-                    }
                 }
                 self.scan_expr(callee, false);
                 for a in args {
@@ -2062,9 +997,6 @@ impl ConcWalker<'_> {
                 }
             }
             ExprKind::MethodCall { recv, method, args } => {
-                if method == "spawn" {
-                    self.record_spawn(e.pos, args);
-                }
                 if let Some(op) = chan_op_kind(method, args.len()) {
                     if let Some(name) = recv.chain_name() {
                         self.out.chan_ops.push(ChanOp {
@@ -2144,37 +1076,6 @@ impl ConcWalker<'_> {
             }
             _ => None,
         }
-    }
-
-    /// Record a spawn site whose argument list contains a closure,
-    /// collecting capture candidates: lowercase single-ident names used
-    /// in the closure body and not `let`-bound inside it. Matching
-    /// against the spawning scope's bindings happens at link time, so
-    /// stray names (free functions, enum variants) simply never match.
-    fn record_spawn(&mut self, pos: Pos, args: &[Expr]) {
-        let Some(body) = args.iter().find_map(|a| match &a.kind {
-            ExprKind::Closure(b) => Some(b.as_ref()),
-            _ => None,
-        }) else {
-            return;
-        };
-        let mut local: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        let_names_expr(body, &mut local);
-        let mut captures: Vec<Capture> = Vec::new();
-        crate::ast::walk_expr(body, &mut |x: &Expr| {
-            let ExprKind::Path(p) = &x.kind else { return };
-            let [name] = p.as_slice() else { return };
-            if name == "self"
-                || name == "_"
-                || name.starts_with(|c: char| c.is_ascii_uppercase())
-                || local.contains(name)
-                || captures.iter().any(|c| &c.name == name)
-            {
-                return;
-            }
-            captures.push(Capture { name: name.clone(), pos: x.pos });
-        });
-        self.out.spawns.push(SpawnSite { pos, captures });
     }
 }
 
@@ -2538,15 +1439,8 @@ mod tests {
     use crate::parser::parse_file;
 
     fn summarize_src(src: &str) -> FileSummary {
-        let file = SourceFile {
-            crate_name: "t".to_string(),
-            path: "crates/t/src/lib.rs".to_string(),
-            source: src.to_string(),
-            is_crate_root: true,
-        };
-        let lexed = lex(&file.source);
-        let ast = parse_file(&lexed);
-        summarize(&file, &lexed, &ast)
+        let lexed = lex(src);
+        summarize(&lexed, &parse_file(&lexed))
     }
 
     fn only_fn<'s>(s: &'s FileSummary, name: &str) -> &'s FnSummary {
@@ -2554,44 +1448,6 @@ mod tests {
             Some(f) => f,
             None => panic!("no fn `{name}` in summary"),
         }
-    }
-
-    #[test]
-    fn fast_reader_parses_exactly_what_to_json_writes() {
-        // A summary that exercises every optional branch of the cache
-        // format: methods and paths, lock events, taint, discards,
-        // entry markers, comments, token findings.
-        let src = "\
-            // vdsms-lint: entry\n\
-            // vdsms-lint: allow(no-panic) reason=\"seed\"\n\
-            pub fn hot(r: &mut R, t: &[u8], tx: &S) -> Result<(), E> {\n\
-            \x20   let i = r.read_u8() as usize;\n\
-            \x20   let _ = tx.send(t[i]);\n\
-            \x20   let g = A.lock();\n\
-            \x20   let h = B.lock();\n\
-            \x20   helper(i);\n\
-            \x20   while i > 0 {}\n\
-            \x20   Ok(())\n\
-            }\n\
-            fn helper(n: usize) -> f32 { 0.1 + 0.2 }\n\
-            fn conc() {\n\
-            \x20   let shared = Arc::new(RefCell::new(0));\n\
-            \x20   let (tx, rx) = mpsc::sync_channel(1);\n\
-            \x20   let h = thread::spawn(move || { tx.send(shared); });\n\
-            \x20   drop(rx);\n\
-            \x20   h.join();\n\
-            }\n\
-            #[test]\n\
-            fn unit() { hot_path().unwrap(); }\n";
-        let summary = summarize_src(src);
-        let json = summary.to_json();
-        let fast = match fast_from_json(&json) {
-            Some(s) => s,
-            None => panic!("fast reader rejected writer output: {json}"),
-        };
-        let tree = FileSummary::from_json_tree(&json).expect("tree reader");
-        assert_eq!(fast.to_json(), json, "fast reader round-trip drifted");
-        assert_eq!(tree.to_json(), json, "tree reader round-trip drifted");
     }
 
     #[test]
@@ -2716,39 +1572,6 @@ mod tests {
     }
 
     #[test]
-    fn spawn_captures_and_shared_kinds_are_recorded() {
-        let s = summarize_src(
-            "fn f() {\n\
-             \x20   let state = Arc::new(Mutex::new(0));\n\
-             \x20   let cell = Arc::new(RefCell::new(0));\n\
-             \x20   let worker = Arc::clone(&state);\n\
-             \x20   let leak = cell.clone();\n\
-             \x20   thread::spawn(move || {\n\
-             \x20       let mine = 1;\n\
-             \x20       worker.lock();\n\
-             \x20       leak.borrow_mut();\n\
-             \x20       mine + 1;\n\
-             \x20   });\n\
-             }\n",
-        );
-        let f = only_fn(&s, "f");
-        let kinds: Vec<(&str, SharedKind)> =
-            f.shared_vals.iter().map(|v| (v.name.as_str(), v.kind)).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                ("state", SharedKind::ArcMutex),
-                ("cell", SharedKind::ArcCell),
-                ("worker", SharedKind::ArcMutex),
-                ("leak", SharedKind::ArcCell),
-            ]
-        );
-        assert_eq!(f.spawns.len(), 1, "spawns: {:?}", f.spawns);
-        let names: Vec<&str> = f.spawns[0].captures.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["worker", "leak"], "closure-local `mine` must not count");
-    }
-
-    #[test]
     fn channel_binds_ops_and_blocking_sites_are_recorded() {
         let s = summarize_src(
             "fn f(m: &M) {\n\
@@ -2798,32 +1621,5 @@ mod tests {
         let f = only_fn(&s, "f");
         let what: Vec<&str> = f.blocking.iter().map(|s| s.what.as_str()).collect();
         assert_eq!(what, vec!["`.join()`"]);
-    }
-
-    #[test]
-    fn summary_round_trips_through_json() {
-        let s = summarize_src(
-            "// vdsms-lint: entry\n\
-             fn hot(r: &mut R) -> Result<(), E> {\n\
-             \x20   let n = r.read_u32()? as usize;\n\
-             \x20   let mut v = Vec::with_capacity(n);\n\
-             \x20   let g = self_lock.lock();\n\
-             \x20   v.push(n);\n\
-             \x20   let _ = save(n);\n\
-             \x20   loop { }\n\
-             }\n\
-             fn save(n: usize) -> Result<(), E> { Ok(()) }\n",
-        );
-        let json = s.to_json();
-        let back = match FileSummary::from_json(&json) {
-            Some(b) => b,
-            None => panic!("round-trip parse failed: {json}"),
-        };
-        assert_eq!(s, back);
-        // Version mismatch is a miss, not an error.
-        let stale = json.replacen(&format!("{{\"v\":{SUMMARY_VERSION}"), "{\"v\":999", 1);
-        assert!(FileSummary::from_json(&stale).is_none());
-        assert!(FileSummary::from_json("not json").is_none());
-        assert!(FileSummary::from_json("{}").is_none());
     }
 }

@@ -9,10 +9,10 @@
 //! *under*-approximation (missed edges degrade coverage, never produce
 //! false positives).
 //!
-//! Since lint v3 the table indexes [`FnSummary`] records rather than raw
-//! AST nodes: summaries are what the incremental cache stores, so the
-//! whole link phase — symbols, call graph, interprocedural rules — runs
-//! identically whether a file was freshly parsed or loaded from cache.
+//! The table indexes [`FnSummary`] records rather than raw AST nodes:
+//! summaries are the boundary between the per-file walkers and the link
+//! phase, so symbols, call graph and interprocedural rules never touch
+//! an AST.
 
 use crate::summaries::{FileSummary, FnSummary};
 use crate::SourceFile;
@@ -147,7 +147,7 @@ mod tests {
             .iter()
             .map(|f| {
                 let lexed = lex(&f.source);
-                summarize(f, &lexed, &parse_file(&lexed))
+                summarize(&lexed, &parse_file(&lexed))
             })
             .collect();
         let table = SymbolTable::build(&files, &summaries);

@@ -2,14 +2,18 @@
 //! fire, with the expected count) and a negative fixture full of
 //! look-alikes (must stay silent), plus suppression round-trips.
 //!
-//! Token rules run per file through [`check_file`]; the v2 workspace
-//! analyses (hot-path, lock-order, taint, float ordering) run through
-//! [`lint_sources`] with a config enabling exactly the rule under test,
-//! so cross-firing between rules cannot mask a miscount.
+//! Token rules run per file through [`token_rules`] +
+//! [`apply_suppressions`]; the workspace analyses (hot-path, lock-order,
+//! taint, float ordering, …) run through [`lint_sources`] with a config
+//! enabling exactly the rule under test, so cross-firing between rules
+//! cannot mask a miscount.
 
 use std::path::PathBuf;
 use vdsms_lint::config::KNOWN_KEYS;
-use vdsms_lint::{check_file, lint_sources, parse_config, LintConfig, Report, RuleSet, SourceFile};
+use vdsms_lint::rules::{apply_suppressions, token_rules};
+use vdsms_lint::{
+    lint_sources, parse_config, FileReport, LintConfig, Report, RuleSet, SourceFile,
+};
 
 fn fixture(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
@@ -26,7 +30,13 @@ fn source(crate_name: &str, name: &str) -> SourceFile {
     }
 }
 
-fn check(name: &str) -> vdsms_lint::FileReport {
+/// Token rules + suppressions on one file in isolation.
+fn check_file(file: &SourceFile, rules: &RuleSet) -> FileReport {
+    let lexed = vdsms_lint::lexer::lex(&file.source);
+    apply_suppressions(&file.path, &lexed.comments, token_rules(file, &lexed, rules), rules)
+}
+
+fn check(name: &str) -> FileReport {
     check_file(&source("fixture", name), &RuleSet::all_enabled())
 }
 
@@ -88,7 +98,6 @@ fn flow_positive_fixtures_fire_exactly_the_expected_rule() {
         ("taint_pos.rs", "taint-unchecked-flow", 5),
         ("loop_progress_pos.rs", "loop-progress", 2),
         ("swallow_pos.rs", "no-swallowed-error", 3),
-        ("shared_state_pos.rs", "shared-state-discipline", 3),
         ("guard_blocking_pos.rs", "guard-across-blocking", 4),
         ("channel_protocol_pos.rs", "channel-protocol", 4),
     ] {
@@ -124,7 +133,6 @@ fn negative_fixtures_are_silent() {
         ("taint_neg.rs", "taint-unchecked-flow"),
         ("loop_progress_neg.rs", "loop-progress"),
         ("swallow_neg.rs", "no-swallowed-error"),
-        ("shared_state_neg.rs", "shared-state-discipline"),
         ("guard_blocking_neg.rs", "guard-across-blocking"),
         ("channel_protocol_neg.rs", "channel-protocol"),
     ] {
@@ -195,19 +203,6 @@ fn guard_across_blocking_prints_the_transitive_witness_chain() {
     );
     assert!(d.message.contains("`.recv()`"), "names the blocking operation: {}", d.message);
     assert!(d.message.contains("`m`"), "names the held lock: {}", d.message);
-}
-
-#[test]
-fn shared_state_findings_carry_the_creation_and_use_witness() {
-    let rep = flow_check(&["shared_state_pos.rs"], "shared-state-discipline");
-    let d = rep
-        .diagnostics
-        .iter()
-        .find(|d| d.message.contains("Rc<…>"))
-        .expect("the Rc-across-spawn finding");
-    assert!(d.message.contains("`mine`"), "names the captured value: {}", d.message);
-    assert!(d.message.contains("created at line"), "creation witness: {}", d.message);
-    assert!(d.message.contains("first use at line"), "use witness: {}", d.message);
 }
 
 #[test]

@@ -6,10 +6,7 @@
 
 use std::path::{Path, PathBuf};
 use vdsms_lint::config::KNOWN_KEYS;
-use vdsms_lint::{
-    find_workspace_root, lint_workspace_cached, lint_workspace_with_default_config, load_config,
-    Report,
-};
+use vdsms_lint::{find_workspace_root, lint_workspace_with_default_config, Report};
 
 fn workspace_root() -> PathBuf {
     let start = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -288,45 +285,6 @@ fn seeded_swallowed_error_names_the_failing_callee() {
 }
 
 #[test]
-fn seeded_spawn_capture_violation_prints_the_witness() {
-    let dirty = lint_seeded(
-        "shared-state",
-        &["shared-state-discipline"],
-        "pub fn worker() {\n\
-         \x20   let hits = Arc::new(RefCell::new(0u64));\n\
-         \x20   let snd = Arc::clone(&hits);\n\
-         \x20   thread::spawn(move || {\n\
-         \x20       snd.borrow_mut();\n\
-         \x20   });\n\
-         \x20   hits.borrow();\n\
-         }\n",
-    );
-    assert_eq!(dirty.diagnostics.len(), 1, "{:#?}", dirty.diagnostics);
-    let d = &dirty.diagnostics[0];
-    assert_eq!(d.rule, "shared-state-discipline");
-    assert_eq!((d.file.as_str(), d.line, d.col), ("src/lib.rs", 4, 5), "points at the spawn");
-    assert!(d.message.contains("`snd`"), "names the capture: {}", d.message);
-    assert!(d.message.contains("Arc<RefCell/Cell<…>>"), "names the kind: {}", d.message);
-    assert!(d.message.contains("created at line 3"), "creation witness: {}", d.message);
-    assert!(d.message.contains("first use at line 5"), "use witness: {}", d.message);
-
-    // The synchronized shape is clean.
-    let clean = lint_seeded(
-        "shared-state-clean",
-        &["shared-state-discipline"],
-        "pub fn worker() {\n\
-         \x20   let hits = Arc::new(Mutex::new(0u64));\n\
-         \x20   let snd = Arc::clone(&hits);\n\
-         \x20   thread::spawn(move || {\n\
-         \x20       snd.lock();\n\
-         \x20   });\n\
-         \x20   hits.lock();\n\
-         }\n",
-    );
-    assert!(clean.is_clean(), "{}", clean.render());
-}
-
-#[test]
 fn seeded_guard_across_blocking_reports_the_transitive_chain() {
     let dirty = lint_seeded(
         "guard-blocking",
@@ -458,65 +416,109 @@ fn json_report_matches_the_golden_snapshot_byte_for_byte() {
     );
 }
 
-/// Same contract for `--format sarif`: the SARIF document for the seeded
-/// report is byte-stable. Regenerate `tests/golden/seeded_report.sarif`
-/// with `BLESS=1 cargo test -p vdsms-lint sarif_report`.
-#[test]
-fn sarif_report_matches_the_golden_snapshot_byte_for_byte() {
-    let report = lint_seeded("sarif-golden", &GOLDEN_RULES, GOLDEN_SRC);
-    let sarif = vdsms_lint::sarif::to_sarif(&report);
+/// A live `allow` and a dead one on the same hot function.
+const DEAD_ALLOW_SRC: &str = "// vdsms-lint: entry\n\
+pub fn hot(x: Option<u32>, y: Option<u32>) -> u32 {\n\
+\x20   // vdsms-lint: allow(no-panic-hot-path) reason=\"x is Some by construction\"\n\
+\x20   let a = x.unwrap();\n\
+\x20   // vdsms-lint: allow(no-panic-hot-path) reason=\"stale: the unwrap below is gone\"\n\
+\x20   let b = y.unwrap_or(0);\n\
+\x20   a + b\n\
+}\n";
 
-    let golden_path =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/seeded_report.sarif");
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&golden_path, &sarif).expect("write golden snapshot");
-    }
-    let golden = std::fs::read_to_string(&golden_path)
-        .expect("golden snapshot missing — run with BLESS=1 to create it");
-    assert_eq!(
-        sarif, golden,
-        "SARIF output drifted from the golden snapshot; if intentional, \
-         regenerate with BLESS=1"
-    );
+#[test]
+fn seeded_dead_allow_is_reported_and_the_live_one_is_not() {
+    let rep = lint_seeded("dead-allow", &["no-panic-hot-path"], DEAD_ALLOW_SRC);
+    assert_eq!(rep.suppressed, 1, "the live allow still silences and counts");
+    assert_eq!(rep.diagnostics.len(), 1, "exactly the dead one:\n{}", rep.render());
+    let d = &rep.diagnostics[0];
+    assert_eq!(d.rule, "invalid-suppression");
+    assert_eq!((d.file.as_str(), d.line, d.col), ("src/lib.rs", 5, 1));
+    assert!(d.message.contains("allow(no-panic-hot-path)"), "{}", d.message);
+
+    // With the rule switched off for the crate neither directive can
+    // match, and neither is reported: an off rule says nothing about
+    // whether its allows are still needed.
+    let off = lint_seeded("dead-allow-off", &["no-wall-clock"], DEAD_ALLOW_SRC);
+    assert!(off.is_clean(), "{}", off.render());
+    assert_eq!(off.suppressed, 0);
 }
 
-/// The incremental-cache contract, end to end on a seeded workspace:
-/// a warm run re-parses nothing and its report is byte-identical to the
-/// cold run's; touching one file re-parses exactly that file and the
-/// diagnostics update accordingly.
-#[test]
-fn cached_runs_are_byte_identical_and_reparse_only_touched_files() {
-    let dir = std::env::temp_dir().join(format!("vdsms-lint-cache-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    seed_workspace(&dir, &GOLDEN_RULES, GOLDEN_SRC);
-    // A second file so "only the touched file re-parses" is observable.
-    std::fs::write(dir.join("src/extra.rs"), "pub fn quiet() {}\n").unwrap();
-    let config = load_config(&dir).expect("seeded config parses");
-
-    let (cold, s_cold) = lint_workspace_cached(&dir, &config).expect("cold run");
-    assert_eq!((s_cold.reused, s_cold.parsed), (0, 2), "cold run parses everything");
-
-    let (warm, s_warm) = lint_workspace_cached(&dir, &config).expect("warm run");
-    assert_eq!((s_warm.reused, s_warm.parsed), (2, 0), "warm run reuses everything");
-    assert_eq!(cold.to_json(), warm.to_json(), "warm output must be byte-identical");
-    assert_eq!(cold.render(), warm.render());
-
-    // Touch the quiet file: introduce a violation; exactly one re-parse.
-    std::fs::write(
-        dir.join("src/extra.rs"),
-        "pub fn noisy(a: f64, b: f64) -> bool {\n    a.partial_cmp(&b).is_some()\n}\n",
+/// Run the `vdsms-lint` binary; returns (exit code, stdout, stderr).
+fn run_bin(args: &[&str]) -> (i32, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_vdsms-lint"))
+        .args(args)
+        .output()
+        .expect("spawn vdsms-lint");
+    (
+        out.status.code().expect("exit code"),
+        String::from_utf8(out.stdout).expect("utf-8 stdout"),
+        String::from_utf8(out.stderr).expect("utf-8 stderr"),
     )
-    .unwrap();
-    let (touched, s_touched) = lint_workspace_cached(&dir, &config).expect("touched run");
-    assert_eq!((s_touched.reused, s_touched.parsed), (1, 1), "one file re-parsed");
-    assert_eq!(
-        touched.diagnostics.len(),
-        cold.diagnostics.len() + 1,
-        "the new violation is picked up through the cache:\n{}",
-        touched.render()
+}
+
+/// The binary's contract — what `ci.sh` relies on under `set -e`: exit 0
+/// clean, 1 on violations (with `file:line:col` on stdout), 2 with usage
+/// on stderr for anything it cannot run.
+#[test]
+fn binary_exit_codes_and_reports_follow_the_contract() {
+    let dir = std::env::temp_dir().join(format!("vdsms-lint-bin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let root = dir.to_str().expect("utf-8 temp path");
+
+    seed_workspace(&dir, &["no-panic-hot-path"], "pub fn ok() {}\n");
+    let (code, stdout, _) = run_bin(&["--root", root]);
+    assert_eq!(code, 0, "clean tree: {stdout}");
+    assert!(stdout.contains("vdsms-lint: 0 violation(s)"), "{stdout}");
+
+    seed_workspace(
+        &dir,
+        &["no-panic-hot-path"],
+        "// vdsms-lint: entry\npub fn bad(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
     );
-    // And the cached run still matches a from-scratch run byte for byte.
-    let fresh = lint_workspace_with_default_config(&dir).expect("uncached run");
-    assert_eq!(touched.to_json(), fresh.to_json());
+    let (code, stdout, _) = run_bin(&["--root", root]);
+    assert_eq!(code, 1, "one seeded violation: {stdout}");
+    assert!(stdout.contains("src/lib.rs:3:7: [no-panic-hot-path]"), "{stdout}");
+    assert!(stdout.contains("vdsms-lint: 1 violation(s)"), "{stdout}");
+
+    for json_flag in [&["--json"][..], &["--format", "json"][..]] {
+        let (code, stdout, _) = run_bin(&[&["--root", root], json_flag].concat());
+        assert_eq!(code, 1);
+        let doc = vdsms_json::Json::parse(&stdout).expect("--json output parses");
+        let violations = doc.get("violations").and_then(|v| v.as_arr()).expect("violations");
+        assert_eq!(doc.get("count").and_then(|c| c.as_usize()), Some(violations.len()));
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].get("line").and_then(|l| l.as_usize()), Some(3));
+    }
+
+    // Usage and configuration errors: exit 2, usage on stderr, no report.
+    let expect_usage_error = |args: &[&str]| {
+        let (code, stdout, stderr) = run_bin(args);
+        assert_eq!(code, 2, "{args:?}: {stdout}{stderr}");
+        assert!(stdout.is_empty(), "{args:?} printed a report: {stdout}");
+        assert!(stderr.starts_with("error:") && stderr.contains("USAGE:"), "{args:?}: {stderr}");
+        stderr
+    };
+    // The flag and the format value this gate used to have are unknown
+    // like any other.
+    expect_usage_error(&["--root", root, "--frobnicate"]);
+    expect_usage_error(&["--root", root, "--no-cache"]);
+    expect_usage_error(&["--root", root, "--format", "sarif"]);
+    expect_usage_error(&["--root", root, "--format"]);
+    expect_usage_error(&["--explain"]);
+    // So is the config key of the rule that was removed; then no config.
+    std::fs::write(dir.join("lint.toml"), "[default]\nshared-state-discipline = true\n").unwrap();
+    assert!(expect_usage_error(&["--root", root]).contains("unknown rule key"));
+    std::fs::remove_file(dir.join("lint.toml")).unwrap();
+    assert!(expect_usage_error(&["--root", root]).contains("lint.toml"));
+
+    let (code, _, stderr) = run_bin(&["--explain", "shared-state-discipline"]);
+    assert_eq!(code, 2, "a removed rule is an unknown rule: {stderr}");
+    assert!(stderr.contains("unknown rule"), "{stderr}");
+    for info in vdsms_lint::rules::registry() {
+        let (code, stdout, _) = run_bin(&["--explain", info.id]);
+        assert_eq!(code, 0, "--explain {}", info.id);
+        assert!(stdout.starts_with(info.id), "{stdout}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

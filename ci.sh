@@ -25,8 +25,9 @@ echo "== primitives bench smoke (--test mode) =="
 cargo bench -q -p vdsms-bench --bench primitives -- --test
 
 echo "== index_probe bench smoke (--test mode) =="
-# The same for the index and subscription rows: probe, insert/remove, and
-# one subscription change through a fleet at either executor, once each.
+# The same for the index and subscription rows: probe, one encode by
+# either kernel, insert/remove, and one subscription change through a
+# fleet at either executor, once each.
 cargo bench -q -p vdsms-bench --bench index_probe -- --test
 
 echo "== static-analysis gate (vdsms-lint) =="
@@ -43,6 +44,9 @@ echo "== schedule exploration (seeded concurrency model check, release) =="
 VDSMS_SCHED_SEEDS=1000 cargo test --release -q --test schedule_exploration
 
 echo "== zero-alloc steady state (release) =="
+# Both representations × both orders × both index modes, the default
+# configuration under traffic related to 64 overlapping queries, the
+# fused front ends, and a fleet's subscribe + unsubscribe pair.
 cargo test --release -q --test alloc_steady_state
 
 echo "== decoder fuzz (bounded, release) =="

@@ -1,12 +1,15 @@
 //! HQ-index probe vs brute-force query scan — the mechanism behind
 //! Figure 9's flat-vs-linear CPU curves — and the cost of one online
 //! subscription change, each from `m = 10` to `m = 1024` — on the index
-//! alone, and through a [`Fleet`] at either executor.
+//! alone, and through a [`Fleet`] at either executor; and one signature
+//! encode at `m = 1024`, from a query's own sketch with the value kernel
+//! and from the index's slab with the discriminator-plane kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::cell::{Cell, RefCell};
 use std::hint::black_box;
-use vdsms_core::{DetectorConfig, Fleet, HqIndex, Query, QuerySet};
+use vdsms_core::bitsig::CandidatePlane;
+use vdsms_core::{BitSig, DetectorConfig, Fleet, HqIndex, Query, QuerySet};
 use vdsms_sketch::{MinHashFamily, Sketch};
 
 const K: usize = 800;
@@ -53,6 +56,28 @@ fn bench_index_maintenance(c: &mut Criterion) {
         let ids: Vec<u64> = (0..60u64).map(|j| 999_000 + j).collect();
         Query::from_cell_ids(9999, &family, &ids)
     };
+    {
+        // `broadcast_fanin`'s regime: one warm index of 8 and a ninth
+        // query coming and going, where a subscribe is 3 µs and what it
+        // writes beside the `K` cells, the column's plane, shows. A
+        // different query each time, as there: `insert` branches on
+        // whether each value's home cell is taken, and 800 outcomes that
+        // repeat are outcomes the predictor has learnt.
+        let ix = RefCell::new(HqIndex::build(K, &query_set(&family, 8)));
+        let decoys: Vec<Query> = (0..256).map(|i| query(&family, 5000 + i)).collect();
+        let next = Cell::new(0usize);
+        g.bench_function("subscribe_into_8", |bench| {
+            bench.iter_batched(
+                || {
+                    let at = next.replace((next.get() + 1) % decoys.len());
+                    ix.borrow_mut().remove(decoys[(at + decoys.len() - 1) % decoys.len()].id);
+                    &decoys[at]
+                },
+                |q| ix.borrow_mut().insert(black_box(q)),
+                criterion::BatchSize::PerIteration,
+            );
+        });
+    }
     for m in [100u32, 1024] {
         let qs = query_set(&family, m);
         let built = HqIndex::build(K, &qs);
@@ -102,6 +127,65 @@ fn bench_index_maintenance(c: &mut Criterion) {
                     },
                     criterion::BatchSize::LargeInput,
                 );
+            });
+        }
+    }
+    g.finish();
+}
+
+/// One encode of a window against one of 1024 queries, the two ways a
+/// detector can make it: `reference` is [`BitSig::encode_counts_from_mins`]
+/// on the query's own sketch in the [`QuerySet`] (the no-index path, and
+/// every on-demand encode before the plane), `planes` is
+/// [`HqIndex::encode_against`] — the directory lookup, then the plane
+/// kernel on the slab. Every query holds four cells in common, so one
+/// window (`related`, those four cells: ≈ 50 of 800 values equal, the
+/// probe's phase-2 regime) ties with all of them and another (`unrelated`:
+/// no value equal, the on-demand regime) with none. `hot` repeats one
+/// query; `slab_walk` takes the next of the 1024 each time, so the query
+/// comes from memory the way it does between two windows of a stream.
+fn bench_encode(c: &mut Criterion) {
+    const M: u32 = 1024;
+    let family = MinHashFamily::new(K, 9);
+    let shared = [77_000_001u64, 77_000_002, 77_000_003, 77_000_004];
+    let qs = QuerySet::from_queries(
+        (0..M)
+            .map(|id| {
+                let own = (0..56u64).map(|j| u64::from(id) * 1000 + j);
+                Query::from_cell_ids(
+                    id,
+                    &family,
+                    &shared.into_iter().chain(own).collect::<Vec<_>>(),
+                )
+            })
+            .collect(),
+    );
+    let ix = HqIndex::build(K, &qs);
+    let related = Sketch::from_ids(&family, shared);
+    let unrelated = Sketch::from_ids(&family, 5_000_000..5_000_004u64);
+    let equal_with_0 =
+        |sk: &Sketch| BitSig::encode(sk, &qs.get(0).expect("query 0").sketch).count_equal();
+    assert!((30..80).contains(&equal_with_0(&related)) && equal_with_0(&unrelated) == 0);
+
+    let mut g = c.benchmark_group("encode_1024");
+    g.sample_size(20);
+    let mut sig = BitSig::default();
+    for (regime, sk) in [("unrelated", &unrelated), ("related", &related)] {
+        let mut plane = CandidatePlane::default();
+        for (walk, step) in [("hot", 0u32), ("slab_walk", 1)] {
+            let next = Cell::new(0u32);
+            let id = || next.replace((next.get() + step) % M);
+            g.bench_function(format!("reference/{regime}_{walk}"), |bench| {
+                bench.iter(|| {
+                    let q = qs.get(id()).expect("every id is subscribed");
+                    sig.encode_counts_from_mins(black_box(sk.mins()), q.sketch.mins())
+                });
+            });
+            g.bench_function(format!("planes/{regime}_{walk}"), |bench| {
+                bench.iter(|| {
+                    let mins = black_box(sk.mins());
+                    ix.encode_against(id(), mins, plane.of(mins), &mut sig)
+                });
             });
         }
     }
@@ -177,5 +261,11 @@ fn bench_fleet_subscription(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_probe, bench_index_maintenance, bench_fleet_subscription);
+criterion_group!(
+    benches,
+    bench_probe,
+    bench_encode,
+    bench_index_maintenance,
+    bench_fleet_subscription
+);
 criterion_main!(benches);

@@ -246,7 +246,51 @@ fn bench_window_kernels(c: &mut Criterion) {
             (acc.count_less(), acc.count_equal())
         });
     });
+
+    // `or_with_counts` as it is — the two one-bit-per-pair masks summed in
+    // their 2-bit fields, three words to a fold — and as it was, two
+    // `count_ones` per word, which the baseline x86-64 target expands to
+    // fifteen operations each. Same signatures, same copy into the
+    // accumulator first (a slice copy, unlike the `clone_from` above).
+    g.bench_function("or_with_counts_field_sums", |bench| {
+        bench.iter(|| {
+            acc.copy_from(&s1);
+            acc.or_with_counts(black_box(&s2))
+        });
+    });
+    let (w1, w2) = (signature_words(&p1, &q), signature_words(&p2, &q));
+    let mut words = w1.clone();
+    g.bench_function("or_with_counts_popcount_per_word", |bench| {
+        bench.iter(|| {
+            words.copy_from_slice(&w1);
+            or_with_counts_popcount_per_word(&mut words, black_box(&w2))
+        });
+    });
     g.finish();
+}
+
+/// A signature's words, for the inlined kernel below (`BitSig` keeps its
+/// own private): pair `r` at bits `2r`, `2r + 1` of word `r / 32`.
+fn signature_words(candidate: &Sketch, query: &Sketch) -> Vec<u64> {
+    let mut words = vec![0u64; candidate.k().div_ceil(32)];
+    for (r, (c, q)) in candidate.mins().iter().zip(query.mins()).enumerate() {
+        words[r / 32] |= (u64::from(c < q) | u64::from(c <= q) << 1) << (2 * (r % 32));
+    }
+    words
+}
+
+/// `BitSig::or_with_counts` before the field sums, for a `K` that fills
+/// its last word: OR, then two population counts, per word.
+fn or_with_counts_popcount_per_word(ours: &mut [u64], theirs: &[u64]) -> (usize, usize) {
+    const MASK_A: u64 = 0x5555_5555_5555_5555;
+    let (mut lt, mut eq) = (0u32, 0u32);
+    for (a, &b) in ours.iter_mut().zip(theirs) {
+        let w = *a | b;
+        *a = w;
+        lt += (w & MASK_A).count_ones();
+        eq += (!w & (w >> 1) & MASK_A).count_ones();
+    }
+    (lt as usize, eq as usize)
 }
 
 criterion_group!(

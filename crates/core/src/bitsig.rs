@@ -26,11 +26,142 @@
 //! Lemma 2 gives the pruning rule: once `n_lt > K(1−δ)` the candidate can
 //! never match the query again, because extensions only make sketch values
 //! smaller.
+//!
+//! # The discriminator plane
+//!
+//! Encoding is the one place sketch *values* are compared, and a 64-bit
+//! compare decides one pair at a time. Nearly every pair is decided by
+//! the values' leading bits alone, so a sketch can carry a *plane* beside
+//! its values: a 15-bit [`discriminator`] of each, four to a word, and
+//! [`BitSig::encode_counts_from_planes`] compares four pairs per
+//! subtraction and reads a full value only where two discriminators tie.
+//! The discriminator is non-decreasing over all of `u64`, so unequal
+//! discriminators order their values the same way and the signature is
+//! the reference kernel's bit for bit.
+//!
+//! The plane is laid out for the signature word, not in sketch order. The
+//! 32 pairs of one signature word are one *block* of eight plane words:
+//! lane `i` (bits `16i..16i+15`) of the block's word `t` holds the
+//! discriminator of pair `8i + t`. Pair `8i + t` lands at bit `2t` of the
+//! signature word's `i`-th 16-bit quarter, so the four results of one
+//! plane-word compare, shifted left by `2t`, are already in place — eight
+//! compares OR into a finished word with no gather. A last block short of
+//! 32 pairs keeps its eight words; the missing lanes are zero.
 
 use vdsms_sketch::Sketch;
 
 /// Mask selecting the `A` (first-of-pair) bits of each 2-bit relation.
 const MASK_A: u64 = 0x5555_5555_5555_5555;
+
+/// Pairs per signature word, and per plane block.
+const BLOCK_PAIRS: usize = 32;
+
+/// Plane words per block: four 16-bit lanes each.
+const BLOCK_WORDS: usize = 8;
+
+/// The top bit of each 16-bit lane — clear in every discriminator, so a
+/// lane-wise subtraction can borrow from it instead of from its neighbour.
+const LANE_TOP: u64 = 0x8000_8000_8000_8000;
+
+/// The 15-bit discriminator of a min-hash value: its leading bits, as
+/// far down as real values (below 2⁶¹) vary, saturated so that it is
+/// non-decreasing over every `u64` — [`Sketch::from_mins`] accepts any,
+/// and the empty sketch is all `u64::MAX`. That monotonicity is all the
+/// plane kernel's exactness rests on: `d(a) < d(b)` implies `a < b`, and
+/// `d(a) = d(b)` decides nothing.
+#[inline]
+pub fn discriminator(value: u64) -> u64 {
+    (value >> 46).min(0x7FFF)
+}
+
+/// Words in the discriminator plane of a `k`-function sketch.
+pub fn plane_words(k: usize) -> usize {
+    k.div_ceil(BLOCK_PAIRS) * BLOCK_WORDS
+}
+
+/// One block of a plane, from up to 32 values in sketch order.
+#[inline]
+fn plane_block(values: &[u64]) -> [u64; BLOCK_WORDS] {
+    let mut block = [0u64; BLOCK_WORDS];
+    if let Ok(values) = <&[u64; BLOCK_PAIRS]>::try_from(values) {
+        for (t, word) in block.iter_mut().enumerate() {
+            *word = discriminator(values[t])
+                | discriminator(values[BLOCK_WORDS + t]) << 16
+                | discriminator(values[2 * BLOCK_WORDS + t]) << 32
+                | discriminator(values[3 * BLOCK_WORDS + t]) << 48;
+        }
+    } else {
+        for (j, &value) in values.iter().enumerate() {
+            block[j % BLOCK_WORDS] |= discriminator(value) << (16 * (j / BLOCK_WORDS));
+        }
+    }
+    block
+}
+
+/// Append the discriminator plane of `mins` to `out`: [`plane_words`]
+/// words, a block at a time. The one writer of the layout the module
+/// docs describe — the index's slab and a candidate's scratch both fill
+/// through it.
+pub fn push_plane(mins: &[u64], out: &mut Vec<u64>) {
+    for values in mins.chunks(BLOCK_PAIRS) {
+        out.extend_from_slice(&plane_block(values));
+    }
+}
+
+/// Set bits of `fields`, a word whose 2-bit fields each hold 0 to 3:
+/// what up to three one-bit-per-pair masks sum to. Folding the sum once
+/// costs less than one `count_ones` where the target has no `popcnt`,
+/// and it stands in for three.
+#[inline]
+fn fold_pair_fields(fields: u64) -> u32 {
+    const NIBBLES: u64 = 0x3333_3333_3333_3333;
+    let nibbles = (fields & NIBBLES) + ((fields >> 2) & NIBBLES);
+    let bytes = (nibbles + (nibbles >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    (bytes.wrapping_mul(0x0101_0101_0101_0101) >> 56) as u32
+}
+
+/// The positions of a word's set bits, lowest first.
+struct SetBits(u64);
+
+impl Iterator for SetBits {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        (self.0 != 0).then(|| {
+            let bit = self.0.trailing_zeros();
+            self.0 &= self.0 - 1;
+            bit
+        })
+    }
+}
+
+/// A candidate sketch's discriminator plane, built by the first encode
+/// that needs it and kept until the sketch changes — the scratch a
+/// detector lends the catalogue's encoder, so a window encoded against
+/// fifty queries derives its plane once and a window encoded against none
+/// never does.
+#[derive(Debug, Default)]
+pub struct CandidatePlane {
+    /// Empty until built: a built plane has at least one block.
+    words: Vec<u64>,
+}
+
+impl CandidatePlane {
+    /// Forget the plane: the sketch it was built from has changed.
+    pub fn clear(&mut self) {
+        self.words.clear();
+    }
+
+    /// The plane of `mins`, built now if this is the first call since
+    /// [`Self::clear`]. The caller passes the same sketch until then.
+    pub fn of(&mut self, mins: &[u64]) -> &[u64] {
+        if self.words.is_empty() {
+            push_plane(mins, &mut self.words);
+        }
+        &self.words
+    }
+}
 
 /// A packed 2K-bit relation signature between one candidate sequence and
 /// one query. (`Default` yields a detached zero-`K` signature whose only
@@ -129,6 +260,90 @@ impl BitSig {
         (lt as usize, eq as usize)
     }
 
+    /// [`Self::encode_counts_from_mins`] for two sketches that carry
+    /// their discriminator planes (see the module docs): the same words
+    /// and the same `(n_lt, n_eq)`, from a quarter of the bytes.
+    ///
+    /// The first pass is the planes alone, with no branch in it: each
+    /// plane word decides four pairs with two lane-wise subtractions — a
+    /// discriminator's top lane bit is clear, so `(q | top) − c` keeps
+    /// that bit exactly where `q ≥ c` and never borrows across lanes —
+    /// and the block's layout drops the results at their signature bits.
+    /// What the discriminators encode as `=` is a tie, not an equality:
+    /// the second pass re-decides those pairs, and only those, from the
+    /// full values. Against an unrelated query that is a pair in a few
+    /// thousand and the query's value column is never touched; against a
+    /// related one it is every pair the two share, and their loads — all
+    /// known once the first pass is done — overlap instead of queueing
+    /// behind the compares between them.
+    ///
+    /// The second pass also counts, summing the pairs' own 2-bit fields
+    /// three words at a time and folding once per three.
+    ///
+    /// # Panics
+    /// Panics if the value slices are empty or differ in length, or a
+    /// plane is not [`plane_words`] of that length long.
+    // vdsms-lint: entry
+    pub fn encode_counts_from_planes(
+        &mut self,
+        candidate: &[u64],
+        candidate_plane: &[u64],
+        query: &[u64],
+        query_plane: &[u64],
+    ) -> (usize, usize) {
+        let k = candidate.len();
+        assert_eq!(k, query.len(), "sketch K mismatch");
+        assert_eq!(candidate_plane.len(), plane_words(k), "candidate plane does not fit K");
+        assert_eq!(query_plane.len(), plane_words(k), "query plane does not fit K");
+        self.reset_all_greater(k);
+        let tail = self.tail_mask();
+        // What the discriminators say, a block to a word, branch-free.
+        let blocks =
+            candidate_plane.chunks_exact(BLOCK_WORDS).zip(query_plane.chunks_exact(BLOCK_WORDS));
+        for (w, (cb, qb)) in self.words.iter_mut().zip(blocks) {
+            let mut word = 0u64;
+            for (t, (&c, &q)) in cb.iter().zip(qb).enumerate() {
+                let le = ((q | LANE_TOP) - c) & LANE_TOP;
+                let ge = ((c | LANE_TOP) - q) & LANE_TOP;
+                word |= ((!ge & LANE_TOP) >> 15 | le >> 14) << (2 * t);
+            }
+            *w = word;
+        }
+        if let Some(w) = self.words.last_mut() {
+            *w &= tail;
+        }
+        // The ties, from the values, and the counts.
+        let mut lt = 0u32;
+        let mut eq = 0u32;
+        for (g, words) in self.words.chunks_mut(3).enumerate() {
+            let (mut lt_fields, mut eq_fields) = (0u64, 0u64);
+            for (j, w) in words.iter_mut().enumerate() {
+                let mut word = *w;
+                for bit in SetBits(!word & (word >> 1) & MASK_A) {
+                    let r = (3 * g + j) * BLOCK_PAIRS + bit as usize / 2;
+                    let (c, q) = (candidate[r], query[r]);
+                    let pair = u64::from(c < q) | (u64::from(c <= q) << 1);
+                    word = word & !(0b11 << bit) | pair << bit;
+                }
+                *w = word;
+                lt_fields += word & MASK_A;
+                eq_fields += !word & (word >> 1) & MASK_A;
+            }
+            lt += fold_pair_fields(lt_fields);
+            eq += fold_pair_fields(eq_fields);
+        }
+        (lt as usize, eq as usize)
+    }
+
+    /// Overwrite with a copy of `other`, reusing this signature's word
+    /// buffer (unlike `clone`, no heap traffic once it has held a
+    /// signature of the same `K`).
+    pub fn copy_from(&mut self, other: &BitSig) {
+        self.k = other.k;
+        self.words.clear();
+        self.words.extend_from_slice(&other.words);
+    }
+
     /// Number of hash functions `K`.
     pub fn k(&self) -> usize {
         self.k
@@ -195,7 +410,9 @@ impl BitSig {
     /// Fused [`Self::or_with`] + [`Self::counts`]: merge an adjacent
     /// candidate's signature and report `(n_lt, n_eq)` of the result in
     /// the same single pass, so the extend path of the Bit
-    /// representation reads every word once instead of three times.
+    /// representation reads every word once instead of three times. The
+    /// two one-bit-per-pair masks of each word are summed in place, three
+    /// words at a time, and each sum folded once (`fold_pair_fields`).
     ///
     /// # Panics
     /// Panics if `K` differs.
@@ -211,16 +428,21 @@ impl BitSig {
         };
         let mut lt = 0u32;
         let mut eq = 0u32;
-        for (a, &b) in body.iter_mut().zip(obody) {
-            let w = *a | b;
-            *a = w;
-            lt += (w & MASK_A).count_ones();
-            eq += (!w & (w >> 1) & MASK_A).count_ones();
+        for (ours, theirs) in body.chunks_mut(3).zip(obody.chunks(3)) {
+            let (mut lt_fields, mut eq_fields) = (0u64, 0u64);
+            for (a, &b) in ours.iter_mut().zip(theirs) {
+                let w = *a | b;
+                *a = w;
+                lt_fields += w & MASK_A;
+                eq_fields += !w & (w >> 1) & MASK_A;
+            }
+            lt += fold_pair_fields(lt_fields);
+            eq += fold_pair_fields(eq_fields);
         }
         let w = *last | olast;
         *last = w;
-        lt += (w & MASK_A).count_ones();
-        eq += (!w & (w >> 1) & MASK_A & tail).count_ones();
+        lt += fold_pair_fields(w & MASK_A);
+        eq += fold_pair_fields(!w & (w >> 1) & MASK_A & tail);
         (lt as usize, eq as usize)
     }
 

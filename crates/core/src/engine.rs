@@ -18,6 +18,7 @@
 //! states and one catalogue per executor instead, so a subscription is
 //! written once, in place, however many streams are open.
 
+use crate::bitsig::{BitSig, CandidatePlane};
 use crate::config::{DetectorConfig, Order};
 use crate::detection::Detection;
 use crate::geo_store::GeoStore;
@@ -72,7 +73,7 @@ impl Catalogue {
     /// # Panics
     /// Panics on `K` mismatch, if index presence disagrees with
     /// `cfg.use_index`, or if the index does not cover the queries.
-    fn shared(
+    pub(crate) fn shared(
         cfg: &DetectorConfig,
         queries: Arc<QuerySet>,
         index: Option<Arc<HqIndex>>,
@@ -95,6 +96,29 @@ impl Catalogue {
     /// The subscribed queries.
     pub(crate) fn queries(&self) -> &QuerySet {
         &self.queries
+    }
+
+    /// Encode `candidate` against the subscribed query `id` into `sig`
+    /// (Definition 3); `false`, with `sig` untouched, if `id` is not
+    /// subscribed. Every on-demand encode of a candidate store comes
+    /// here, and here alone an encode picks its source: with an index, the
+    /// query's slot of the index's slab, plane against `plane` (built from
+    /// `candidate` by the first call after the caller cleared it); without
+    /// one, the query set's own sketch and the reference kernel.
+    pub(crate) fn encode_against(
+        &self,
+        id: QueryId,
+        candidate: &Sketch,
+        plane: &mut CandidatePlane,
+        sig: &mut BitSig,
+    ) -> bool {
+        match self.index.as_deref() {
+            Some(ix) => {
+                let mins = candidate.mins();
+                ix.encode_against(id, mins, plane.of(mins), sig).is_some()
+            }
+            None => self.queries.get(id).map(|q| sig.encode_into(candidate, &q.sketch)).is_some(),
+        }
     }
 
     /// How many hold each half: `(queries, index)`.
@@ -156,15 +180,13 @@ pub(crate) struct StreamState {
     /// state): moved into the [`Window`] for the store's `advance`, then
     /// moved back.
     win_sketch: Sketch,
-    /// Reusable per-window relation set.
+    /// Reusable per-window relation set, index-probe scratch and
+    /// signature pool.
     rel: WindowRelations,
     /// Direct-mapped cell-id → hash-column cache: adjacent key frames
     /// usually repeat their cell id, so most window-fold ids replay a
     /// cached column instead of re-evaluating the K hash functions.
     hash_cache: HashColumnCache,
-    /// Reusable index-probe working state and hit buffer.
-    probe_scratch: crate::hq::ProbeScratch,
-    probe_hits: Vec<crate::hq::ProbeHit>,
 }
 
 impl StreamState {
@@ -189,8 +211,6 @@ impl StreamState {
             stats: Stats::default(),
             rel: WindowRelations::new(),
             hash_cache,
-            probe_scratch: crate::hq::ProbeScratch::default(),
-            probe_hits: Vec::new(),
         }
     }
 
@@ -250,32 +270,24 @@ impl StreamState {
         self.next_window += 1;
         self.stats.windows += 1;
 
-        let queries = catalogue.queries();
         match catalogue.index.as_deref() {
-            Some(ix) => {
-                self.stats.index_probes += 1;
-                // The previous window's cached signatures are dead; give
-                // their buffers back to the probe's pool before refilling.
-                self.rel.recycle_sigs_into(&mut self.probe_scratch);
-                self.stats.index_row_searches += ix.probe_into(
-                    &win.sketch,
-                    self.cfg.pruning_delta(),
-                    &mut self.probe_scratch,
-                    &mut self.probe_hits,
-                );
-                self.rel.reset_from_probe(&mut self.probe_hits);
-            }
+            Some(ix) => self.rel.reset_from_index(
+                ix,
+                &win.sketch,
+                self.cfg.pruning_delta(),
+                &mut self.stats,
+            ),
             // NoIndex: every query is related; for the Bit representation
             // the window's signature must be encoded against every query
             // (this cost is the point of Fig. 9's comparison). Encodes
             // happen lazily but every related entry will be touched, so
             // the accounting stays exact.
-            None => self.rel.reset_all_queries(queries),
+            None => self.rel.reset_all_queries(catalogue.queries()),
         }
 
         let out = match &mut self.store {
-            Store::Seq(s) => s.advance(&win, &mut self.rel, &self.cfg, queries, &mut self.stats),
-            Store::Geo(s) => s.advance(&win, &mut self.rel, &self.cfg, queries, &mut self.stats),
+            Store::Seq(s) => s.advance(&win, &mut self.rel, &self.cfg, catalogue, &mut self.stats),
+            Store::Geo(s) => s.advance(&win, &mut self.rel, &self.cfg, catalogue, &mut self.stats),
         };
         self.win_sketch = win.sketch;
         out
@@ -555,7 +567,8 @@ mod tests {
             let mut det = Detector::new(config, queries);
             let frames: Vec<(u64, u64)> = (0..300u64).map(|i| (i, 9_000_000 + i)).collect();
             det.run(frames);
-            det.stats().sig_encodes + det.stats().sig_ors + det.stats().sig_compares
+            let stats = det.stats();
+            stats.sig_encodes + stats.probe_encodes + stats.sig_ors + stats.sig_compares
         };
         let with_index = make(true);
         let without = make(false);

@@ -13,9 +13,10 @@
 //! suffix lengths are tested, which the paper reports as slightly lower
 //! recall at high δ (Figs. 7–8).
 
-use crate::bitsig::BitSig;
+use crate::bitsig::{BitSig, CandidatePlane};
 use crate::config::{DetectorConfig, Representation};
 use crate::detection::Detection;
+use crate::engine::Catalogue;
 use crate::query::{QueryId, QuerySet};
 use crate::stats::Stats;
 use crate::window::{sketch_relations, Window, WindowRelations};
@@ -32,8 +33,62 @@ fn prev_power_of_two(n: usize) -> usize {
 struct Entry {
     qid: QueryId,
     keyframes: usize,
-    /// Bit representation only: signature of this *segment* vs the query.
+    /// Bit representation only: signature of this *segment* vs the query,
+    /// in a buffer from the stream's pool ([`WindowRelations::take_sig`])
+    /// that goes back there when the entry dies.
     sig: Option<BitSig>,
+}
+
+/// A Bit entry is leaving its list: hand its signature's buffer back to
+/// the stream's pool. Returns `false`, the `retain` verdict.
+fn retire_entry(e: &mut Entry, rel: &mut WindowRelations) -> bool {
+    if let Some(sig) = e.sig.take() {
+        rel.recycle_sig(sig);
+    }
+    false
+}
+
+/// Empty an entry list, signatures to the pool.
+fn retire_entries(entries: &mut Vec<Entry>, rel: &mut WindowRelations) {
+    for mut e in entries.drain(..) {
+        retire_entry(&mut e, rel);
+    }
+}
+
+/// One side of a suffix or of a carry merge, as an on-demand encode
+/// needs it: the side's sketch, and the scratch its discriminator plane is
+/// built in by the first encode that wants it. The sketch stays borrowed
+/// for as long as the plane can be used, so the two cannot fall out of
+/// step.
+struct Part<'a> {
+    sketch: &'a Sketch,
+    plane: &'a mut CandidatePlane,
+}
+
+impl<'a> Part<'a> {
+    fn new(sketch: &'a Sketch, plane: &'a mut CandidatePlane) -> Part<'a> {
+        plane.clear();
+        Part { sketch, plane }
+    }
+
+    /// This side's signature against a query it did not track: an
+    /// on-demand encode through the catalogue, into a pooled buffer.
+    /// `None` if the query is no longer subscribed.
+    fn encode(
+        &mut self,
+        qid: QueryId,
+        catalogue: &Catalogue,
+        rel: &mut WindowRelations,
+        stats: &mut Stats,
+    ) -> Option<BitSig> {
+        let mut sig = rel.take_sig();
+        if !catalogue.encode_against(qid, self.sketch, self.plane, &mut sig) {
+            rel.recycle_sig(sig);
+            return None;
+        }
+        stats.sig_encodes += 1;
+        Some(sig)
+    }
 }
 
 /// One geometric segment of the stream.
@@ -67,6 +122,10 @@ pub struct GeoStore {
     /// Double-buffer for the sorted entry merges: swapped with the list
     /// being merged each cascade/carry step.
     scratch_merge: Vec<Entry>,
+    /// Discriminator planes of the two sketches a cascade step or a carry
+    /// merge encodes on demand: its newer part and its older part.
+    newer_plane: CandidatePlane,
+    older_plane: CandidatePlane,
     /// Retired segments: their sketches and entry vectors keep their
     /// capacity, so steady-state segment births are allocation-free.
     pool: Vec<Segment>,
@@ -82,6 +141,8 @@ impl GeoStore {
             scratch_sketch: Sketch::default(),
             scratch_entries: Vec::new(),
             scratch_merge: Vec::new(),
+            newer_plane: CandidatePlane::default(),
+            older_plane: CandidatePlane::default(),
             pool: Vec::new(),
         }
     }
@@ -105,15 +166,16 @@ impl GeoStore {
     }
 
     /// Process one arrived basic window.
-    pub fn advance(
+    pub(crate) fn advance(
         &mut self,
         win: &Window,
         rel: &mut WindowRelations,
         cfg: &DetectorConfig,
-        queries: &QuerySet,
+        catalogue: &Catalogue,
         stats: &mut Stats,
     ) -> Vec<Detection> {
         let mut out = Vec::new();
+        let queries = catalogue.queries();
 
         // --- Phase 1: cascade the new window backwards through the
         // segments, testing each induced suffix. All cascade state lives
@@ -121,13 +183,11 @@ impl GeoStore {
         let mut cur_sketch = std::mem::take(&mut self.scratch_sketch);
         cur_sketch.copy_from(&win.sketch);
         let mut cur_entries = std::mem::take(&mut self.scratch_entries);
-        cur_entries.clear();
         for i in 0..rel.related_len() {
             let (qid, keyframes) = rel.related_at(i);
             let sig = match self.rep {
-                Representation::Bit => match rel.sig_for(qid, &win.sketch, queries, stats) {
-                    // vdsms-lint: allow(no-alloc-hot-path) reason="one signature per window×related-query relation event — the Bit representation's inherent cost"
-                    Some(s) => Some(s.clone()),
+                Representation::Bit => match rel.sig_copy_for(qid, &win.sketch, catalogue, stats) {
+                    Some(copy) => Some(copy),
                     None => continue,
                 },
                 Representation::Sketch => None,
@@ -148,6 +208,7 @@ impl GeoStore {
             cfg,
             stats,
             queries,
+            rel,
             &mut out,
         );
 
@@ -200,50 +261,50 @@ impl GeoStore {
                     // the entry instead of panicking.
                     let mut merged = std::mem::take(&mut self.scratch_merge);
                     merged.clear();
+                    let mut newer_part = Part::new(&cur_sketch, &mut self.newer_plane);
+                    let mut older_part = Part::new(&seg.sketch, &mut self.older_plane);
                     let mut older = seg.entries.iter().peekable();
-                    for mut newer in cur_entries.drain(..) {
-                        // Older-only entries before this qid: the query is
-                        // tracked by the segment but unseen in the newer
-                        // suffix — encode the newer part on demand.
-                        while let Some(o) = older.next_if(|o| o.qid < newer.qid) {
-                            if let (Some(q), Some(osig)) = (queries.get(o.qid), o.sig.as_ref()) {
-                                stats.sig_encodes += 1;
-                                let mut sig = BitSig::encode(&cur_sketch, &q.sketch);
-                                sig.or_with(osig);
-                                stats.sig_ors += 1;
-                                // vdsms-lint: allow(no-alloc-hot-path) reason="double-buffered scratch Vec; capacity stabilizes at the live-entry high-water mark"
-                                merged.push(Entry {
-                                    qid: o.qid,
-                                    keyframes: o.keyframes,
-                                    sig: Some(sig),
-                                });
-                            }
-                        }
-                        let Some(sig) = newer.sig.as_mut() else { continue };
-                        if let Some(o) = older.next_if(|o| o.qid == newer.qid) {
-                            // Matching entry: OR the two parts' signatures.
+                    // One `None` after the newer entries, so the loop's
+                    // first half also takes the older ones left at the end
+                    // (`chain` by path: the lint's call graph goes by
+                    // name). A `continue` below drops an entry, buffer and
+                    // all: a query unsubscribed since the entry was made.
+                    let then_the_rest = std::iter::once(None);
+                    for newer in Iterator::chain(cur_entries.drain(..).map(Some), then_the_rest) {
+                        // Older-only entries before this qid — after the
+                        // last, all that are left: the query is tracked by
+                        // the segment but unseen in the newer suffix —
+                        // encode the newer part on demand.
+                        let before = |o: &&Entry| newer.as_ref().is_none_or(|n| o.qid < n.qid);
+                        while let Some(o) = older.next_if(before) {
                             let Some(osig) = o.sig.as_ref() else { continue };
-                            sig.or_with(osig);
-                            stats.sig_ors += 1;
-                        } else {
-                            // Newer-only: encode the segment part on demand.
-                            let Some(q) = queries.get(newer.qid) else { continue };
-                            stats.sig_encodes += 1;
-                            sig.or_with(&BitSig::encode(&seg.sketch, &q.sketch));
-                            stats.sig_ors += 1;
-                        }
-                        // vdsms-lint: allow(no-alloc-hot-path) reason="double-buffered scratch Vec; capacity stabilizes at the live-entry high-water mark"
-                        merged.push(newer);
-                    }
-                    for o in older {
-                        if let (Some(q), Some(osig)) = (queries.get(o.qid), o.sig.as_ref()) {
-                            stats.sig_encodes += 1;
-                            let mut sig = BitSig::encode(&cur_sketch, &q.sketch);
+                            let Some(mut sig) = newer_part.encode(o.qid, catalogue, rel, stats)
+                            else {
+                                continue;
+                            };
                             sig.or_with(osig);
                             stats.sig_ors += 1;
                             // vdsms-lint: allow(no-alloc-hot-path) reason="double-buffered scratch Vec; capacity stabilizes at the live-entry high-water mark"
                             merged.push(Entry { qid: o.qid, keyframes: o.keyframes, sig: Some(sig) });
                         }
+                        let Some(mut newer) = newer else { break };
+                        let Some(sig) = newer.sig.as_mut() else { continue };
+                        if let Some(o) = older.next_if(|o| o.qid == newer.qid) {
+                            // Matching entry: OR the two parts' signatures.
+                            let Some(osig) = o.sig.as_ref() else { continue };
+                            sig.or_with(osig);
+                        } else {
+                            // Newer-only: encode the segment part on demand.
+                            let Some(part) = older_part.encode(newer.qid, catalogue, rel, stats)
+                            else {
+                                continue;
+                            };
+                            sig.or_with(&part);
+                            rel.recycle_sig(part);
+                        }
+                        stats.sig_ors += 1;
+                        // vdsms-lint: allow(no-alloc-hot-path) reason="double-buffered scratch Vec; capacity stabilizes at the live-entry high-water mark"
+                        merged.push(newer);
                     }
                     self.scratch_merge = std::mem::replace(&mut cur_entries, merged);
                     cur_sketch.combine(&seg.sketch);
@@ -261,6 +322,7 @@ impl GeoStore {
                 cfg,
                 stats,
                 queries,
+                rel,
                 &mut out,
             );
         }
@@ -279,13 +341,12 @@ impl GeoStore {
         seg.start_frame = win.start_frame;
         seg.len_windows = 1;
         seg.sketch.copy_from(&win.sketch);
-        seg.entries.clear();
+        retire_entries(&mut seg.entries, rel);
         for i in 0..rel.related_len() {
             let (qid, keyframes) = rel.related_at(i);
             let sig = match self.rep {
-                Representation::Bit => match rel.sig_for(qid, &win.sketch, queries, stats) {
-                    // vdsms-lint: allow(no-alloc-hot-path) reason="one signature per window×related-query relation event — the Bit representation's inherent cost"
-                    Some(s) => Some(s.clone()),
+                Representation::Bit => match rel.sig_copy_for(qid, &win.sketch, catalogue, stats) {
+                    Some(copy) => Some(copy),
                     None => continue,
                 },
                 Representation::Sketch => None,
@@ -316,7 +377,7 @@ impl GeoStore {
             else {
                 break;
             };
-            let merged = self.merge_segments(older, newer, cfg, queries, stats);
+            let merged = self.merge_segments(older, newer, cfg, catalogue, rel, stats);
             // vdsms-lint: allow(no-alloc-hot-path) reason="VecDeque capacity is bounded by the O(log horizon) segment count"
             self.segments.push_back(merged);
         }
@@ -337,7 +398,7 @@ impl GeoStore {
         }
 
         // Hand the cascade scratch buffers back for the next window.
-        cur_entries.clear();
+        retire_entries(&mut cur_entries, rel);
         self.scratch_entries = cur_entries;
         self.scratch_sketch = cur_sketch;
 
@@ -359,13 +420,14 @@ impl GeoStore {
         cfg: &DetectorConfig,
         stats: &mut Stats,
         queries: &QuerySet,
+        rel: &mut WindowRelations,
         out: &mut Vec<Detection>,
     ) {
         let k = cur_sketch.k() as f64;
-        cur_entries.retain(|e| {
+        cur_entries.retain_mut(|e| {
             if cur_len > cfg.max_windows_for(e.keyframes) {
                 stats.length_expiries += 1;
-                return false;
+                return retire_entry(e, rel);
             }
             let (sim, violates) = match rep {
                 Representation::Sketch => {
@@ -392,7 +454,7 @@ impl GeoStore {
             };
             if violates {
                 stats.lemma2_prunes += 1;
-                return false;
+                return retire_entry(e, rel);
             }
             if sim + 1e-12 >= cfg.delta {
                 // Suppress re-reports while the same match keeps firing on
@@ -427,7 +489,8 @@ impl GeoStore {
         mut older: Segment,
         mut newer: Segment,
         cfg: &DetectorConfig,
-        queries: &QuerySet,
+        catalogue: &Catalogue,
+        rel: &mut WindowRelations,
         stats: &mut Stats,
     ) -> Segment {
         let mut merged = std::mem::take(&mut self.scratch_merge);
@@ -457,53 +520,37 @@ impl GeoStore {
                 }
             }
             Representation::Bit => {
-                let or_parts = |a: Option<BitSig>,
-                                part_sketch: &Sketch,
-                                qid: QueryId,
-                                stats: &mut Stats|
-                 -> Option<BitSig> {
-                    match a {
-                        Some(sig) => Some(sig),
-                        None => {
-                            let q = queries.get(qid)?;
-                            stats.sig_encodes += 1;
-                            Some(BitSig::encode(part_sketch, &q.sketch))
-                        }
+                let mut newer_part = Part::new(&newer.sketch, &mut self.newer_plane);
+                let mut older_part = Part::new(&older.sketch, &mut self.older_plane);
+                // One merged entry: `e`'s signature OR the other side's —
+                // the one that side `tracked`, or an on-demand encode of
+                // it — unless Lemma 2 prunes the merged segment.
+                let mut merge = |mut e: Entry, tracked: Option<BitSig>, other_side: &mut Part| {
+                    let Some(mut sig) = e.sig.take() else { return };
+                    let Some(other) =
+                        tracked.or_else(|| other_side.encode(e.qid, catalogue, rel, stats))
+                    else {
+                        return rel.recycle_sig(sig);
+                    };
+                    let (n_less, _) = sig.or_with_counts(&other);
+                    stats.sig_ors += 1;
+                    rel.recycle_sig(other);
+                    if sig.lemma2_from_count(n_less, cfg.pruning_delta()) {
+                        stats.lemma2_prunes += 1;
+                        return rel.recycle_sig(sig);
                     }
+                    // vdsms-lint: allow(no-alloc-hot-path) reason="double-buffered scratch Vec; capacity stabilizes at the live-entry high-water mark"
+                    merged.push(Entry { qid: e.qid, keyframes: e.keyframes, sig: Some(sig) });
                 };
                 for e in older.entries.drain(..) {
-                    let newer_sig = match newer.entries.iter().position(|x| x.qid == e.qid) {
+                    let tracked = match newer.entries.iter().position(|x| x.qid == e.qid) {
                         Some(pos) => newer.entries.remove(pos).sig,
                         None => None,
                     };
-                    let Some(mut sig) = e.sig else { continue };
-                    let Some(other) =
-                        or_parts(newer_sig, &newer.sketch, e.qid, stats)
-                    else {
-                        continue;
-                    };
-                    let (n_less, _) = sig.or_with_counts(&other);
-                    stats.sig_ors += 1;
-                    if sig.lemma2_from_count(n_less, cfg.pruning_delta()) {
-                        stats.lemma2_prunes += 1;
-                        continue;
-                    }
-                    // vdsms-lint: allow(no-alloc-hot-path) reason="double-buffered scratch Vec; capacity stabilizes at the live-entry high-water mark"
-                    merged.push(Entry { qid: e.qid, keyframes: e.keyframes, sig: Some(sig) });
+                    merge(e, tracked, &mut newer_part);
                 }
                 for e in newer.entries.drain(..) {
-                    let Some(mut sig) = e.sig else { continue };
-                    let Some(other) = or_parts(None, &older.sketch, e.qid, stats) else {
-                        continue;
-                    };
-                    let (n_less, _) = sig.or_with_counts(&other);
-                    stats.sig_ors += 1;
-                    if sig.lemma2_from_count(n_less, cfg.pruning_delta()) {
-                        stats.lemma2_prunes += 1;
-                        continue;
-                    }
-                    // vdsms-lint: allow(no-alloc-hot-path) reason="double-buffered scratch Vec; capacity stabilizes at the live-entry high-water mark"
-                    merged.push(Entry { qid: e.qid, keyframes: e.keyframes, sig: Some(sig) });
+                    merge(e, None, &mut older_part);
                 }
             }
         }
@@ -541,6 +588,11 @@ mod tests {
         }
     }
 
+    /// The catalogue of a no-index detector over `queries`.
+    fn catalogue(queries: QuerySet) -> Catalogue {
+        Catalogue::shared(&cfg(Representation::Bit), std::sync::Arc::new(queries), None)
+    }
+
     fn family() -> MinHashFamily {
         MinHashFamily::new(K, 5)
     }
@@ -558,6 +610,7 @@ mod tests {
         let f = family();
         let query_ids: Vec<u64> = (0..40).collect();
         let queries = QuerySet::from_queries(vec![Query::from_cell_ids(1, &f, &query_ids)]);
+        let catalogue = catalogue(queries);
         let config = cfg(rep);
         let mut store = GeoStore::new(rep);
         let mut stats = Stats::default();
@@ -567,9 +620,9 @@ mod tests {
             [&query_ids[30..40], &query_ids[10..20], &query_ids[0..10], &query_ids[20..30]];
         for (i, part) in parts.iter().enumerate() {
             let w = window(&f, i as u64, part);
-            let mut rel = WindowRelations::all_queries(&queries);
+            let mut rel = WindowRelations::all_queries(catalogue.queries());
             stats.windows += 1;
-            dets.extend(store.advance(&w, &mut rel, &config, &queries, &mut stats));
+            dets.extend(store.advance(&w, &mut rel, &config, &catalogue, &mut stats));
         }
         (dets, stats, store)
     }
@@ -609,6 +662,7 @@ mod tests {
             &f,
             &(5000u64..5040).collect::<Vec<_>>(),
         )]);
+        let catalogue = catalogue(queries);
         let config = cfg(Representation::Sketch);
         let mut store = GeoStore::new(Representation::Sketch);
         let mut stats = Stats::default();
@@ -616,9 +670,9 @@ mod tests {
         for i in 0..64u64 {
             let ids: Vec<u64> = (i * 7..i * 7 + 7).collect();
             let w = window(&f, i, &ids);
-            let mut rel = WindowRelations::all_queries(&queries);
+            let mut rel = WindowRelations::all_queries(catalogue.queries());
             stats.windows += 1;
-            store.advance(&w, &mut rel, &config, &queries, &mut stats);
+            store.advance(&w, &mut rel, &config, &catalogue, &mut stats);
             let combines_this_window = stats.sketch_combines - prev;
             prev = stats.sketch_combines;
             // Cascade over O(horizon/cap + log cap) segments plus carry
@@ -641,14 +695,15 @@ mod tests {
             &f,
             &(0u64..8).collect::<Vec<_>>(),
         )]);
+        let catalogue = catalogue(queries);
         let config = cfg(Representation::Bit);
         let mut store = GeoStore::new(Representation::Bit);
         let mut stats = Stats::default();
         for i in 0..20u64 {
             let w = window(&f, i, &[0, 1, 2, 3]);
-            let mut rel = WindowRelations::all_queries(&queries);
+            let mut rel = WindowRelations::all_queries(catalogue.queries());
             stats.windows += 1;
-            store.advance(&w, &mut rel, &config, &queries, &mut stats);
+            store.advance(&w, &mut rel, &config, &catalogue, &mut stats);
             let total: usize = store.segments.iter().map(|s| s.len_windows).sum();
             assert!(total <= 2 * 4, "span {total} must stay near the λL bound");
         }
@@ -659,15 +714,16 @@ mod tests {
         let f = family();
         let queries =
             QuerySet::from_queries(vec![Query::from_cell_ids(1, &f, &[1, 2, 3, 4])]);
+        let catalogue = catalogue(queries);
         let config = cfg(Representation::Bit);
         let mut store = GeoStore::new(Representation::Bit);
         let mut stats = Stats::default();
         let mut n = 0;
         for i in 0..6u64 {
             let w = window(&f, i, &[1, 2, 3, 4]);
-            let mut rel = WindowRelations::all_queries(&queries);
+            let mut rel = WindowRelations::all_queries(catalogue.queries());
             stats.windows += 1;
-            n += store.advance(&w, &mut rel, &config, &queries, &mut stats).len();
+            n += store.advance(&w, &mut rel, &config, &catalogue, &mut stats).len();
         }
         assert_eq!(n, 1, "an ongoing match must report once, not once per window");
     }

@@ -26,9 +26,16 @@
 //!    discovered is verified against the query's own sketch copy, so
 //!    discovery is exact, and slots are deduplicated across rows.
 //! 2. **Encoding**: for each related slot, encode the full signature
-//!    from the query's *contiguous* sketch copy in the `columns` slab
-//!    with the word-building [`BitSig::encode_counts_from_mins`] kernel,
-//!    then apply the Lemma-2 test to the counted result.
+//!    from the query's *contiguous* sketch copy in the `columns` slab —
+//!    its values and, behind them, their discriminator plane — with the
+//!    [`BitSig::encode_counts_from_planes`] kernel, then apply the
+//!    Lemma-2 test to the counted result.
+//!
+//! The slab is also where a candidate store's *on-demand* encodes read a
+//! query ([`HqIndex::encode_against`], through an id → slot directory): a
+//! query the window is not related to shares no value with it, so its
+//! signature comes from the plane alone, a quarter of the bytes, and the
+//! window path reads one copy of each sketch — this one.
 //!
 //! Phase 2's final `n_lt > K(1−δ)` test accepts exactly the elements the
 //! paper's mid-probe pruning keeps: `n_lt` only grows along the walk, so
@@ -53,7 +60,7 @@
 //! afresh from a [`QuerySet`] probes identically to one that reached the
 //! same catalogue through any subscribe/unsubscribe history.
 
-use crate::bitsig::BitSig;
+use crate::bitsig::{plane_words, push_plane, BitSig, CandidatePlane};
 use crate::query::{Query, QueryId, QuerySet};
 use std::cmp::Reverse;
 use vdsms_sketch::Sketch;
@@ -90,8 +97,11 @@ pub struct ProbeResult {
 }
 
 /// Retired signature buffers kept per scratch, capped so a burst of
-/// related windows cannot pin unbounded memory.
-const SIG_POOL_CAP: usize = 64;
+/// related windows cannot pin unbounded memory. The pool serves the
+/// probe's hits and, in a detector, every signature its candidate store
+/// holds, so the cap is what the live-signature count may fall by and
+/// rise again without a call to the allocator (≈ 230 KB at `K = 800`).
+const SIG_POOL_CAP: usize = 1024;
 
 /// Narrowest row, in cells. Rows are sized to load ≤ ½, but a small
 /// catalogue gets this many cells regardless (load ≤ ⅛ at `m = 8`): with
@@ -110,6 +120,16 @@ const EMPTY: u32 = u32::MAX;
 
 /// Most queries one index holds — every 20-bit slot but the all-ones one.
 pub(crate) const MAX_QUERIES: usize = SLOT_MASK as usize;
+
+/// Slots per chunk of the `columns` slab: 512 KB a chunk at `K = 800`.
+const CHUNK_SLOTS: usize = 64;
+
+/// Where a slot of `stride` words lives in the slab: its chunk, and its
+/// first word there.
+#[inline]
+fn slot_at(slot: usize, stride: usize) -> (usize, usize) {
+    (slot / CHUNK_SLOTS, slot % CHUNK_SLOTS * stride)
+}
 
 /// Lookups issued together in discovery: enough independent loads in
 /// flight to cover a cache miss, few enough that their state stays in
@@ -138,6 +158,10 @@ pub struct ProbeScratch {
     /// Per-slot "already discovered" flags, cleared each probe.
     seen: Vec<bool>,
     sig_pool: Vec<BitSig>,
+    /// The probed window's discriminator plane: built by the first encode
+    /// against it — phase 2's, or a later on-demand one — and dropped by
+    /// the next probe.
+    pub(crate) plane: CandidatePlane,
 }
 
 impl ProbeScratch {
@@ -149,11 +173,24 @@ impl ProbeScratch {
             self.sig_pool.push(sig);
         }
     }
+
+    /// A signature buffer to encode or copy into: a recycled one while
+    /// the pool has any (its old contents are the caller's to overwrite).
+    pub(crate) fn take_sig(&mut self) -> BitSig {
+        self.sig_pool.pop().unwrap_or_default()
+    }
+
+    /// Signatures the last probe encoded: one per related slot, the
+    /// Lemma-2-pruned ones included.
+    pub(crate) fn encodes(&self) -> u64 {
+        self.related.len() as u64
+    }
 }
 
 /// The Hash–Query index.
 ///
-/// The conceptual `K × m` array is stored as two flat slabs:
+/// The conceptual `K × m` array is stored as a table of cells, a slab of
+/// sketches and a directory into it:
 ///
 /// - `table`: `K` rows of `width` cells, each row an open-addressed hash
 ///   table over the row's min-hash values (linear probing, no
@@ -161,17 +198,27 @@ impl ProbeScratch {
 ///   over the metadata slot of the query owning it — or `u32::MAX`, empty. This
 ///   replaces the paper's sorted rows *and* its `up`/`down` links: an
 ///   equal cell resolves to its query in the same load that finds it;
-/// - `columns`: column-major `m × K` copy of every subscribed sketch. A
-///   related query's signature is encoded from one contiguous slice, and
-///   a cell's value — which the table does not store — is
-///   `columns[slot·K + row]`: what a tag match is verified against, and
-///   where deletion and growth find a cell's home again.
+/// - `columns`: one slot of `stride = K + plane_words(K)` words per
+///   subscribed sketch — its `K` values, then their discriminator plane
+///   ([`crate::bitsig`]). A query's signature is encoded from one
+///   contiguous slice, plane first and values only on a tie, and a cell's
+///   value — which the table does not store — is word `row` of its
+///   slot: what a tag match is verified against, and where deletion and
+///   growth find a cell's home again. The slab grows a chunk of 64
+///   slots (`CHUNK_SLOTS`) at a time and never moves: one vector of it
+///   all would double on the same insert that doubles the rows, and
+///   unless it happened to end the heap that is a copy of the whole slab
+///   into fresh pages — with the plane in it, 8 to 11 MB of peak RSS at
+///   `m = 1024` (DESIGN.md §4, "why chunks");
+/// - `by_id`: `(id, slot)` sorted by id — where an on-demand encode finds
+///   a query's slot, `insert` its duplicate check and `remove` its
+///   target, each by binary search.
 ///
 /// `width` is a power of two ≥ `2·m` (and ≥ 64, `MIN_ROW_WIDTH`), doubled
 /// when a subscription would push the load over ½ and never shrunk. Per
 /// query and row that is 8 bytes of table at load ½ and 16 just after a
 /// doubling, where the sorted layout's `⟨value, slot⟩` pair took 12;
-/// `columns` is 8 more either way. `insert` and `remove` touch `K` cells
+/// `columns` is 10 more either way. `insert` and `remove` touch `K` cells
 /// (plus the runs they sit in), not `K × m` — except the one `insert` in
 /// `m` that doubles the rows and re-lays them all.
 #[derive(Debug, Clone)]
@@ -181,10 +228,15 @@ pub struct HqIndex {
     width: usize,
     /// Row-major `K × width` cells.
     table: Vec<u32>,
-    /// Column-major `m × K`: query `s`'s sketch occupies
-    /// `[s·K, (s+1)·K)`.
-    columns: Vec<u64>,
+    /// Words per slot of `columns`: `K` values, then their plane.
+    stride: usize,
+    /// Slots of `stride` words, `CHUNK_SLOTS` to a chunk: query `s` is
+    /// slot `s mod CHUNK_SLOTS` of chunk `s / CHUNK_SLOTS`. A chunk is
+    /// allocated whole, filled slot by slot, and kept when it empties.
+    columns: Vec<Vec<u64>>,
     meta: Vec<QueryMeta>,
+    /// `(id, slot)` of every indexed query, sorted by id.
+    by_id: Vec<(QueryId, u32)>,
     /// Sequence number of the next subscription.
     next_seq: u64,
 }
@@ -210,8 +262,10 @@ impl HqIndex {
             k,
             width: MIN_ROW_WIDTH,
             table: vec![EMPTY; k * MIN_ROW_WIDTH],
+            stride: k + plane_words(k),
             columns: Vec::new(),
             meta: Vec::new(),
+            by_id: Vec::new(),
             next_seq: 0,
         }
     }
@@ -236,13 +290,30 @@ impl HqIndex {
         u64::BITS - self.width.trailing_zeros()
     }
 
+    /// A slot's words: its values, then their discriminator plane.
+    fn slot(&self, slot: usize) -> &[u64] {
+        let (chunk, at) = slot_at(slot, self.stride);
+        &self.columns[chunk][at..at + self.stride]
+    }
+
+    /// Where `id` is, or would go, in the directory.
+    fn locate(&self, id: QueryId) -> Result<usize, usize> {
+        self.by_id.binary_search_by_key(&id, |&(qid, _)| qid)
+    }
+
     /// Write `slot`'s cell into every row, each at the first empty cell
     /// from its value's home. The slot's column must already be in place.
     fn place(&mut self, slot: usize) {
         let (mask, shift) = (self.width - 1, self.home_shift());
-        let column = &self.columns[slot * self.k..(slot + 1) * self.k];
+        let (chunk, at) = slot_at(slot, self.stride);
+        let column = &self.columns[chunk][at..at + self.k];
         for (row, &value) in self.table.chunks_exact_mut(self.width).zip(column) {
-            let (mut p, tag) = home_and_tag(value, shift);
+            let (home, tag) = home_and_tag(value, shift);
+            // The home cell or its neighbour, chosen without a branch: at
+            // load ⅛ to ½ "is the home taken" is a coin the predictor
+            // loses an eighth to a half of the time, 800 times a call.
+            let next = (home + 1) & mask;
+            let mut p = if row[home] == EMPTY { home } else { next };
             while row[p] != EMPTY {
                 p = (p + 1) & mask;
             }
@@ -260,26 +331,35 @@ impl HqIndex {
         }
     }
 
-    /// Subscribe a query online: append its sketch column and hash its
-    /// `K` values into the rows, doubling the rows first if the load
-    /// would pass ½.
+    /// Subscribe a query online: append its sketch column and the
+    /// column's plane, and hash its `K` values into the rows, doubling the
+    /// rows first if the load would pass ½.
     ///
     /// # Panics
     /// Panics if the query's sketch `K` differs, its id is already
     /// present, or the index already holds 2²⁰ − 1 queries.
     pub fn insert(&mut self, q: &Query) {
         assert_eq!(q.sketch.k(), self.k, "query sketch K mismatch");
-        assert!(
-            self.meta.iter().all(|mq| mq.id != q.id),
-            "query id {} already indexed",
-            q.id
-        );
+        let Err(at) = self.locate(q.id) else {
+            panic!("query id {} already indexed", q.id);
+        };
         let slot = self.meta.len();
         assert!(slot < MAX_QUERIES, "index is full ({MAX_QUERIES} queries)");
         if 2 * (slot + 1) > self.width {
             self.rebuild(2 * self.width);
         }
-        self.columns.extend_from_slice(q.sketch.mins());
+        let (chunk, first) = slot_at(slot, self.stride);
+        if chunk == self.columns.len() {
+            self.columns.push(Vec::new());
+        }
+        let words = &mut self.columns[chunk];
+        debug_assert_eq!(words.len(), first, "slots fill their chunk in order");
+        // The whole chunk at once, so it never moves: a no-op from the
+        // chunk's second slot on.
+        words.reserve_exact(CHUNK_SLOTS * self.stride - first);
+        words.extend_from_slice(q.sketch.mins());
+        push_plane(q.sketch.mins(), words);
+        self.by_id.insert(at, (q.id, slot as u32));
         self.meta.push(QueryMeta { id: q.id, keyframes: q.keyframes as u32, seq: self.next_seq });
         self.next_seq += 1;
         self.place(slot);
@@ -288,19 +368,26 @@ impl HqIndex {
     /// Unsubscribe a query online. Returns `false` if the id is not
     /// indexed.
     pub fn remove(&mut self, id: QueryId) -> bool {
-        let Some(slot) = self.meta.iter().position(|mq| mq.id == id) else {
+        let Ok(at) = self.locate(id) else {
             return false;
         };
+        let slot = self.by_id[at].1 as usize;
         // The metadata table stays dense: the last slot moves into the
         // hole, so its cells are renamed as the removed slot's are
         // deleted — both found by lookup, row by row.
         let last = self.meta.len() - 1;
-        let (k, mask, shift) = (self.k, self.width - 1, self.home_shift());
+        let (k, stride, mask, shift) = (self.k, self.stride, self.width - 1, self.home_shift());
         let columns = &self.columns;
-        let home = |slot: usize, i: usize| home_and_tag(columns[slot * k + i], shift).0;
+        let column = |slot: usize| {
+            let (chunk, at) = slot_at(slot, stride);
+            &columns[chunk][at..at + k]
+        };
+        // The two slots every row looks up, borrowed once.
+        let (removed, renamed) = (column(slot), column(last));
+        let home = |value: u64| home_and_tag(value, shift).0;
         for (i, row) in self.table.chunks_exact_mut(self.width).enumerate() {
-            let find = |row: &[u32], slot: usize| {
-                let mut p = home(slot, i);
+            let find = |row: &[u32], slot: usize, value: u64| {
+                let mut p = home(value);
                 while row[p] & SLOT_MASK != slot as u32 {
                     assert!(row[p] != EMPTY, "indexed query must have a cell on every row");
                     p = (p + 1) & mask;
@@ -311,7 +398,7 @@ impl HqIndex {
             // cell of the run that may legally sit there (its home is
             // not strictly between the hole and itself), so no lookup
             // ever meets an empty cell before its target.
-            let mut hole = find(row, slot);
+            let mut hole = find(row, slot, removed[i]);
             let mut j = hole;
             loop {
                 j = (j + 1) & mask;
@@ -319,7 +406,8 @@ impl HqIndex {
                 if cell == EMPTY {
                     break;
                 }
-                let from_home = j.wrapping_sub(home((cell & SLOT_MASK) as usize, i)) & mask;
+                let cell_home = home(column((cell & SLOT_MASK) as usize)[i]);
+                let from_home = j.wrapping_sub(cell_home) & mask;
                 if from_home >= j.wrapping_sub(hole) & mask {
                     row[hole] = cell;
                     hole = j;
@@ -327,16 +415,46 @@ impl HqIndex {
             }
             row[hole] = EMPTY;
             if slot != last {
-                let p = find(row, last);
+                let p = find(row, last, renamed[i]);
                 row[p] = row[p] & !SLOT_MASK | slot as u32;
             }
         }
         self.meta.swap_remove(slot);
+        self.by_id.remove(at);
+        let (last_chunk, from) = slot_at(last, stride);
         if slot != last {
-            self.columns.copy_within(last * k..(last + 1) * k, slot * k);
+            // `slot < last`, so its chunk is the last slot's or an earlier one.
+            let (chunk, to) = slot_at(slot, stride);
+            let (earlier, rest) = self.columns.split_at_mut(last_chunk);
+            match earlier.get_mut(chunk) {
+                Some(words) => words[to..to + stride].copy_from_slice(&rest[0][from..]),
+                None => rest[0].copy_within(from.., to),
+            }
+            let moved = self.locate(self.meta[slot].id).expect("every slot is in the directory");
+            self.by_id[moved].1 = slot as u32;
         }
-        self.columns.truncate(last * k);
+        self.columns[last_chunk].truncate(from);
         true
+    }
+
+    /// Encode a candidate sketch against the indexed query `id`, from the
+    /// slab: `sig` becomes the signature [`BitSig::encode`] gives for the
+    /// query's sketch, and its `(n_lt, n_eq)` is returned. `None`, with
+    /// `sig` untouched, if `id` is not indexed. `candidate_plane` is the
+    /// discriminator plane of `candidate` ([`CandidatePlane::of`]).
+    ///
+    /// # Panics
+    /// Panics if the candidate's `K` differs or its plane does not fit it.
+    pub fn encode_against(
+        &self,
+        id: QueryId,
+        candidate: &[u64],
+        candidate_plane: &[u64],
+        sig: &mut BitSig,
+    ) -> Option<(usize, usize)> {
+        let (_, slot) = self.by_id[self.locate(id).ok()?];
+        let (column, plane) = self.slot(slot as usize).split_at(self.k);
+        Some(sig.encode_counts_from_planes(candidate, candidate_plane, column, plane))
     }
 
     /// Probe a basic-window sketch (the paper's `ProbeIndex`, Fig. 5):
@@ -369,8 +487,9 @@ impl HqIndex {
         let prune_above = (self.k as f64 * (1.0 - delta)).floor() as usize;
         let m = self.meta.len();
 
-        let ProbeScratch { related, seen, sig_pool } = scratch;
+        let ProbeScratch { related, seen, sig_pool, plane } = scratch;
         related.clear();
+        plane.clear();
         if seen.len() == m {
             seen.fill(false);
         } else {
@@ -409,10 +528,7 @@ impl HqIndex {
                 // At most `width` steps: a row is never full (load ≤ ½).
                 for _ in 0..width {
                     let s = (cell & SLOT_MASK) as usize;
-                    if cell & !SLOT_MASK == tags[j]
-                        && !seen[s]
-                        && self.columns[s * self.k + i] == value
-                    {
+                    if cell & !SLOT_MASK == tags[j] && !seen[s] && self.slot(s)[i] == value {
                         seen[s] = true;
                         // vdsms-lint: allow(no-alloc-hot-path) reason="scratch Vec reused across probes; bounded by the related-query count"
                         related.push(s as u32);
@@ -438,11 +554,12 @@ impl HqIndex {
         // monotone over rows, see the module docs).
         for &s in related.iter() {
             let s = s as usize;
-            let col = &self.columns[s * self.k..(s + 1) * self.k];
+            let (column, query_plane) = self.slot(s).split_at(self.k);
             // The signature's word buffer comes from the pool;
             // steady-state probes touch no allocator.
             let mut sig = sig_pool.pop().unwrap_or_default();
-            let (n_less, _) = sig.encode_counts_from_mins(sk.mins(), col);
+            let (n_less, _) =
+                sig.encode_counts_from_planes(sk.mins(), plane.of(sk.mins()), column, query_plane);
             if n_less > prune_above {
                 if sig_pool.len() < SIG_POOL_CAP {
                     // vdsms-lint: allow(no-alloc-hot-path) reason="pool Vec is capped at SIG_POOL_CAP; reaches its high-water mark during warm-up"
@@ -483,8 +600,9 @@ impl HqIndex {
     /// sketch columns).
     pub fn heap_bytes(&self) -> usize {
         self.table.len() * std::mem::size_of::<u32>()
-            + self.columns.len() * std::mem::size_of::<u64>()
+            + self.meta.len() * self.stride * std::mem::size_of::<u64>()
             + self.meta.len() * std::mem::size_of::<QueryMeta>()
+            + self.by_id.len() * std::mem::size_of::<(QueryId, u32)>()
     }
 }
 
@@ -513,13 +631,39 @@ mod tests {
     /// Slab invariants: rows are a power of two wide at load ≤ ½; every
     /// row holds every slot exactly once, under the tag of the slot's
     /// value on that row, reachable from that value's home without
-    /// crossing an empty cell.
+    /// crossing an empty cell; every slot's plane holds, lane by lane, the
+    /// discriminator of the slot's value and zero beyond `K`; the
+    /// directory lists every slot once, under its query's id, in id order.
     fn check_integrity(ix: &HqIndex) {
         let (m, w) = (ix.meta.len(), ix.width);
         assert!(w.is_power_of_two() && w >= MIN_ROW_WIDTH, "row width {w}");
         assert!(2 * m <= w, "load above ½: {m} queries in {w} cells");
         assert_eq!(ix.table.len(), ix.k * w, "table must be K × width");
-        assert_eq!(ix.columns.len(), ix.k * m, "columns slab must be m × K");
+        let held: usize = ix.columns.iter().map(Vec::len).sum();
+        assert_eq!(held, ix.stride * m, "columns slab must be m × stride");
+        let full = ix.columns.iter().take_while(|chunk| chunk.len() == CHUNK_SLOTS * ix.stride);
+        assert_eq!(full.count(), m / CHUNK_SLOTS, "chunks fill in order");
+        for s in 0..m {
+            let (values, plane) = ix.slot(s).split_at(ix.k);
+            // The layout by its definition (see `crate::bitsig`): pair
+            // `r` is lane `(r mod 32) / 8` of word `r mod 8` of block
+            // `r / 32`.
+            let mut want = vec![0u64; plane_words(ix.k)];
+            for (r, &v) in values.iter().enumerate() {
+                want[r / 32 * 8 + r % 8] |= crate::bitsig::discriminator(v) << (16 * (r % 32 / 8));
+            }
+            assert_eq!(plane, want, "plane of slot {s}");
+        }
+        assert_eq!(ix.by_id.len(), m, "one directory entry per slot");
+        assert!(ix.by_id.windows(2).all(|w| w[0].0 < w[1].0), "directory out of id order");
+        let mut listed = vec![false; m];
+        for &(id, slot) in &ix.by_id {
+            assert_eq!(ix.meta[slot as usize].id, id, "directory entry of query {id}");
+            assert!(
+                !std::mem::replace(&mut listed[slot as usize], true),
+                "slot {slot} listed twice"
+            );
+        }
         for (i, row) in ix.table.chunks_exact(w).enumerate() {
             let mut position = vec![None; m];
             for (p, &cell) in row.iter().enumerate() {
@@ -531,7 +675,7 @@ mod tests {
             }
             for (s, p) in position.into_iter().enumerate() {
                 let p = p.unwrap_or_else(|| panic!("slot {s} missing from row {i}"));
-                let (mut at, tag) = home_and_tag(ix.columns[s * ix.k + i], ix.home_shift());
+                let (mut at, tag) = home_and_tag(ix.slot(s)[i], ix.home_shift());
                 assert_eq!(row[p] & !SLOT_MASK, tag, "tag mismatch at row {i} slot {s}");
                 while at != p {
                     assert!(row[at] != EMPTY, "slot {s} unreachable from its home on row {i}");
@@ -563,6 +707,26 @@ mod tests {
         ids.sort_unstable();
         want.sort_unstable();
         assert_eq!(ids, want, "probe differs from brute force at δ={delta}");
+    }
+
+    /// The slab as an encoder, against the direct one: by id, every
+    /// subscribed query of `ids` encodes to the signature and counts of
+    /// its own sketch — into a buffer that held something else — and
+    /// every other id to nothing.
+    fn check_encodes(ix: &HqIndex, qs: &QuerySet, sk: &Sketch, ids: std::ops::Range<QueryId>) {
+        let mut plane = CandidatePlane::default();
+        let mut sig = BitSig::encode(sk, sk);
+        for id in ids {
+            let got = ix.encode_against(id, sk.mins(), plane.of(sk.mins()), &mut sig);
+            match qs.get(id) {
+                Some(q) => {
+                    let want = BitSig::encode(sk, &q.sketch);
+                    assert_eq!(got, Some(want.counts()), "counts against query {id}");
+                    assert_eq!(sig, want, "signature against query {id}");
+                }
+                None => assert_eq!(got, None, "query {id} is not subscribed"),
+            }
+        }
     }
 
     #[test]
@@ -813,8 +977,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Random subscription histories: after every step the index
-        /// keeps its invariants and probes like brute force, like the
-        /// direct encoder and like an index built afresh.
+        /// keeps its invariants, probes like brute force, like the
+        /// direct encoder and like an index built afresh, and encodes by
+        /// id what the direct encoder does — for the ids that are
+        /// subscribed, and nothing for those that are not.
         #[test]
         fn histories_agree_with_every_reference(
             steps in proptest::collection::vec(step(), 200..201),
@@ -848,6 +1014,7 @@ mod tests {
                 let fresh = HqIndex::build(SMALL_K, &qs);
                 for sk in &windows {
                     check_probe(&ix, &fresh, &qs, sk, 0.3);
+                    check_encodes(&ix, &qs, sk, 0..96);
                 }
                 widest = widest.max(ix.width);
             }

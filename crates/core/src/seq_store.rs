@@ -12,6 +12,7 @@
 use crate::bitsig::BitSig;
 use crate::config::{DetectorConfig, Representation};
 use crate::detection::Detection;
+use crate::engine::Catalogue;
 use crate::query::{QueryId, QuerySet};
 use crate::stats::Stats;
 use crate::window::{sketch_relations, Window, WindowRelations};
@@ -23,7 +24,9 @@ use vdsms_sketch::Sketch;
 struct Entry {
     qid: QueryId,
     keyframes: usize,
-    /// Bit representation only: the OR-combined signature.
+    /// Bit representation only: the OR-combined signature, in a buffer
+    /// from the stream's pool ([`WindowRelations::take_sig`]) that goes
+    /// back there when the entry dies.
     sig: Option<BitSig>,
     /// Whether a detection has already been emitted for this
     /// candidate-query pair.
@@ -84,15 +87,16 @@ impl SeqStore {
 
     /// Process one arrived basic window; returns the detections it
     /// triggered.
-    pub fn advance(
+    pub(crate) fn advance(
         &mut self,
         win: &Window,
         rel: &mut WindowRelations,
         cfg: &DetectorConfig,
-        queries: &QuerySet,
+        catalogue: &Catalogue,
         stats: &mut Stats,
     ) -> Vec<Detection> {
         let mut out = Vec::new();
+        let queries = catalogue.queries();
 
         // Extend every existing suffix candidate with the new window.
         let mut idx = 0;
@@ -129,10 +133,10 @@ impl SeqStore {
                     cand.entries.retain_mut(|e| {
                         if len_windows > cfg.max_windows_for(e.keyframes) {
                             stats.length_expiries += 1;
-                            return false;
+                            return retire_entry(e, rel);
                         }
-                        let Some(wsig) = rel.sig_for(e.qid, &win.sketch, queries, stats) else {
-                            return false; // query unsubscribed
+                        let Some(wsig) = rel.sig_for(e.qid, &win.sketch, catalogue, stats) else {
+                            return retire_entry(e, rel); // query unsubscribed
                         };
                         // Bit entries always carry a signature by
                         // construction; drop rather than panic otherwise.
@@ -146,7 +150,7 @@ impl SeqStore {
                         stats.sig_compares += 1;
                         if sig.lemma2_from_count(n_less, cfg.pruning_delta()) {
                             stats.lemma2_prunes += 1;
-                            return false;
+                            return retire_entry(e, rel);
                         }
                         let sim = sig.similarity_from_count(n_eq);
                         if sim + 1e-12 >= cfg.delta && !e.reported {
@@ -198,9 +202,8 @@ impl SeqStore {
             let (qid, keyframes) = rel.related_at(i);
             let sig = match self.rep {
                 Representation::Bit => {
-                    match rel.sig_for(qid, &win.sketch, queries, stats) {
-                        // vdsms-lint: allow(no-alloc-hot-path) reason="one signature per window×related-query relation event — the Bit representation's inherent cost"
-                        Some(s) => Some(s.clone()),
+                    match rel.sig_copy_for(qid, &win.sketch, catalogue, stats) {
+                        Some(copy) => Some(copy),
                         None => continue,
                     }
                 }
@@ -237,7 +240,7 @@ impl SeqStore {
                         let (n_less, n_eq) = sig.counts();
                         if sig.lemma2_from_count(n_less, cfg.pruning_delta()) {
                             stats.lemma2_prunes += 1;
-                            return false;
+                            return retire_entry(e, rel);
                         }
                         let sim = sig.similarity_from_count(n_eq);
                         if sim + 1e-12 >= cfg.delta {
@@ -269,6 +272,15 @@ impl SeqStore {
         stats.sample_live(self.live_signatures(), self.candidates.len());
         out
     }
+}
+
+/// A Bit entry is leaving its candidate: hand its signature's buffer back
+/// to the stream's pool. Returns `false`, the `retain` verdict.
+fn retire_entry(e: &mut Entry, rel: &mut WindowRelations) -> bool {
+    if let Some(sig) = e.sig.take() {
+        rel.recycle_sig(sig);
+    }
+    false
 }
 
 /// Shared per-entry logic of the Sketch representation: compare the
@@ -338,6 +350,11 @@ mod tests {
         }
     }
 
+    /// The catalogue of a no-index detector over `queries`.
+    fn catalogue(queries: QuerySet) -> Catalogue {
+        Catalogue::shared(&cfg(Representation::Bit), std::sync::Arc::new(queries), None)
+    }
+
     fn family() -> MinHashFamily {
         MinHashFamily::new(K, 5)
     }
@@ -359,6 +376,7 @@ mod tests {
         let query_ids: Vec<u64> = (0..30).collect();
         let queries =
             QuerySet::from_queries(vec![Query::from_cell_ids(1, &f, &query_ids)]);
+        let catalogue = catalogue(queries);
         let config = cfg(rep);
         let mut store = SeqStore::new(rep);
         let mut stats = Stats::default();
@@ -368,9 +386,9 @@ mod tests {
         let parts: [&[u64]; 3] = [&query_ids[20..30], &query_ids[0..10], &query_ids[10..20]];
         for (i, part) in parts.iter().enumerate() {
             let w = window(&f, i as u64, part);
-            let mut rel = WindowRelations::all_queries(&queries);
+            let mut rel = WindowRelations::all_queries(catalogue.queries());
             stats.windows += 1;
-            dets.extend(store.advance(&w, &mut rel, &config, &queries, &mut stats));
+            dets.extend(store.advance(&w, &mut rel, &config, &catalogue, &mut stats));
         }
         (dets, stats)
     }
@@ -419,15 +437,16 @@ mod tests {
             &f,
             &(1000u64..1030).collect::<Vec<_>>(),
         )]);
+        let catalogue = catalogue(queries);
         let config = cfg(Representation::Bit);
         let mut store = SeqStore::new(Representation::Bit);
         let mut stats = Stats::default();
         for i in 0..10u64 {
             let ids: Vec<u64> = (i * 10..i * 10 + 10).collect();
             let w = window(&f, i, &ids);
-            let mut rel = WindowRelations::all_queries(&queries);
+            let mut rel = WindowRelations::all_queries(catalogue.queries());
             stats.windows += 1;
-            let dets = store.advance(&w, &mut rel, &config, &queries, &mut stats);
+            let dets = store.advance(&w, &mut rel, &config, &catalogue, &mut stats);
             assert!(dets.is_empty());
         }
         assert!(stats.lemma2_prunes > 0, "unrelated candidates must be pruned");
@@ -441,15 +460,16 @@ mod tests {
         // Query of 4 keyframes -> max windows = ceil(2*4/4) = 2.
         let queries =
             QuerySet::from_queries(vec![Query::from_cell_ids(1, &f, &[1, 2, 3, 4])]);
+        let catalogue = catalogue(queries);
         let config = cfg(Representation::Bit);
         let mut store = SeqStore::new(Representation::Bit);
         let mut stats = Stats::default();
         // Windows that keep the entry alive (share ids with the query).
         for i in 0..5u64 {
             let w = window(&f, i, &[1, 2, 3, 4]);
-            let mut rel = WindowRelations::all_queries(&queries);
+            let mut rel = WindowRelations::all_queries(catalogue.queries());
             stats.windows += 1;
-            store.advance(&w, &mut rel, &config, &queries, &mut stats);
+            store.advance(&w, &mut rel, &config, &catalogue, &mut stats);
         }
         assert!(stats.length_expiries > 0, "candidates beyond λL must expire");
         // No candidate may exceed the λL bound in windows.
@@ -461,15 +481,16 @@ mod tests {
         let f = family();
         let queries =
             QuerySet::from_queries(vec![Query::from_cell_ids(1, &f, &[1, 2, 3, 4])]);
+        let catalogue = catalogue(queries);
         let config = cfg(Representation::Bit);
         let mut store = SeqStore::new(Representation::Bit);
         let mut stats = Stats::default();
         let mut total = 0;
         for i in 0..2u64 {
             let w = window(&f, i, &[1, 2, 3, 4]);
-            let mut rel = WindowRelations::all_queries(&queries);
+            let mut rel = WindowRelations::all_queries(catalogue.queries());
             stats.windows += 1;
-            total += store.advance(&w, &mut rel, &config, &queries, &mut stats).len();
+            total += store.advance(&w, &mut rel, &config, &catalogue, &mut stats).len();
         }
         // Window 0 candidate reports once; window 1's fresh candidate
         // reports once. The extended candidate [0,1] must NOT re-report.
@@ -481,13 +502,14 @@ mod tests {
         let f = family();
         let queries =
             QuerySet::from_queries(vec![Query::from_cell_ids(1, &f, &(0u64..40).collect::<Vec<_>>())]);
+        let catalogue = catalogue(queries);
         let config = cfg(Representation::Bit);
         let mut store = SeqStore::new(Representation::Bit);
         let mut stats = Stats::default();
         let w = window(&f, 0, &[0, 1, 2, 3]);
-        let mut rel = WindowRelations::all_queries(&queries);
+        let mut rel = WindowRelations::all_queries(catalogue.queries());
         stats.windows += 1;
-        store.advance(&w, &mut rel, &config, &queries, &mut stats);
+        store.advance(&w, &mut rel, &config, &catalogue, &mut stats);
         assert_eq!(store.live_signatures(), 1);
         assert_eq!(stats.live_signature_peak, 1);
     }

@@ -18,9 +18,19 @@ pub struct Stats {
     /// Sketch–sketch combinations (`C_comb`, Sketch representation: K u64
     /// mins).
     pub sketch_combines: u64,
-    /// Bit-signature encodings (Definition 3: one per window × related
-    /// query, the only O(K) value-domain operation of the Bit method).
+    /// Bit-signature encodings (Definition 3, the only O(K) value-domain
+    /// operation of the Bit method) made *on demand* by a candidate
+    /// store: a candidate tracks a query the sketch at hand has no
+    /// signature against yet. Without the index that is every encode
+    /// there is — one per window × tracked query; with it, the probe has
+    /// already encoded the window against its related queries
+    /// ([`Stats::probe_encodes`]) and only the rest are counted here.
     pub sig_encodes: u64,
+    /// Bit-signature encodings made by the index probe's second phase:
+    /// one per query it found related to the window, those it then
+    /// pruned by Lemma 2 included. `sig_encodes + probe_encodes` is every
+    /// encode a detector made.
+    pub probe_encodes: u64,
     /// Bit-signature OR-combinations (`C_comb`, Bit representation:
     /// K/32 word ORs).
     pub sig_ors: u64,
@@ -74,6 +84,7 @@ impl Stats {
         self.sketch_compares += other.sketch_compares;
         self.sketch_combines += other.sketch_combines;
         self.sig_encodes += other.sig_encodes;
+        self.probe_encodes += other.probe_encodes;
         self.sig_ors += other.sig_ors;
         self.sig_compares += other.sig_compares;
         self.index_probes += other.index_probes;

@@ -1,6 +1,8 @@
 //! Per-basic-window state shared by the candidate stores.
 
 use crate::bitsig::BitSig;
+use crate::engine::Catalogue;
+use crate::hq::{HqIndex, ProbeHit, ProbeScratch};
 use crate::query::{QueryId, QuerySet};
 use crate::stats::Stats;
 use vdsms_sketch::Sketch;
@@ -26,19 +28,24 @@ pub struct Window {
 /// demand (an `O(K)` encode) — this happens when an old candidate tracks a
 /// query that the newest window shares no min-hash values with, and its
 /// cost is exactly what Lemma-2 pruning keeps rare.
-#[derive(Debug)]
+///
+/// It also keeps the stream's one pool of signature buffers (inside the
+/// probe scratch, which the probe's own hits draw on): the cache's
+/// signatures go back to it when the next window arrives, and the
+/// candidate stores take their copies from it and return their dead
+/// entries' to it, so in a steady state no signature is allocated.
+#[derive(Debug, Default)]
 pub struct WindowRelations {
     /// Related queries as `(id, keyframes)`.
     related: Vec<(QueryId, usize)>,
     /// Signature cache, sorted by query id (binary-searched; the related
     /// set is small — `R_L` in the paper's notation).
     sigs: Vec<(QueryId, BitSig)>,
-}
-
-impl Default for WindowRelations {
-    fn default() -> Self {
-        WindowRelations::new()
-    }
+    /// The index probe's working state, the signature pool, and the
+    /// window sketch's discriminator plane.
+    scratch: ProbeScratch,
+    /// The probe's hit buffer, drained into `related` and `sigs`.
+    hits: Vec<ProbeHit>,
 }
 
 impl WindowRelations {
@@ -46,24 +53,7 @@ impl WindowRelations {
     /// detector keeps one and refills it each basic window so the
     /// steady-state loop never rebuilds these containers from scratch.
     pub fn new() -> WindowRelations {
-        WindowRelations { related: Vec::new(), sigs: Vec::new() }
-    }
-
-    /// Hand this window's dead signature buffers back to the probe's pool
-    /// before the next `reset_*` (which would otherwise drop them — and
-    /// their heap words — on the floor).
-    pub fn recycle_sigs_into(&mut self, scratch: &mut crate::hq::ProbeScratch) {
-        for (_, sig) in self.sigs.drain(..) {
-            scratch.recycle_sig(sig);
-        }
-    }
-
-    /// Build from a probe result (signatures already known).
-    pub fn from_probe(hits: Vec<crate::hq::ProbeHit>) -> WindowRelations {
-        let mut rel = WindowRelations::new();
-        let mut hits = hits;
-        rel.reset_from_probe(&mut hits);
-        rel
+        WindowRelations::default()
     }
 
     /// Build for the NoIndex variants: every query is related; signatures
@@ -74,12 +64,31 @@ impl WindowRelations {
         rel
     }
 
-    /// Refill from a probe result, draining `hits` and reusing this
-    /// relation set's buffers.
-    pub fn reset_from_probe(&mut self, hits: &mut Vec<crate::hq::ProbeHit>) {
+    /// Forget the previous window: its cached signatures are dead, so
+    /// their buffers go back to the pool, and its plane with them.
+    fn clear(&mut self) {
         self.related.clear();
-        self.sigs.clear();
-        for h in hits.drain(..) {
+        for (_, sig) in self.sigs.drain(..) {
+            self.scratch.recycle_sig(sig);
+        }
+        self.scratch.plane.clear();
+    }
+
+    /// Refill from a probe of `index` with the new window's sketch: the
+    /// hits become the related list, their signatures the cache.
+    pub fn reset_from_index(
+        &mut self,
+        index: &HqIndex,
+        window_sketch: &Sketch,
+        delta: f64,
+        stats: &mut Stats,
+    ) {
+        self.clear();
+        stats.index_probes += 1;
+        stats.index_row_searches +=
+            index.probe_into(window_sketch, delta, &mut self.scratch, &mut self.hits);
+        stats.probe_encodes += self.scratch.encodes();
+        for h in self.hits.drain(..) {
             // vdsms-lint: allow(no-alloc-hot-path) reason="capacity reused across windows; grows only while the probe-hit high-water mark rises"
             self.related.push((h.query_id, h.keyframes));
             // vdsms-lint: allow(no-alloc-hot-path) reason="capacity reused across windows; grows only while the probe-hit high-water mark rises"
@@ -91,8 +100,7 @@ impl WindowRelations {
     /// Refill with every subscribed query (NoIndex variants), reusing
     /// this relation set's buffers.
     pub fn reset_all_queries(&mut self, queries: &QuerySet) {
-        self.related.clear();
-        self.sigs.clear();
+        self.clear();
         for q in queries.iter() {
             // vdsms-lint: allow(no-alloc-hot-path) reason="capacity reused across windows; bounded by the subscribed-query count"
             self.related.push((q.id, q.keyframes));
@@ -119,26 +127,64 @@ impl WindowRelations {
         self.related[i]
     }
 
+    /// A signature buffer from the stream's pool, contents unspecified.
+    pub(crate) fn take_sig(&mut self) -> BitSig {
+        self.scratch.take_sig()
+    }
+
+    /// Give a dead signature's buffer back to the stream's pool.
+    pub(crate) fn recycle_sig(&mut self, sig: BitSig) {
+        self.scratch.recycle_sig(sig);
+    }
+
     /// The window's bit signature relative to query `qid`, encoding it on
-    /// demand if the probe did not produce it. Returns `None` if the query
-    /// has been unsubscribed.
-    pub fn sig_for(
+    /// demand — through the catalogue, into a pooled buffer — if the probe
+    /// did not produce it. Returns `None` if the query has been
+    /// unsubscribed. `window_sketch` is the one sketch of this window on
+    /// every call until the next `reset_*`: its plane is built once.
+    pub(crate) fn sig_for(
         &mut self,
         qid: QueryId,
         window_sketch: &Sketch,
-        queries: &QuerySet,
+        catalogue: &Catalogue,
         stats: &mut Stats,
     ) -> Option<&BitSig> {
         match self.sigs.binary_search_by_key(&qid, |(id, _)| *id) {
             Ok(i) => Some(&self.sigs[i].1),
             Err(i) => {
-                let q = queries.get(qid)?;
+                let mut sig = self.scratch.take_sig();
+                if !catalogue.encode_against(qid, window_sketch, &mut self.scratch.plane, &mut sig)
+                {
+                    self.scratch.recycle_sig(sig);
+                    return None;
+                }
                 stats.sig_encodes += 1;
-                // vdsms-lint: allow(no-alloc-hot-path) reason="one cached signature per window×related-query relation event — the Bit representation's inherent cost"
-                self.sigs.insert(i, (qid, BitSig::encode(window_sketch, &q.sketch)));
+                // vdsms-lint: allow(no-alloc-hot-path) reason="capacity reused across windows; grows only while the per-window signature high-water mark rises"
+                self.sigs.insert(i, (qid, sig));
                 Some(&self.sigs[i].1)
             }
         }
+    }
+
+    /// [`Self::sig_for`], copied into a pooled buffer the caller keeps —
+    /// what a store puts in the entry a newborn candidate tracks `qid`
+    /// with.
+    pub(crate) fn sig_copy_for(
+        &mut self,
+        qid: QueryId,
+        window_sketch: &Sketch,
+        catalogue: &Catalogue,
+        stats: &mut Stats,
+    ) -> Option<BitSig> {
+        let mut copy = self.scratch.take_sig();
+        match self.sig_for(qid, window_sketch, catalogue, stats) {
+            Some(sig) => copy.copy_from(sig),
+            None => {
+                self.scratch.recycle_sig(copy);
+                return None;
+            }
+        }
+        Some(copy)
     }
 }
 
@@ -162,7 +208,9 @@ pub fn sketch_relations(a: &Sketch, b: &Sketch) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DetectorConfig;
     use crate::query::Query;
+    use std::sync::Arc;
     use vdsms_sketch::MinHashFamily;
 
     #[test]
@@ -176,28 +224,45 @@ mod tests {
         assert_eq!(n_less, sig.count_less());
     }
 
+    /// A catalogue over `queries`, with or without the index.
+    fn catalogue(queries: QuerySet, use_index: bool) -> Catalogue {
+        let cfg = DetectorConfig { k: 32, use_index, ..Default::default() };
+        let index = use_index.then(|| Arc::new(HqIndex::build(32, &queries)));
+        Catalogue::shared(&cfg, Arc::new(queries), index)
+    }
+
     #[test]
     fn sig_for_encodes_on_demand_and_caches() {
         let f = MinHashFamily::new(32, 2);
-        let queries = QuerySet::from_queries(vec![Query::from_cell_ids(9, &f, &[1, 2, 3])]);
         let w = Sketch::from_ids(&f, 1..4u64);
-        let mut rel = WindowRelations::all_queries(&queries);
-        let mut stats = Stats::default();
-        let sig1 = rel.sig_for(9, &w, &queries, &mut stats).unwrap().clone();
-        assert_eq!(stats.sig_encodes, 1);
-        let sig2 = rel.sig_for(9, &w, &queries, &mut stats).unwrap().clone();
-        assert_eq!(stats.sig_encodes, 1, "second access must hit the cache");
-        assert_eq!(sig1, sig2);
-        assert_eq!(sig1.similarity(), 1.0);
+        for use_index in [false, true] {
+            let q = Query::from_cell_ids(9, &f, &[1, 2, 3]);
+            let want = BitSig::encode(&w, &q.sketch);
+            let catalogue = catalogue(QuerySet::from_queries(vec![q]), use_index);
+            let mut rel = WindowRelations::all_queries(catalogue.queries());
+            let mut stats = Stats::default();
+            let sig1 = rel.sig_for(9, &w, &catalogue, &mut stats).unwrap().clone();
+            assert_eq!(stats.sig_encodes, 1);
+            let sig2 = rel.sig_for(9, &w, &catalogue, &mut stats).unwrap().clone();
+            assert_eq!(stats.sig_encodes, 1, "second access must hit the cache");
+            assert_eq!((&sig1, &sig2), (&want, &want), "use_index={use_index}");
+            assert_eq!(sig1.similarity(), 1.0);
+            let copy = rel.sig_copy_for(9, &w, &catalogue, &mut stats).unwrap();
+            assert_eq!((copy, stats.sig_encodes), (want, 1), "a copy is of the cached signature");
+        }
     }
 
     #[test]
     fn sig_for_unknown_query_is_none() {
         let f = MinHashFamily::new(32, 2);
-        let queries = QuerySet::new();
         let w = Sketch::from_ids(&f, 1..4u64);
-        let mut rel = WindowRelations::all_queries(&queries);
-        let mut stats = Stats::default();
-        assert!(rel.sig_for(42, &w, &queries, &mut stats).is_none());
+        for use_index in [false, true] {
+            let catalogue = catalogue(QuerySet::new(), use_index);
+            let mut rel = WindowRelations::all_queries(catalogue.queries());
+            let mut stats = Stats::default();
+            assert!(rel.sig_for(42, &w, &catalogue, &mut stats).is_none());
+            assert!(rel.sig_copy_for(42, &w, &catalogue, &mut stats).is_none());
+            assert_eq!(stats.sig_encodes, 0);
+        }
     }
 }

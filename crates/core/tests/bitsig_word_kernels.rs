@@ -10,8 +10,16 @@
 //! `k ∈ {1, 31, 32, 33, 64, 800}`: below, on, and above a lane edge,
 //! plus the engine's default `K` (a whole number of lanes, so the tail
 //! mask is all-ones).
+//!
+//! The discriminator-plane kernel (`encode_counts_from_planes`) has the
+//! value-slice kernel (`encode_counts_from_mins`) as its reference: same
+//! words, same counts, for `k` on every side of a plane word (4 pairs)
+//! and a plane block (32), over columns chosen to land on each of its
+//! paths — discriminators that decide, that tie over equal values, that
+//! tie over values differing either way, and that saturate.
 
 use proptest::prelude::*;
+use vdsms_core::bitsig::{discriminator, plane_words, push_plane};
 use vdsms_core::BitSig;
 use vdsms_sketch::Sketch;
 
@@ -84,8 +92,90 @@ fn check_or_with_counts(c: &[u64], q: &[u64], c2: &[u64]) {
     }
 }
 
+const PLANE_KS: &[usize] = &[1, 3, 4, 5, 31, 32, 33, 100, 800];
+
+/// Values a real family produces lie below this (`2^61 − 1` is its
+/// modulus); `Sketch::from_mins` accepts any `u64`.
+const REAL: u64 = 1 << 61;
+
+/// Everything below a discriminator.
+const LOW: u64 = (1 << 46) - 1;
+
+/// Two `k`-columns cut from raw draws, shaped to take the plane kernel
+/// down one of its paths.
+fn columns(shape: usize, k: usize, raw: &[u64]) -> (Vec<u64>, Vec<u64>) {
+    let (a, b) = (&raw[..k], &raw[POOL..POOL + k]);
+    let pair = |f: &dyn Fn(u64, u64) -> (u64, u64)| a.iter().zip(b).map(|(&x, &y)| f(x, y)).unzip();
+    match shape {
+        // Any `u64`: seven in eight are at or above 2^61, where the
+        // discriminator has saturated and every pair is a tie.
+        0 => pair(&|x, y| (x, y)),
+        // What a family produces: nearly every pair decided by the plane.
+        1 => pair(&|x, y| (x % REAL, y % REAL)),
+        // All-equal columns: every discriminator ties, every value too.
+        2 => pair(&|x, _| (x % REAL, x % REAL)),
+        // Every discriminator ties and the values differ, either way.
+        3 => pair(&|x, y| (x % REAL, (x % REAL) & !LOW | y & LOW)),
+        // Empty-sketch values on either side, against real ones.
+        4 => pair(&|x, y| {
+            (
+                if x & 1 == 0 { u64::MAX } else { x % REAL },
+                if y & 2 == 0 { u64::MAX } else { y % REAL },
+            )
+        }),
+        // A handful of small values: one discriminator, many equalities.
+        _ => pair(&|x, y| (x % 6, y % 6)),
+    }
+}
+
+/// The plane kernel equals the value-slice kernel in words and counts,
+/// into a buffer that held a signature of another `K`, and again into the
+/// same buffer once it holds one of this `K`.
+fn check_plane_kernel(c: &[u64], q: &[u64]) {
+    let k = c.len();
+    let (mut cp, mut qp) = (Vec::new(), Vec::new());
+    push_plane(c, &mut cp);
+    push_plane(q, &mut qp);
+    assert_eq!((cp.len(), qp.len()), (plane_words(k), plane_words(k)));
+
+    let mut want = BitSig::default();
+    let want_counts = want.encode_counts_from_mins(c, q);
+    let mut sig = reference_sig(&vec![0; k + 40], &vec![1; k + 40]); // all `<`, wrong size
+    assert_eq!(sig.encode_counts_from_planes(c, &cp, q, &qp), want_counts);
+    assert_eq!(&sig, &want);
+    assert_eq!(want_counts, reference_counts(c, q));
+
+    // The other way round, over the signature just written.
+    let want_counts = want.encode_counts_from_mins(q, c);
+    assert_eq!(sig.encode_counts_from_planes(q, &qp, c, &cp), want_counts);
+    assert_eq!(&sig, &want);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn plane_kernel_matches_the_value_kernel(
+        sel in 0usize..9,
+        shape in 0usize..6,
+        raw in proptest::collection::vec(any::<u64>(), 2 * POOL..2 * POOL + 1),
+    ) {
+        let (c, q) = columns(shape, PLANE_KS[sel], &raw);
+        check_plane_kernel(&c, &q);
+    }
+
+    /// What the plane kernel's exactness rests on: the discriminator never
+    /// decreases as its value grows, over all of `u64`, and leaves the top
+    /// bit of its 16-bit lane clear.
+    #[test]
+    fn discriminator_is_monotone_over_every_u64(a in any::<u64>(), b in any::<u64>(), shift in 0u32..64) {
+        // Full-width draws, and draws scaled down to where real values live.
+        for (x, y) in [(a, b), (a >> shift, b >> shift), (a >> shift, (a >> shift).wrapping_add(b >> 60))] {
+            let (lo, hi) = (x.min(y), x.max(y));
+            prop_assert!(discriminator(lo) <= discriminator(hi), "{:#x} vs {:#x}", lo, hi);
+            prop_assert!(discriminator(hi) < 0x8000);
+        }
+    }
 
     #[test]
     fn encode_and_counts_match_reference(
@@ -104,6 +194,35 @@ proptest! {
         let (c, q, c2) = slices(&data, K_EDGE_CASES[sel]);
         check_or_with_counts(c, q, c2);
     }
+}
+
+/// The shapes above, one case of each at every `k`, so none depends on
+/// what the property happened to draw; and the discriminator at the values
+/// where it changes regime.
+#[test]
+fn plane_kernel_paths_at_every_k() {
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let raw: Vec<u64> = (0..2 * POOL)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        })
+        .collect();
+    for &k in PLANE_KS {
+        for shape in 0..6 {
+            let (c, q) = columns(shape, k, &raw);
+            check_plane_kernel(&c, &q);
+        }
+    }
+    let edges =
+        [0, 1, LOW, LOW + 1, REAL - 2, REAL - 1, REAL, REAL + 1, 1 << 63, u64::MAX - 1, u64::MAX];
+    for pair in edges.windows(2) {
+        assert!(discriminator(pair[0]) <= discriminator(pair[1]), "{pair:x?}");
+    }
+    assert_eq!((discriminator(LOW), discriminator(LOW + 1)), (0, 1));
+    assert_eq!((discriminator(REAL - 1), discriminator(u64::MAX)), (0x7FFF, 0x7FFF));
 }
 
 /// Tail-mask edge pinned explicitly: at `k = 33` the last word holds one

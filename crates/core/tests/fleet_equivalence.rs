@@ -7,7 +7,8 @@
 
 use proptest::prelude::*;
 use vdsms_core::{
-    Detection, Detector, DetectorConfig, Fleet, Query, QuerySet, Stats, StreamDetection, StreamId,
+    Detection, Detector, DetectorConfig, Fleet, Order, Query, QuerySet, Stats, StreamDetection,
+    StreamId,
 };
 
 const K: usize = 64;
@@ -101,9 +102,15 @@ fn sorted_keys(dets: &[StreamDetection]) -> Vec<DetKey> {
     keys
 }
 
-/// Run a script on streams `0..n_streams` of a fleet, then flush.
-fn run_fleet(shards: usize, n_streams: u8, steps: &[Step]) -> (Vec<DetKey>, Stats) {
-    let mut fleet = Fleet::new(DetectorConfig { shards, ..cfg() });
+/// Run a script on streams `0..n_streams` of a fleet configured as `base`
+/// at `shards` shards, then flush.
+fn run_fleet(
+    base: DetectorConfig,
+    shards: usize,
+    n_streams: u8,
+    steps: &[Step],
+) -> (Vec<DetKey>, Stats) {
+    let mut fleet = Fleet::new(DetectorConfig { shards, ..base });
     for s in 0..n_streams {
         fleet.add_stream(StreamId::from(s)).unwrap();
     }
@@ -124,9 +131,9 @@ fn run_fleet(shards: usize, n_streams: u8, steps: &[Step]) -> (Vec<DetKey>, Stat
 /// The reference, free of fleet code: one `Detector::new` per stream,
 /// driven only through `Detector::subscribe` / `unsubscribe` /
 /// `push_keyframe` / `finish`.
-fn run_reference(n_streams: u8, steps: &[Step]) -> (Vec<DetKey>, Stats) {
+fn run_reference(base: DetectorConfig, n_streams: u8, steps: &[Step]) -> (Vec<DetKey>, Stats) {
     let mut detectors: Vec<Detector> =
-        (0..n_streams).map(|_| Detector::new(cfg(), QuerySet::new())).collect();
+        (0..n_streams).map(|_| Detector::new(base, QuerySet::new())).collect();
     let tagged = |s: usize, found: Vec<Detection>| {
         found.into_iter().map(move |detection| StreamDetection { stream_id: s as StreamId, detection })
     };
@@ -167,9 +174,9 @@ proptest! {
         ops in proptest::collection::vec(arb_op(7), 1..30),
     ) {
         let steps = script(n_streams, &ops);
-        let (want, want_stats) = run_reference(n_streams, &steps);
+        let (want, want_stats) = run_reference(cfg(), n_streams, &steps);
         for shards in [1usize, 2, 4, 8] {
-            let (got, got_stats) = run_fleet(shards, n_streams, &steps);
+            let (got, got_stats) = run_fleet(cfg(), shards, n_streams, &steps);
             prop_assert_eq!(&got, &want, "shards={}", shards);
             prop_assert_eq!(&got_stats, &want_stats, "shards={}", shards);
         }
@@ -195,6 +202,7 @@ proptest! {
                 windows: w,
                 sig_compares: cmp,
                 sig_encodes: enc,
+                probe_encodes: enc ^ cmp,
                 live_signature_peak: peak,
                 detections: det,
                 frames_dropped: dropped,
@@ -276,6 +284,69 @@ proptest! {
     }
 }
 
+/// The property above draws six queries over a 16-cell domain, so nearly
+/// every window is related to every query a candidate tracks and the
+/// stores almost never encode on demand. This catalogue is the other
+/// regime: 72 queries of 12 cells, each cell in three of them, over a
+/// 300-cell domain, so a window is related to a handful and the
+/// candidates it extends track many it is not related to. Streams
+/// alternate a query's cells in order with random cells of the domain;
+/// between rounds a query leaves and, two rounds later, returns. Both
+/// candidate orders, inline and on workers — after checking that the
+/// script did make the stores encode on demand and the probe encode.
+#[test]
+fn overlapping_catalogue_under_churn_is_equivalent_at_every_shard_count() {
+    const QUERIES: u32 = 72;
+    const STREAMS: u8 = 4;
+    let overlapping = |id: u32| {
+        let cells: Vec<u64> = (0..12).map(|c| u64::from(4 * id + c)).collect();
+        Query::from_cell_ids(id, &Detector::family_for(&cfg()), &cells)
+    };
+    let mut rng_state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut rng = move || {
+        rng_state ^= rng_state << 13;
+        rng_state ^= rng_state >> 7;
+        rng_state ^= rng_state << 17;
+        rng_state
+    };
+
+    let mut steps: Vec<Step> = (0..QUERIES).map(|id| Step::Subscribe(overlapping(id))).collect();
+    let mut away = std::collections::VecDeque::new();
+    for round in 0..24u64 {
+        let mut batch = Vec::new();
+        for f in round * 30..(round + 1) * 30 {
+            for s in 0..u64::from(STREAMS) {
+                // Twelve frames of one query's cells, then 24 of anything.
+                let airing = (f / 36 * 7 + s * 11) % u64::from(QUERIES);
+                let cell = if f % 36 < 12 { 4 * airing + f % 12 } else { rng() % 300 };
+                batch.push((s as StreamId, f, cell));
+            }
+        }
+        steps.push(Step::Batch(batch));
+        let leaving = (round * 5 % u64::from(QUERIES)) as u32;
+        steps.push(Step::Unsubscribe(leaving));
+        away.push_back(leaving);
+        if away.len() > 2 {
+            steps.extend(away.pop_front().map(|id| Step::Subscribe(overlapping(id))));
+        }
+    }
+
+    for order in [Order::Sequential, Order::Geometric] {
+        let base = DetectorConfig { order, ..cfg() };
+        let (want, want_stats) = run_reference(base, STREAMS, &steps);
+        assert!(!want.is_empty(), "{order:?}: the script must produce detections");
+        assert!(
+            want_stats.sig_encodes > want_stats.windows && want_stats.probe_encodes > 0,
+            "{order:?}: the script must make the stores encode on demand: {want_stats:?}"
+        );
+        for shards in [1usize, 2, 4] {
+            let (got, got_stats) = run_fleet(base, shards, STREAMS, &steps);
+            assert_eq!(got, want, "{order:?}, shards={shards}");
+            assert_eq!(got_stats, want_stats, "{order:?}, shards={shards}");
+        }
+    }
+}
+
 /// Concurrency stress: 8 shards, randomized batch sizes, pipelined
 /// ingestion — every detection the per-stream detectors emit must come
 /// out of the fleet exactly once (no drops, no duplicates).
@@ -304,7 +375,7 @@ fn stress_pipelined_8_shards_drops_nothing() {
 
     let mut steps: Vec<Step> = (0..6u8).map(|id| Step::Subscribe(query(id))).collect();
     steps.push(Step::Batch(workload.clone()));
-    let (want_keys, want_stats) = run_reference(n_streams as u8, &steps);
+    let (want_keys, want_stats) = run_reference(cfg(), n_streams as u8, &steps);
 
     let mut par = Fleet::new(DetectorConfig { shards: 8, ..cfg() });
     for s in 0..n_streams {

@@ -8,9 +8,10 @@
 //! "warm-up only", "capacity-stable" or "event-driven", and this test is
 //! where those claims are held to account.
 //!
-//! The Sketch representation is the zero-alloc configuration (the Bit
-//! representation's on-demand signatures are per-relation heap events by
-//! design); both candidate-store orders and both index modes are covered.
+//! Both representations, both candidate-store orders and both index modes
+//! are covered: the Bit representation's signatures — the probe's, the
+//! on-demand encodes, the copies a newborn candidate keeps — all live in
+//! buffers from one per-stream pool, and a dead entry's goes back to it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -18,7 +19,7 @@ use std::sync::Mutex;
 
 use vdsms::codec::bitio::ByteReader;
 use vdsms::codec::{Encoder, EncoderConfig, StreamHeader};
-use vdsms::core::{Detector, DetectorConfig, Fleet, Order, Query, QuerySet, Representation};
+use vdsms::core::{Detector, DetectorConfig, Fleet, Order, Query, QuerySet, Representation, Stats};
 use vdsms::features::{FeatureConfig, FeatureExtractor, FingerprintStream};
 use vdsms::serve::ChunkedIngest;
 use vdsms::video::source::{ClipGenerator, SourceSpec};
@@ -86,55 +87,127 @@ fn cell_id_for(i: u64, rng: &mut u64) -> u64 {
     }
 }
 
-fn steady_state_allocs(order: Order, use_index: bool) -> u64 {
-    let cfg = DetectorConfig {
-        delta: 0.95,
-        window_keyframes: 4,
-        order,
-        representation: Representation::Sketch,
-        use_index,
-        ..Default::default()
-    };
-    let family = Detector::family_for(&cfg);
-    let queries = QuerySet::from_queries(vec![
-        Query::from_cell_ids(1, &family, &(10_000u64..10_032).collect::<Vec<_>>()),
-        Query::from_cell_ids(2, &family, &(20_000u64..20_032).collect::<Vec<_>>()),
-    ]);
-    let mut det = Detector::new(cfg, queries);
+/// Related traffic: three key frames in four show a cell of the 536-cell
+/// domain that 64 overlapping queries cover — 32 cells each, every cell in
+/// four of them — the fourth is junk, and the whole sequence repeats every
+/// 512 key frames. A window is related to a dozen queries, every candidate
+/// tracks dozens that the next window is not related to, and the cells a
+/// query does not hold prune its entry within a few windows — so probe
+/// encodes, on-demand encodes, newborn copies and Lemma-2 prunes all
+/// happen every window, and no candidate ever matches. The period makes
+/// the steady phase a replay of the warm-up: the live population has no
+/// new high to reach.
+fn related_cell_id_for(i: u64, _rng: &mut u64) -> u64 {
+    let phase = (i % 512).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
+    if i.is_multiple_of(4) {
+        1 << 40 | phase
+    } else {
+        10_000 + phase % 536
+    }
+}
+
+/// Allocator calls over the steady phase of `traffic` against `queries`,
+/// and what the detector did in that phase.
+fn steady_state_allocs(
+    cfg: DetectorConfig,
+    queries: Vec<Query>,
+    traffic: fn(u64, &mut u64) -> u64,
+) -> (u64, Stats) {
+    let mut det = Detector::new(cfg, QuerySet::from_queries(queries));
 
     let mut rng = 0x2545_F491_4F6C_DD1Du64;
     for i in 0..WARMUP_KEYFRAMES {
-        let id = cell_id_for(i, &mut rng);
+        let id = traffic(i, &mut rng);
         let dets = det.push_keyframe(i, id);
         assert!(dets.is_empty(), "the workload must not detect (it would allocate)");
     }
+    let warm = *det.stats();
 
     ALLOCS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
     for i in WARMUP_KEYFRAMES..WARMUP_KEYFRAMES + STEADY_KEYFRAMES {
-        let id = cell_id_for(i, &mut rng);
+        let id = traffic(i, &mut rng);
         let dets = det.push_keyframe(i, id);
         assert!(dets.is_empty(), "the workload must not detect (it would allocate)");
     }
     COUNTING.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst)
+    let total = *det.stats();
+    let steady = Stats {
+        windows: total.windows - warm.windows,
+        sig_encodes: total.sig_encodes - warm.sig_encodes,
+        probe_encodes: total.probe_encodes - warm.probe_encodes,
+        sig_ors: total.sig_ors - warm.sig_ors,
+        lemma2_prunes: total.lemma2_prunes - warm.lemma2_prunes,
+        ..Stats::default()
+    };
+    (ALLOCS.load(Ordering::SeqCst), steady)
 }
 
-/// Single test function: the four configurations run sequentially rather
-/// than as parallel `#[test]`s that would count each other's traffic.
+/// Single test function: the configurations run sequentially rather than
+/// as parallel `#[test]`s that would count each other's traffic.
 #[test]
 fn serial_detector_steady_state_is_allocation_free() {
     let _gate = GATE.lock().unwrap();
-    for order in [Order::Sequential, Order::Geometric] {
-        for use_index in [false, true] {
-            let allocs = steady_state_allocs(order, use_index);
-            assert_eq!(
-                allocs, 0,
-                "{order:?}/use_index={use_index}: {allocs} heap allocation(s) \
-                 over {STEADY_KEYFRAMES} steady-state keyframes (expected 0)"
-            );
+    let family = Detector::family_for(&DetectorConfig::default());
+    let cfg = |order, representation, use_index| DetectorConfig {
+        delta: 0.95,
+        window_keyframes: 4,
+        order,
+        representation,
+        use_index,
+        ..Default::default()
+    };
+    for representation in [Representation::Sketch, Representation::Bit] {
+        for order in [Order::Sequential, Order::Geometric] {
+            for use_index in [false, true] {
+                let queries = vec![
+                    Query::from_cell_ids(1, &family, &(10_000u64..10_032).collect::<Vec<_>>()),
+                    Query::from_cell_ids(2, &family, &(20_000u64..20_032).collect::<Vec<_>>()),
+                ];
+                let (allocs, _) = steady_state_allocs(
+                    cfg(order, representation, use_index),
+                    queries,
+                    cell_id_for,
+                );
+                assert_eq!(
+                    allocs, 0,
+                    "{representation:?}/{order:?}/use_index={use_index}: {allocs} heap \
+                     allocation(s) over {STEADY_KEYFRAMES} steady-state keyframes (expected 0)"
+                );
+            }
         }
     }
+
+    // The product default under related traffic: the case where the Bit
+    // representation's signatures are born and die by the dozen.
+    let overlapping = (0..64u32)
+        .map(|j| {
+            let cells: Vec<u64> = (0..32).map(|c| 10_000 + 8 * u64::from(j) + c).collect();
+            Query::from_cell_ids(j, &family, &cells)
+        })
+        .collect();
+    let (allocs, did) = steady_state_allocs(
+        DetectorConfig { delta: 0.7, ..cfg(Order::Sequential, Representation::Bit, true) },
+        overlapping,
+        related_cell_id_for,
+    );
+    for (what, count) in [
+        ("probe encodes", did.probe_encodes),
+        ("on-demand encodes", did.sig_encodes),
+        ("signature ORs", did.sig_ors),
+        ("Lemma-2 prunes", did.lemma2_prunes),
+    ] {
+        assert!(
+            count >= 4 * did.windows,
+            "related traffic must keep the store busy: {count} {what} in {} windows",
+            did.windows
+        );
+    }
+    assert_eq!(
+        allocs, 0,
+        "Bit/Sequential/index under related traffic: {allocs} heap allocation(s) over \
+         {STEADY_KEYFRAMES} steady-state keyframes (expected 0)"
+    );
 }
 
 /// The full fused front-end — compressed bytes → partial decode →

@@ -112,7 +112,7 @@ echo "== benchmark builds and smoke-runs (its own workspace) =="
 (cd benchmark && cargo test -q --offline)
 
 echo "== clippy =="
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustdoc =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q

@@ -5,13 +5,14 @@
 //! domain costs while remaining skippable at byte granularity, which is
 //! what the partial decoder exploits.
 //!
-//! The read side is SWAR-accelerated: away from the buffer tail, varint
-//! decoding and terminator scanning load 8 bytes at a time and find the
-//! byte of interest with word-parallel bit tricks instead of a
-//! byte-at-a-time loop. Every SWAR path has an exact scalar twin
-//! ([`ByteReader::get_varint_scalar`], the tail loops below) and the
-//! property tests in `tests/codec_props.rs` hold them bit- and
-//! error-identical over random, adversarial and truncated input.
+//! The two byte scans are SWAR-accelerated: away from the buffer tail,
+//! the resync scan ([`find_byte_le_one`]) and the AC-tail skip
+//! ([`ByteReader::skip_past_zero_byte`]) load 8 bytes at a time and find
+//! the byte of interest with word-parallel bit tricks, finishing with a
+//! scalar tail loop; `tests/swar_varint_props.rs` holds them identical to
+//! a byte-at-a-time reference. Varint decoding is a byte-at-a-time loop:
+//! most varints in a stream are one byte, where a word decode buys
+//! nothing.
 
 use crate::{CodecError, Result};
 
@@ -41,16 +42,6 @@ fn load_u64_le(buf: &[u8], pos: usize) -> u64 {
 #[inline]
 fn swar_zero_bytes(w: u64) -> u64 {
     w.wrapping_sub(SWAR_LSB) & !w & SWAR_MSB
-}
-
-/// Compact eight 7-bit LEB128 payload groups (one per byte lane, high
-/// bits already cleared) into a contiguous 56-bit value. Three
-/// shift-and-mask rounds: bytes → 14-bit pairs → 28-bit quads → 56 bits.
-#[inline]
-fn swar_compress7(w: u64) -> u64 {
-    let w = (w & 0x007f_007f_007f_007f) | ((w & 0x7f00_7f00_7f00_7f00) >> 1);
-    let w = (w & 0x0000_3fff_0000_3fff) | ((w & 0x3fff_0000_3fff_0000) >> 2);
-    (w & 0x0fff_ffff) | (((w >> 32) & 0x0fff_ffff) << 28)
 }
 
 /// Position of the first byte `<= 1` at or after `from`, scanning 8
@@ -203,65 +194,11 @@ impl<'a> ByteReader<'a> {
         Ok(u32::from_le_bytes(arr))
     }
 
-    /// Read an unsigned LEB128 varint.
-    ///
-    /// With at least 8 bytes in the buffer this is a SWAR decode: one
-    /// word load, one `!w & 0x80…` terminator scan, and a three-round
-    /// 7-bit-group compaction — no per-byte loop. Encodings longer than
-    /// 8 bytes (and reads near the buffer tail) fall through to the
-    /// scalar continuation / [`Self::get_varint_scalar`], which define
-    /// the semantics bit for bit, including the quirks: a 10-byte
-    /// encoding is accepted with payload bits above bit 63 dropped,
-    /// an 11th continuation byte is `CorruptEntropy`, and EOF inside a
-    /// varint is `UnexpectedEof` even where overflow would also apply.
+    /// Read an unsigned LEB128 varint. A 10-byte encoding is accepted
+    /// with payload bits above bit 63 dropped, an 11th continuation byte
+    /// is `CorruptEntropy`, and EOF inside a varint is `UnexpectedEof`.
     // vdsms-lint: entry
     pub fn get_varint(&mut self) -> Result<u64> {
-        // Single-byte encodings dominate real streams (small zigzagged
-        // DC deltas); answer them before paying for a word load.
-        if let Some(&b) = self.buf.get(self.pos) {
-            if b < 0x80 {
-                self.pos += 1;
-                return Ok(u64::from(b));
-            }
-        }
-        if self.pos.saturating_add(8) <= self.buf.len() {
-            let w = load_u64_le(self.buf, self.pos);
-            // A terminator byte has bit 7 clear.
-            let term = !w & SWAR_MSB;
-            if term != 0 {
-                // `tbit` is bit 8n+7 for the first terminator byte n;
-                // widen it downward into a keep-bytes-0..=n mask.
-                let tbit = term & term.wrapping_neg();
-                let mask = tbit | (tbit - 1);
-                self.pos += (tbit.trailing_zeros() >> 3) as usize + 1;
-                return Ok(swar_compress7(w & mask & !SWAR_MSB));
-            }
-            // All 8 loaded bytes are continuation bytes: bank their 56
-            // payload bits, then finish with the exact scalar tail so
-            // overlong-encoding and EOF behavior match the reference.
-            let mut v = swar_compress7(w & !SWAR_MSB);
-            self.pos += 8;
-            let mut shift = 56u32;
-            loop {
-                let byte = self.get_u8()?;
-                if shift >= 64 {
-                    return Err(CodecError::CorruptEntropy("varint overflow"));
-                }
-                v |= u64::from(byte & 0x7f) << shift;
-                if byte & 0x80 == 0 {
-                    return Ok(v);
-                }
-                shift += 7;
-            }
-        }
-        self.get_varint_scalar()
-    }
-
-    /// Byte-at-a-time LEB128 reference decoder. This is the semantic
-    /// ground truth the SWAR fast path in [`Self::get_varint`] is
-    /// property-tested against; it also serves reads within 8 bytes of
-    /// the buffer end, where a word load would run out of bounds.
-    pub fn get_varint_scalar(&mut self) -> Result<u64> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {

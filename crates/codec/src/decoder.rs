@@ -328,11 +328,6 @@ impl<'a> PartialDecoder<'a> {
         Ok(())
     }
 
-    /// Whether corruption recovery is enabled.
-    pub fn recovery_enabled(&self) -> bool {
-        self.recover
-    }
-
     /// Number of stream frames this decoder has advanced past on the
     /// current bitstream: every record consumed (key and predicted) and
     /// every damaged span resynced over counts one, matching the
@@ -452,8 +447,8 @@ impl<'a> PartialDecoder<'a> {
             // vdsms-lint: allow(no-alloc-hot-path) reason="capacity-stable: sizes the pooled buffer once per stream geometry, never on the per-keyframe steady state"
             self.dc_levels.resize(n, 0);
         }
-        // Pass 1 — integer only: SWAR varint parse, DPCM prediction and
-        // the SWAR end-of-block scan. No float work mixes into this loop.
+        // Pass 1 — integer only: varint parse, DPCM prediction and the
+        // SWAR end-of-block scan. No float work mixes into this loop.
         let mut pr = ByteReader::new(payload);
         let mut prev_dc = 0i32;
         for slot in self.dc_levels.iter_mut() {

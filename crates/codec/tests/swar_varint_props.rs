@@ -1,37 +1,52 @@
-//! SWAR-vs-scalar equivalence properties for the entropy layer's word
-//! kernels.
+//! Reference properties for the entropy layer's read side.
 //!
-//! `ByteReader::get_varint` took a word-at-a-time fast path; its contract
-//! is *exact* equivalence with `get_varint_scalar` (the original
-//! byte-at-a-time loop, kept as semantic ground truth): same value on
-//! success, same error variant on failure, and the same cursor position
-//! afterwards on every path — including 10-byte maximum-length varints,
-//! continuation runs that straddle the 8-byte word boundary, and
-//! truncation at every distance from end-of-buffer. `skip_past_zero_byte`
-//! gets the same treatment against an inline scalar reference.
+//! `ByteReader::get_varint` must agree exactly with the byte-at-a-time
+//! LEB128 reference below: same value on success, same error variant on
+//! failure, and the same cursor position afterwards on every path —
+//! including 10-byte maximum-length varints, overlong continuation runs
+//! and truncation at every distance from end-of-buffer.
+//! `skip_past_zero_byte`'s SWAR word scan gets the same treatment against
+//! an inline scalar reference.
 
 use proptest::prelude::*;
 use vdsms_codec::bitio::{ByteReader, ByteWriter};
 use vdsms_codec::CodecError;
 
-/// Drive both readers from `start` and assert identical observable
-/// behaviour: result AND cursor, repeatedly until both error out or the
-/// buffer is exhausted.
-fn assert_varint_equivalence(buf: &[u8], start: usize) {
-    let mut fast = ByteReader::new(buf);
-    let mut slow = ByteReader::new(buf);
-    fast.seek(start);
-    slow.seek(start);
+/// Byte-at-a-time LEB128 reference decode of `buf` from `pos`: the value
+/// (or error) and the cursor after it. A 10-byte encoding drops payload
+/// bits above bit 63; an 11th continuation byte is `CorruptEntropy`; EOF
+/// inside a varint is `UnexpectedEof`.
+fn reference_varint(buf: &[u8], mut pos: usize) -> (Result<u64, CodecError>, usize) {
+    let mut v = 0u64;
+    let mut shift = 0u32;
     loop {
-        let a = fast.get_varint();
-        let b = slow.get_varint_scalar();
-        assert_eq!(a, b, "value/error divergence at pos {}", slow.position());
-        assert_eq!(
-            fast.position(),
-            slow.position(),
-            "cursor divergence after result {a:?}"
-        );
-        if a.is_err() || fast.is_at_end() {
+        let Some(&byte) = buf.get(pos) else {
+            return (Err(CodecError::UnexpectedEof), pos);
+        };
+        pos += 1;
+        if shift >= 64 {
+            return (Err(CodecError::CorruptEntropy("varint overflow")), pos);
+        }
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return (Ok(v), pos);
+        }
+        shift += 7;
+    }
+}
+
+/// Decode from `start` repeatedly until an error or the end of the
+/// buffer, asserting result AND cursor against the reference each time.
+fn assert_matches_reference(buf: &[u8], start: usize) {
+    let mut r = ByteReader::new(buf);
+    r.seek(start);
+    loop {
+        let before = r.position();
+        let (want, want_pos) = reference_varint(buf, before);
+        let got = r.get_varint();
+        assert_eq!(got, want, "value/error divergence at pos {before}");
+        assert_eq!(r.position(), want_pos, "cursor divergence after result {got:?}");
+        if got.is_err() || r.is_at_end() {
             break;
         }
     }
@@ -40,24 +55,22 @@ fn assert_varint_equivalence(buf: &[u8], start: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Arbitrary byte soup: every decode from every prefix offset must
-    /// agree between the SWAR path and the scalar path. Random bytes hit
-    /// single-byte values, multi-byte varints, overlong continuation runs
-    /// (the `CorruptEntropy` overflow path) and truncation near EOF.
+    /// Arbitrary byte soup: single-byte values, multi-byte varints,
+    /// overlong continuation runs and truncation near EOF, from every
+    /// prefix offset.
     #[test]
-    fn swar_varint_matches_scalar_on_random_buffers(
+    fn varint_matches_reference_on_random_buffers(
         bytes in proptest::collection::vec(any::<u8>(), 0..64),
         start in 0usize..16,
     ) {
         let start = start.min(bytes.len());
-        assert_varint_equivalence(&bytes, start);
+        assert_matches_reference(&bytes, start);
     }
 
-    /// Buffers biased toward continuation bytes (bit 7 set) exercise the
-    /// no-terminator-in-word path and the overflow error much more often
-    /// than uniform bytes do.
+    /// Buffers biased toward continuation bytes (bit 7 set) reach the
+    /// overflow error much more often than uniform bytes do.
     #[test]
-    fn swar_varint_matches_scalar_on_continuation_heavy_buffers(
+    fn varint_matches_reference_on_continuation_heavy_buffers(
         bytes in proptest::collection::vec(0x80u8..=0xff, 0..32),
         tail in proptest::collection::vec(any::<u8>(), 0..4),
         start in 0usize..8,
@@ -65,14 +78,12 @@ proptest! {
         let mut buf = bytes;
         buf.extend_from_slice(&tail);
         let start = start.min(buf.len());
-        assert_varint_equivalence(&buf, start);
+        assert_matches_reference(&buf, start);
     }
 
-    /// Encoded varints straddling the 8-byte word boundary: a junk prefix
-    /// of every length 0..16 shifts the encoding across every alignment,
-    /// so the terminator lands before, on, and after the word edge.
+    /// Every encoded value decodes back, whatever junk precedes it.
     #[test]
-    fn swar_varint_decodes_encodings_at_every_alignment(
+    fn varint_round_trips_after_any_prefix(
         prefix_len in 0usize..16,
         values in proptest::collection::vec(any::<u64>(), 1..8),
     ) {
@@ -84,24 +95,20 @@ proptest! {
             w.put_varint(v);
         }
         let bytes = w.into_bytes();
-        let mut fast = ByteReader::new(&bytes);
-        let mut slow = ByteReader::new(&bytes);
-        fast.seek(prefix_len);
-        slow.seek(prefix_len);
+        let mut r = ByteReader::new(&bytes);
+        r.seek(prefix_len);
         for &v in &values {
-            prop_assert_eq!(fast.get_varint().unwrap(), v);
-            prop_assert_eq!(slow.get_varint_scalar().unwrap(), v);
-            prop_assert_eq!(fast.position(), slow.position());
+            prop_assert_eq!(r.get_varint().unwrap(), v);
         }
-        prop_assert!(fast.is_at_end());
+        prop_assert!(r.is_at_end());
     }
 
-    /// Truncate a valid stream at EVERY byte offset: both paths must
-    /// return identical results and never read past the buffer (the
-    /// truncated slice is all they are given, so an out-of-bounds read
-    /// would panic, not just misbehave).
+    /// Truncate a valid stream at EVERY byte offset: the decoder must
+    /// match the reference and never read past the buffer (the truncated
+    /// slice is all it is given, so an out-of-bounds read would panic,
+    /// not just misbehave).
     #[test]
-    fn swar_varint_handles_truncation_at_every_offset(
+    fn varint_handles_truncation_at_every_offset(
         values in proptest::collection::vec(any::<u64>(), 1..6),
     ) {
         let mut w = ByteWriter::new();
@@ -110,7 +117,7 @@ proptest! {
         }
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
-            assert_varint_equivalence(&bytes[..cut], 0);
+            assert_matches_reference(&bytes[..cut], 0);
         }
     }
 
@@ -140,11 +147,9 @@ proptest! {
     }
 }
 
-/// The four corner encodings the SWAR path special-cases: one byte,
-/// exactly eight bytes (terminator in the last lane of the first word),
-/// nine bytes (terminator just past the word), and the 10-byte maximum.
+/// Encodings of every width from one byte to the 10-byte maximum.
 #[test]
-fn swar_varint_word_boundary_corners() {
+fn varint_width_corners() {
     for n_bytes in [1usize, 2, 7, 8, 9, 10] {
         // Smallest value needing exactly `n_bytes`: 2^(7*(n-1)), except
         // n=1 which is 0. u64::MAX needs the full 10 bytes.
@@ -159,32 +164,25 @@ fn swar_varint_word_boundary_corners() {
         w.put_varint(v);
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), n_bytes, "encoding width for {v}");
-        let mut fast = ByteReader::new(&bytes);
-        let mut slow = ByteReader::new(&bytes);
-        assert_eq!(fast.get_varint().unwrap(), v);
-        assert_eq!(slow.get_varint_scalar().unwrap(), v);
-        assert_eq!(fast.position(), n_bytes);
-        assert_eq!(slow.position(), n_bytes);
+        assert_matches_reference(&bytes, 0);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.get_varint().unwrap(), v);
+        assert_eq!(r.position(), n_bytes);
     }
 }
 
-/// An 11th continuation byte must be rejected by both paths with the same
-/// error and the same cursor, from every start alignment (so the SWAR
-/// banked path and the pure-scalar tail both see it).
+/// An 11th continuation byte is rejected with the reference's error and
+/// cursor, from every start alignment.
 #[test]
-fn swar_varint_overflow_equivalence_at_every_alignment() {
+fn varint_overflow_matches_reference_at_every_alignment() {
     for align in 0..9 {
         let mut buf = vec![0xffu8; align];
         buf.extend_from_slice(&[0x80; 10]); // 10 continuation bytes
         buf.push(0x01); // terminator arrives one byte too late
-        let mut fast = ByteReader::new(&buf);
-        let mut slow = ByteReader::new(&buf);
-        fast.seek(align);
-        slow.seek(align);
-        let a = fast.get_varint();
-        let b = slow.get_varint_scalar();
-        assert_eq!(a, b, "overflow divergence at alignment {align}");
-        assert!(matches!(a, Err(CodecError::CorruptEntropy(_))), "{a:?}");
-        assert_eq!(fast.position(), slow.position());
+        let mut r = ByteReader::new(&buf);
+        r.seek(align);
+        let got = r.get_varint();
+        assert!(matches!(got, Err(CodecError::CorruptEntropy(_))), "{got:?}");
+        assert_eq!((got, r.position()), reference_varint(&buf, align));
     }
 }

@@ -178,15 +178,6 @@ impl Bencher<'_> {
             }
         }
     }
-
-    /// `iter_batched` with a by-reference routine.
-    pub fn iter_batched_ref<I, O, S, R>(&mut self, setup: S, mut routine: R, size: BatchSize)
-    where
-        S: FnMut() -> I,
-        R: FnMut(&mut I) -> O,
-    {
-        self.iter_batched(setup, |mut input| routine(&mut input), size);
-    }
 }
 
 /// A named group of related benchmarks.

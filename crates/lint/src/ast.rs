@@ -90,22 +90,6 @@ pub struct FnDef {
     pub body: Option<Vec<Stmt>>,
 }
 
-impl FnDef {
-    /// Whether any entry marker (scoped or not) annotates this function.
-    pub fn is_entry(&self) -> bool {
-        self.entry.is_some()
-    }
-
-    /// Whether this function seeds the hot set of `rule`: true for the
-    /// bare `entry` form, or a scoped `entry(…)` form naming `rule`.
-    pub fn entry_covers(&self, rule: &str) -> bool {
-        match &self.entry {
-            Some(rules) => rules.is_empty() || rules.iter().any(|r| r == rule),
-            None => false,
-        }
-    }
-}
-
 /// One statement in a block.
 #[derive(Debug)]
 pub enum Stmt {

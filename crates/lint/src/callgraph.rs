@@ -53,11 +53,18 @@ pub struct CallGraph {
     pub edges: Vec<Vec<CallSite>>,
 }
 
+/// Per function, per call site (in [`crate::summaries::FnSummary::calls`]
+/// order), the resolved callee ids.
+pub type Resolved = Vec<Vec<Vec<usize>>>;
+
 impl CallGraph {
-    /// Build the graph for every function in `symbols`, resolving the
-    /// unresolved [`CallRef`]s each summary recorded.
-    pub fn build(symbols: &SymbolTable<'_>) -> CallGraph {
-        let resolved: Vec<Vec<Vec<usize>>> = symbols
+    /// Resolve every [`CallRef`] each summary recorded and build the
+    /// graph from them. The resolution matrix is returned too: the link
+    /// phase's analyses (lock replay, taint flows, discard judgment) work
+    /// per call site, and resolution is the expensive half of linking, so
+    /// it runs exactly once.
+    pub fn build(symbols: &SymbolTable<'_>) -> (CallGraph, Resolved) {
+        let resolved: Resolved = symbols
             .fns
             .iter()
             .map(|f| {
@@ -68,14 +75,6 @@ impl CallGraph {
                     .collect()
             })
             .collect();
-        Self::from_resolved(symbols, &resolved)
-    }
-
-    /// Build the graph from an already-resolved per-function,
-    /// per-call-site callee matrix (as the link phase computes for its
-    /// own analyses) — name resolution is the expensive half of graph
-    /// construction, so sharing it avoids resolving every call twice.
-    pub fn from_resolved(symbols: &SymbolTable<'_>, resolved: &[Vec<Vec<usize>>]) -> CallGraph {
         let mut edges: Vec<Vec<CallSite>> = vec![Vec::new(); symbols.fns.len()];
         for f in &symbols.fns {
             let mut sites: Vec<CallSite> = Vec::new();
@@ -89,16 +88,15 @@ impl CallGraph {
             sites.dedup_by_key(|s| s.callee);
             edges[f.id] = sites;
         }
-        CallGraph { edges }
+        (CallGraph { edges }, resolved)
     }
 }
 
 /// Resolve one call reference to callee ids, with the production→test
 /// edge filter applied (calls cannot target test-only code from
 /// production paths; the edge is dropped rather than tainting the hot
-/// set). Used both by [`CallGraph::build`] and per-site by the link
-/// phase (lock replay, taint flows, discard judgment).
-pub fn resolve_call_ref(
+/// set).
+fn resolve_call_ref(
     symbols: &SymbolTable<'_>,
     cr: &CallRef,
     self_ty: Option<&str>,
@@ -167,12 +165,6 @@ pub struct Reachability {
 }
 
 impl Reachability {
-    /// Compute reachability from every entry marker (scoped or not) —
-    /// the union hot set.
-    pub fn from_entries(symbols: &SymbolTable<'_>, graph: &CallGraph) -> Reachability {
-        Self::from_seeds(symbols.entries().map(|f| f.id).collect(), graph)
-    }
-
     /// Compute reachability for one hot-path rule: seeded only by bare
     /// `entry` markers and `entry(…)` markers that name `rule`, so a
     /// batch-evaluation entry scoped to `no-panic-hot-path` extends
@@ -182,17 +174,11 @@ impl Reachability {
         graph: &CallGraph,
         rule: &str,
     ) -> Reachability {
-        Self::from_seeds(symbols.entries_for(rule).map(|f| f.id).collect(), graph)
-    }
-
-    fn from_seeds(
-        queue: std::collections::VecDeque<usize>,
-        graph: &CallGraph,
-    ) -> Reachability {
         let n = graph.edges.len();
         let mut hot = vec![false; n];
         let mut parent: Vec<Option<(usize, Pos)>> = vec![None; n];
-        let mut queue = queue;
+        let mut queue: std::collections::VecDeque<usize> =
+            symbols.entries_for(rule).map(|f| f.id).collect();
         for &id in &queue {
             hot[id] = true;
         }
@@ -314,8 +300,8 @@ mod tests {
             ("c", "pub fn deep_helper() { danger(); }\npub fn danger() {}\npub fn cold() {}"),
         ]);
         let table = SymbolTable::build(&files, &summaries);
-        let graph = CallGraph::build(&table);
-        let reach = Reachability::from_entries(&table, &graph);
+        let (graph, _) = CallGraph::build(&table);
+        let reach = Reachability::from_entries_for(&table, &graph, "no-panic-hot-path");
         let id_of = |name: &str| table.fns.iter().find(|f| f.def.name == name).unwrap().id;
         assert!(reach.hot[id_of("ingest")]);
         assert!(reach.hot[id_of("step")]);
@@ -335,8 +321,8 @@ mod tests {
              pub struct Hq;\nimpl Hq { pub fn insert(&mut self, x: u32) {} }",
         )]);
         let table = SymbolTable::build(&files, &summaries);
-        let graph = CallGraph::build(&table);
-        let reach = Reachability::from_entries(&table, &graph);
+        let (graph, _) = CallGraph::build(&table);
+        let reach = Reachability::from_entries_for(&table, &graph, "no-panic-hot-path");
         let insert = table.fns.iter().find(|f| f.def.name == "insert").unwrap().id;
         assert!(!reach.hot[insert], "`m.insert` must not resolve to `Hq::insert`");
     }
@@ -348,8 +334,8 @@ mod tests {
             "pub struct S;\nimpl S {\n  // vdsms-lint: entry\n  pub fn run(&mut self) { self.push(1); }\n  fn push(&mut self, x: u32) { side(); }\n}\nfn side() {}",
         )]);
         let table = SymbolTable::build(&files, &summaries);
-        let graph = CallGraph::build(&table);
-        let reach = Reachability::from_entries(&table, &graph);
+        let (graph, _) = CallGraph::build(&table);
+        let reach = Reachability::from_entries_for(&table, &graph, "no-panic-hot-path");
         let side = table.fns.iter().find(|f| f.def.name == "side").unwrap().id;
         assert!(reach.hot[side], "self.push must resolve to S::push");
     }
@@ -363,8 +349,8 @@ mod tests {
              mod util { pub fn helper() {} }",
         )]);
         let table = SymbolTable::build(&files, &summaries);
-        let graph = CallGraph::build(&table);
-        let reach = Reachability::from_entries(&table, &graph);
+        let (graph, _) = CallGraph::build(&table);
+        let reach = Reachability::from_entries_for(&table, &graph, "no-panic-hot-path");
         for name in ["probe", "helper"] {
             let id = table.fns.iter().find(|f| f.def.name == name).unwrap().id;
             assert!(reach.hot[id], "{name} should be hot");
@@ -383,7 +369,7 @@ mod tests {
              pub fn core_step() {}",
         )]);
         let table = SymbolTable::build(&files, &summaries);
-        let graph = CallGraph::build(&table);
+        let (graph, _) = CallGraph::build(&table);
         let panic_reach = Reachability::from_entries_for(&table, &graph, "no-panic-hot-path");
         let alloc_reach = Reachability::from_entries_for(&table, &graph, "no-alloc-hot-path");
         let id_of = |name: &str| table.fns.iter().find(|f| f.def.name == name).unwrap().id;
@@ -397,9 +383,6 @@ mod tests {
             assert!(reach.hot[id_of("ingest")]);
             assert!(reach.hot[id_of("core_step")]);
         }
-        // The union set (used by `from_entries` consumers) sees both.
-        let union = Reachability::from_entries(&table, &graph);
-        assert!(union.hot[id_of("sweep")] && union.hot[id_of("ingest")]);
     }
 
     #[test]

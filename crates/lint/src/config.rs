@@ -116,11 +116,6 @@ impl LintConfig {
         }
         rs
     }
-
-    /// Crate names with explicit sections (for config validation).
-    pub fn configured_crates(&self) -> impl Iterator<Item = &str> {
-        self.per_crate.keys().map(String::as_str)
-    }
 }
 
 /// Configuration parse error with line number.

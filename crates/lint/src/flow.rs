@@ -21,10 +21,11 @@
 //!   is recorded whenever lock B is acquired (directly or via a callee,
 //!   by transitive summary) while a guard on A is held. Any cycle is a
 //!   deadlock hazard; the diagnostic prints both witness chains.
-//! - **`no-unchecked-arith`** — local taint: values from `get_*` /
-//!   `read_*` method calls (untrusted stream bytes) flow through
-//!   let-bindings; `+ - * <<` on a tainted operand is flagged unless the
-//!   operand passed through an explicit cast or a call boundary
+//! - **`no-unchecked-arith`** — local taint, the arithmetic sink of the
+//!   untrusted-byte taint walk: values from `get_*` / `read_*` method
+//!   calls (untrusted stream bytes) flow through let-bindings; `+ - * <<`
+//!   on a tainted operand is flagged unless the operand is itself an
+//!   explicit cast or passed through a call boundary
 //!   (`u64::from(b)` widens; `wrapping_*` / `checked_*` /
 //!   `saturating_*` are method calls, not bare operators, so they pass).
 //! - **`float-determinism`** — `partial_cmp` in production code: its
@@ -51,13 +52,12 @@
 //!   fixpoint over the call graph, witness chain printed). The deadlock
 //!   shape `lock-order` cannot see: one lock plus one channel.
 //! - **`channel-protocol` (v4)** — mpsc misuse replayed against each
-//!   function's channel binds: a send after the receiver was dropped, a
-//!   one-shot reply `sync_channel(1)` sent more than once or in a loop,
-//!   and a `send` result discarded in statement position on a
-//!   non-shutdown path.
+//!   function's channel binds: a send after the receiver was dropped,
+//!   and a one-shot reply `sync_channel(1)` sent more than once or in a
+//!   loop.
 
 use crate::ast::Pos;
-use crate::callgraph::{resolve_call_ref, transitive_union, CallGraph, Reachability};
+use crate::callgraph::{transitive_union, CallGraph, Reachability};
 use crate::config::RuleSet;
 use crate::diag::Diagnostic;
 use crate::rules::{
@@ -79,22 +79,7 @@ pub fn analyze(
     rules: &[RuleSet],
 ) -> Vec<Diagnostic> {
     let symbols = SymbolTable::build(files, summaries);
-    // Per-function, per-call-site resolution, shared by the call graph
-    // and every analysis below (lock replay, taint fixpoints, discard
-    // judgment) — resolution is the expensive half of linking, so it
-    // runs exactly once.
-    let resolved: Vec<Vec<Vec<usize>>> = symbols
-        .fns
-        .iter()
-        .map(|f| {
-            f.def
-                .calls
-                .iter()
-                .map(|cr| resolve_call_ref(&symbols, cr, f.self_ty, f.def.is_test))
-                .collect()
-        })
-        .collect();
-    let graph = CallGraph::from_resolved(&symbols, &resolved);
+    let (graph, resolved) = CallGraph::build(&symbols);
     // Each hot-path rule gets its own hot set: bare `entry` markers seed
     // all of them, `entry(rule)` markers only the named rule (batch-
     // evaluation entries are panic-checked without dragging their
@@ -645,16 +630,8 @@ fn guard_across_blocking(ctx: &mut Ctx<'_>, graph: &CallGraph) {
 // channel-protocol
 // ---------------------------------------------------------------------
 
-/// Whether a function is a shutdown/teardown path by name — such paths
-/// legitimately fire-and-forget a send to a possibly-gone peer, so
-/// `channel-protocol`'s discarded-send check exempts them.
-fn shutdown_path(name: &str) -> bool {
-    let n = name.to_ascii_lowercase();
-    ["drop", "shutdown", "close", "finish", "abort", "crash", "inject"]
-        .iter()
-        .any(|w| n.contains(w))
-}
-
+/// A discarded statement-position `tx.send(v);` is not a shape here:
+/// rustc's `unused_must_use` rejects it under `-D warnings`.
 fn channel_protocol(ctx: &mut Ctx<'_>) {
     for f in &ctx.symbols.fns {
         if f.def.is_test || !ctx.enabled(f.file, CHANNEL_PROTOCOL) {
@@ -711,23 +688,6 @@ fn channel_protocol(ctx: &mut Ctx<'_>) {
                     );
                     ctx.emit(CHANNEL_PROTOCOL, f.file, late.pos, msg);
                 }
-            }
-        }
-        // (c) `tx.send(v);` in statement position throws the `Result`
-        // away without even the `let _ =` shape `no-swallowed-error`
-        // covers. Shutdown paths are exempt by name: fire-and-forget to
-        // a possibly-gone peer is the correct teardown idiom.
-        if shutdown_path(&f.def.name) {
-            continue;
-        }
-        for op in &f.def.chan_ops {
-            if op.op == ChanOpKind::Send && op.discarded {
-                let msg = format!(
-                    "`{}.send(…)` result discarded in statement position in `{}`: a send error means the receiver hung up, which a non-shutdown path must notice (lost detections, silent half-dead fleet); check the `Result` or route through a supervised send",
-                    op.name,
-                    f.qual_name(),
-                );
-                ctx.emit(CHANNEL_PROTOCOL, f.file, op.pos, msg);
             }
         }
     }

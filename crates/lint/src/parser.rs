@@ -1632,7 +1632,7 @@ mod tests {
         );
         let mut seen = Vec::new();
         walk_fns(&ast.items, &mut |_, def| {
-            seen.push((def.name.clone(), def.is_entry(), def.is_test));
+            seen.push((def.name.clone(), def.entry.is_some(), def.is_test));
         });
         assert!(seen.contains(&("hot".into(), true, false)));
         assert!(seen.contains(&("cold".into(), false, false)));

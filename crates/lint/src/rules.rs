@@ -25,7 +25,7 @@
 //! | `loop-progress` | `while`/`loop` loops on hot or recovery paths with no provably advancing cursor (livelock hazard) |
 //! | `no-swallowed-error` | `Result`s discarded via `let _ =` or statement-`.ok()` without a reasoned `allow` |
 //! | `guard-across-blocking` | lock guards held across `.recv()`, zero-arg `.join()`, bounded-channel `send` or any transitively-blocking call (deadlock shape `lock-order` can't see) |
-//! | `channel-protocol` | channel misuse: send after the receiver was dropped, a one-shot reply `sync_channel(1)` sent more than once, a bare-statement `send` whose `Result` vanishes |
+//! | `channel-protocol` | channel misuse: send after the receiver was dropped, a one-shot reply `sync_channel(1)` sent more than once or in a loop (a bare-statement `send` whose `Result` vanishes is rustc's `unused_must_use`) |
 //!
 //! A finding on a given line is suppressed by an inline directive on the
 //! same line or the line above:
@@ -187,7 +187,7 @@ pub fn registry() -> &'static [RuleInfo] {
         RuleInfo {
             id: CHANNEL_PROTOCOL,
             summary: "channel endpoints follow their protocol",
-            rationale: "The fleet's command channels are its spine: a `send` after the matching receiver was dropped is guaranteed data loss, a reply `sync_channel(1)` sent more than once blocks the second send forever (the requester reads one reply and walks away), and a statement-position `send(…)` whose `Result` simply vanishes hides a hung-up peer. The analysis pairs each function's tuple-`let` channel bindings with its send/recv/drop sequence and flags the three shapes; shutdown paths that intentionally fire-and-forget should route through a best-effort helper and say so.",
+            rationale: "The fleet's command channels are its spine: a `send` after the matching receiver was dropped is guaranteed data loss, and a reply `sync_channel(1)` sent more than once blocks the second send forever (the requester reads one reply and walks away). The analysis pairs each function's tuple-`let` channel bindings with its send/recv/drop sequence and flags both shapes. A statement-position `send(…)` whose `Result` simply vanishes is left to rustc: `unused_must_use` rejects it under `-D warnings`.",
             example: "bad:  let (reply, rx) = mpsc::sync_channel(1); for s in shards { reply.send(ack) }\ngood: one fresh reply channel per request, moved into the command",
             suppression: SUPPRESS,
         },

@@ -9,15 +9,16 @@
 //! here never see the symbol table.
 //!
 //! The extraction walkers are the local halves of the flow analyses:
-//! panic/alloc sites, lock acquisition events, local arithmetic taint,
-//! float comparisons, the untrusted-byte taint walker
-//! (`taint-unchecked-flow`), the loop cursor scanner (`loop-progress`),
-//! the discarded-`Result` scanner (`no-swallowed-error`) and the
-//! channel/blocking walk (`guard-across-blocking`, `channel-protocol`).
+//! panic/alloc sites and float comparisons, the loop cursor scanner
+//! (`loop-progress`), one guard/channel/blocking walk (`lock-order`,
+//! `guard-across-blocking`, `channel-protocol`) and one untrusted-byte
+//! taint walk whose sinks are indexing, capacity, loop bounds
+//! (`taint-unchecked-flow`) and bare arithmetic (`no-unchecked-arith`),
+//! and which also records discarded `Result`s (`no-swallowed-error`).
 
 use crate::ast::{walk_fns, walk_stmts, AstFile, BinOp, Expr, ExprKind, Pos, Stmt};
 use crate::lexer::{Comment, LexedFile};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A flagged position with a short description (`what` is the panic
 /// site kind, the allocation kind, the arithmetic operator, or the
@@ -218,10 +219,6 @@ pub struct ChanOp {
     pub pos: Pos,
     /// Whether the operation sits inside a `for`/`while`/`loop` body.
     pub in_loop: bool,
-    /// Whether a `send` result was thrown away in statement position
-    /// (`tx.send(v);` with no binding — distinct from the `let _ =`
-    /// shape `no-swallowed-error` covers).
-    pub discarded: bool,
 }
 
 /// One function's summary — everything the link phase knows about it.
@@ -291,11 +288,6 @@ pub struct FnSummary {
 }
 
 impl FnSummary {
-    /// Whether any entry marker annotates this function.
-    pub fn is_entry(&self) -> bool {
-        self.entry.is_some()
-    }
-
     /// Whether this function seeds the hot set of `rule` (bare `entry`,
     /// or a scoped form naming `rule`).
     pub fn entry_covers(&self, rule: &str) -> bool {
@@ -405,7 +397,7 @@ fn summarize_fn(self_ty: Option<&str>, def: &crate::ast::FnDef) -> FnSummary {
     }
 
     // Panic / alloc / float sites and direct lock acquisitions.
-    let mut direct_locks: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
+    let mut direct_locks: BTreeSet<String> = BTreeSet::new();
     walk_stmts(body, &mut |e: &Expr| {
         if let Some(what) = panic_site(e) {
             f.panic_sites.push(Site { pos: e.pos, what });
@@ -424,22 +416,16 @@ fn summarize_fn(self_ty: Option<&str>, def: &crate::ast::FnDef) -> FnSummary {
     });
     f.direct_locks = direct_locks.into_iter().collect();
 
-    // Local arithmetic taint (`no-unchecked-arith`).
-    {
-        let mut tainted: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        let mut sites: Vec<(Pos, BinOp)> = Vec::new();
-        check_arith_stmts(body, &mut tainted, &mut sites);
-        f.arith_sites = sites
-            .into_iter()
-            .map(|(pos, op)| Site { pos, what: op.as_str().to_string() })
-            .collect();
+    // Lock events, channel binds and endpoint operations, direct
+    // blocking sites.
+    SyncWalker {
+        held: Vec::new(),
+        line: Vec::new(),
+        sync_txs: BTreeSet::new(),
+        loop_depth: 0,
+        out: &mut f,
     }
-
-    // Lock-acquisition events, statement-ordered.
-    {
-        let mut held: Held = Vec::new();
-        lock_stmts(body, &mut held, &mut f.lock_events);
-    }
+    .scan_block(body, true);
 
     // Loops without a progress witness (`loop-progress`).
     walk_stmts(body, &mut |e: &Expr| {
@@ -461,23 +447,14 @@ fn summarize_fn(self_ty: Option<&str>, def: &crate::ast::FnDef) -> FnSummary {
         }
     });
 
-    // Thread/sync model: channel binds and endpoint operations, direct
-    // blocking sites.
+    // Untrusted-byte taint walk (flow and arithmetic sinks) +
+    // discarded-`Result` scan.
     {
-        let mut cw = ConcWalker {
-            sync_txs: std::collections::BTreeSet::new(),
-            loop_depth: 0,
-            out: &mut f,
-        };
-        cw.scan_stmts(body);
-    }
-
-    // Untrusted-byte taint walk + discarded-`Result` scan.
-    {
-        let mut tw = TaintWalker { call_at: &call_at, env: BTreeMap::new(), out: &mut f };
+        let mut tw =
+            TaintWalker { call_at: &call_at, env: BTreeMap::new(), flow: true, out: &mut f };
         for (i, p) in def.params.iter().enumerate() {
             if p != "self" && p != "_" {
-                tw.env.insert(p.clone(), Origin::Param(i));
+                tw.env.insert(p.clone(), Taint { origin: Some(Origin::Param(i)), raw: false });
             }
         }
         tw.scan_stmts(body, true);
@@ -545,169 +522,6 @@ fn method_of(e: &Expr) -> &str {
     }
 }
 
-// ----- lock-event walk (mirrors the old interleaved flow walk) -------
-
-/// The held-guard stack: lock identity plus the `let` binding that
-/// owns the guard (`None` for guards live only within one statement),
-/// so an explicit `drop(binding)` statement can release it.
-type Held = Vec<(String, Option<String>)>;
-
-fn lock_stmts(stmts: &[Stmt], held: &mut Held, events: &mut Vec<LockEvent>) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Let { name, init: Some(e), .. } => {
-                lock_expr_events(e, held, events);
-                lock_nested(e, held, events);
-                // Guards bound by `let` stay held for the rest of the
-                // enclosing block (straight-line acquisitions only),
-                // tagged with the binding name so `drop(g)` releases
-                // them.
-                let mut acquired: Vec<String> = Vec::new();
-                straight_line_acquisitions(e, &mut acquired);
-                for a in acquired {
-                    held.push((a, name.clone()));
-                }
-            }
-            Stmt::Let { .. } | Stmt::Item(_) => continue,
-            Stmt::Expr(e, _) => {
-                lock_expr_events(e, held, events);
-                lock_nested(e, held, events);
-                // `drop(g);` ends g's guards for the rest of the block.
-                // Path-insensitive like the rest of the walk: a drop in
-                // a conditional branch counts as a release, trading a
-                // missed exotic bug for zero false fire on the common
-                // `lock → work → drop → block` sequence.
-                if let Some(owner) = dropped_binding(e) {
-                    held.retain(|(_, o)| o.as_deref() != Some(owner));
-                }
-            }
-        }
-    }
-}
-
-/// `drop(x)` in statement position: the binding whose guards die.
-fn dropped_binding(e: &Expr) -> Option<&str> {
-    let ExprKind::Call { callee, args } = &e.kind else { return None };
-    let [.., last] = callee.as_path()? else { return None };
-    if last != "drop" {
-        return None;
-    }
-    let [arg] = args.as_slice() else { return None };
-    let ExprKind::Path(p) = &arg.kind else { return None };
-    let [name] = p.as_slice() else { return None };
-    Some(name)
-}
-
-fn lock_expr_events(e: &Expr, held: &Held, events: &mut Vec<LockEvent>) {
-    let mut stmt_locks: Vec<String> = Vec::new();
-    lock_straight(e, held, &mut stmt_locks, events);
-}
-
-fn lock_straight(
-    e: &Expr,
-    held: &Held,
-    stmt_locks: &mut Vec<String>,
-    events: &mut Vec<LockEvent>,
-) {
-    // Control-flow boundary: only the eagerly-evaluated head expression
-    // belongs to this statement's straight line.
-    let head: Option<&Expr> = match &e.kind {
-        ExprKind::Block(_) | ExprKind::Loop { .. } | ExprKind::Closure(_) => return,
-        ExprKind::If { cond, .. } | ExprKind::While { cond, .. } => Some(cond),
-        ExprKind::For { iter, .. } => Some(iter),
-        ExprKind::Match { scrutinee, .. } => Some(scrutinee),
-        _ => None,
-    };
-    if let Some(head) = head {
-        lock_straight(head, held, stmt_locks, events);
-        return;
-    }
-    if let Some(name) = acquisition(e) {
-        let snapshot: Vec<String> =
-            held.iter().map(|(l, _)| l.clone()).chain(stmt_locks.iter().cloned()).collect();
-        if !snapshot.is_empty() {
-            events.push(LockEvent::Direct {
-                held: snapshot,
-                acquired: name.to_string(),
-                pos: e.pos,
-                note: format!("direct `.{}()` acquisition", method_of(e)),
-            });
-        }
-        stmt_locks.push(name.to_string());
-    }
-    if matches!(&e.kind, ExprKind::Call { .. } | ExprKind::MethodCall { .. }) {
-        let snapshot: Vec<String> =
-            held.iter().map(|(l, _)| l.clone()).chain(stmt_locks.iter().cloned()).collect();
-        if !snapshot.is_empty() {
-            events.push(LockEvent::Call { pos: e.pos, held: snapshot });
-        }
-    }
-    let mut children: Vec<&Expr> = Vec::new();
-    collect_children(e, &mut children);
-    for c in children {
-        lock_straight(c, held, stmt_locks, events);
-    }
-}
-
-/// Append the lock names acquired on `e`'s straight line — the guards a
-/// `let` binding keeps alive for the rest of its block.
-fn straight_line_acquisitions(e: &Expr, out: &mut Vec<String>) {
-    match &e.kind {
-        ExprKind::Block(_)
-        | ExprKind::Loop { .. }
-        | ExprKind::Closure(_)
-        | ExprKind::If { .. }
-        | ExprKind::While { .. }
-        | ExprKind::For { .. }
-        | ExprKind::Match { .. } => return,
-        _ => {}
-    }
-    if let Some(name) = acquisition(e) {
-        out.push(name.to_string());
-    }
-    let mut children: Vec<&Expr> = Vec::new();
-    collect_children(e, &mut children);
-    for c in children {
-        straight_line_acquisitions(c, out);
-    }
-}
-
-/// Recurse into block-bearing sub-expressions with held-stack
-/// save/restore, so `let` guards bound inside a nested block or branch
-/// do not leak out.
-fn lock_nested(e: &Expr, held: &mut Held, events: &mut Vec<LockEvent>) {
-    let mut recurse = |stmts: &[Stmt], held: &mut Held| {
-        let depth = held.len();
-        lock_stmts(stmts, held, events);
-        held.truncate(depth);
-    };
-    match &e.kind {
-        ExprKind::Block(stmts) | ExprKind::Loop { body: stmts } => recurse(stmts, held),
-        ExprKind::If { then, alt, .. } => {
-            recurse(then, held);
-            if let Some(a) = alt {
-                lock_nested(a, held, events);
-            }
-        }
-        ExprKind::While { body, .. } | ExprKind::For { body, .. } => recurse(body, held),
-        ExprKind::Match { arms, .. } => {
-            for arm in arms {
-                let depth = held.len();
-                lock_expr_events(arm, held, events);
-                lock_nested(arm, held, events);
-                held.truncate(depth);
-            }
-        }
-        ExprKind::Closure(body) => {
-            let depth = held.len();
-            lock_expr_events(body, held, events);
-            lock_nested(body, held, events);
-            held.truncate(depth);
-        }
-        _ => {}
-    }
-}
-
 /// Direct sub-expressions of `e` (one level).
 fn collect_children<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
     match &e.kind {
@@ -737,132 +551,6 @@ fn collect_children<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
         }
         ExprKind::Return(x) | ExprKind::Jump(x) => out.extend(x.as_deref()),
         _ => {}
-    }
-}
-
-// ----- local arithmetic taint (unchanged semantics from flow v2) -----
-
-fn check_arith_stmts(
-    stmts: &[Stmt],
-    tainted: &mut std::collections::BTreeSet<String>,
-    sites: &mut Vec<(Pos, BinOp)>,
-) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Let { name, init, .. } => {
-                if let Some(e) = init {
-                    check_arith_expr(e, tainted, sites);
-                    if let Some(n) = name {
-                        if expr_tainted(e, tainted) {
-                            tainted.insert(n.clone());
-                        }
-                    }
-                }
-            }
-            Stmt::Expr(e, _) => check_arith_expr(e, tainted, sites),
-            Stmt::Item(_) => {}
-        }
-    }
-}
-
-fn check_arith_expr(
-    e: &Expr,
-    tainted: &mut std::collections::BTreeSet<String>,
-    sites: &mut Vec<(Pos, BinOp)>,
-) {
-    match &e.kind {
-        ExprKind::Binary { op, lhs, rhs } => {
-            if op.can_overflow()
-                && (operand_unsanitized(lhs, tainted) || operand_unsanitized(rhs, tainted))
-            {
-                sites.push((e.pos, *op));
-            }
-            check_arith_expr(lhs, tainted, sites);
-            check_arith_expr(rhs, tainted, sites);
-        }
-        ExprKind::Assign { target, op, value } => {
-            check_arith_expr(value, tainted, sites);
-            if let Some(op) = op {
-                if op.can_overflow() && operand_unsanitized(value, tainted) {
-                    sites.push((e.pos, *op));
-                }
-            }
-            if let ExprKind::Path(p) = &target.kind {
-                if let [name] = p.as_slice() {
-                    if expr_tainted(value, tainted) || (op.is_some() && tainted.contains(name)) {
-                        tainted.insert(name.clone());
-                    } else {
-                        tainted.remove(name);
-                    }
-                }
-            }
-        }
-        ExprKind::Block(stmts) | ExprKind::Loop { body: stmts } => {
-            check_arith_stmts(stmts, tainted, sites)
-        }
-        ExprKind::If { cond, then, alt } => {
-            check_arith_expr(cond, tainted, sites);
-            check_arith_stmts(then, tainted, sites);
-            if let Some(a) = alt {
-                check_arith_expr(a, tainted, sites);
-            }
-        }
-        ExprKind::While { cond, body } => {
-            check_arith_expr(cond, tainted, sites);
-            check_arith_stmts(body, tainted, sites);
-        }
-        ExprKind::For { iter, body } => {
-            check_arith_expr(iter, tainted, sites);
-            check_arith_stmts(body, tainted, sites);
-        }
-        ExprKind::Match { scrutinee, arms } => {
-            check_arith_expr(scrutinee, tainted, sites);
-            for a in arms {
-                check_arith_expr(a, tainted, sites);
-            }
-        }
-        _ => {
-            let mut children: Vec<&Expr> = Vec::new();
-            collect_children(e, &mut children);
-            for c in children {
-                check_arith_expr(c, tainted, sites);
-            }
-        }
-    }
-}
-
-/// Taint source: a `get_*` / `read_*` method call (stream-byte reads).
-fn is_taint_source(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::MethodCall { method, .. } => {
-            method.starts_with("get_") || method.starts_with("read_")
-        }
-        ExprKind::Try(inner) => is_taint_source(inner),
-        _ => false,
-    }
-}
-
-fn expr_tainted(e: &Expr, tainted: &std::collections::BTreeSet<String>) -> bool {
-    if is_taint_source(e) {
-        return true;
-    }
-    match &e.kind {
-        ExprKind::Path(p) => matches!(p.as_slice(), [name] if tainted.contains(name)),
-        ExprKind::Try(x) | ExprKind::Unary(x) | ExprKind::Ref(x) => expr_tainted(x, tainted),
-        ExprKind::Index { base, .. } => expr_tainted(base, tainted),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            expr_tainted(lhs, tainted) || expr_tainted(rhs, tainted)
-        }
-        ExprKind::Cast { expr, .. } => expr_tainted(expr, tainted),
-        _ => false,
-    }
-}
-
-fn operand_unsanitized(e: &Expr, tainted: &std::collections::BTreeSet<String>) -> bool {
-    match &e.kind {
-        ExprKind::Cast { .. } => false,
-        ExprKind::Ref(x) | ExprKind::Try(x) => operand_unsanitized(x, tainted),
-        _ => expr_tainted(e, tainted),
     }
 }
 
@@ -935,80 +623,204 @@ fn channel_ctor(e: &Expr) -> Option<(bool, Option<u64>)> {
     }
 }
 
-struct ConcWalker<'a> {
+/// The argument of a `drop(x)` call.
+fn drop_arg(e: &Expr) -> Option<&Expr> {
+    let ExprKind::Call { callee, args } = &e.kind else { return None };
+    let [.., last] = callee.as_path()? else { return None };
+    let [arg] = args.as_slice() else { return None };
+    (last == "drop").then_some(arg)
+}
+
+/// What the lock half of [`SyncWalker`] sees of an expression. Guards are
+/// tracked along a statement's straight line and into the blocks the
+/// statement itself opens; a block, loop or closure nested *inside* an
+/// expression (a call argument, say) is walked for channel operations
+/// and blocking sites only, and an `else` branch's condition is not on
+/// any line.
+#[derive(Clone, Copy)]
+struct Reach {
+    /// On the current statement's straight line: acquisitions and calls
+    /// are lock events. `Some(true)` under an `if`/`while` condition, a
+    /// `for` iterator or a `match` scrutinee, where an acquisition never
+    /// becomes a `let` guard.
+    line: Option<bool>,
+    /// The blocks, arms and closure bodies this expression opens are
+    /// tracked statements.
+    opens: bool,
+}
+
+/// A statement's own expression (or a `match` arm, a closure body it
+/// opens).
+const STMT: Reach = Reach { line: Some(false), opens: true };
+/// Channel operations and blocking sites only.
+const OFF: Reach = Reach { line: None, opens: false };
+
+/// One pass over a body for everything live across a statement
+/// sequence: the held-guard stack behind [`LockEvent`]s, the loop depth
+/// behind [`ChanOp::in_loop`], and the bounded senders whose `send`
+/// blocks.
+struct SyncWalker<'a> {
+    /// Live `let` guards: lock identity plus the binding that owns it,
+    /// so an explicit `drop(binding)` statement can release it.
+    held: Vec<(String, Option<String>)>,
+    /// The current statement's acquisitions so far, each flagged with
+    /// whether it sits under a control-flow head.
+    line: Vec<(String, bool)>,
     /// Senders of locally-bound `sync_channel`s: their `send` blocks.
-    sync_txs: std::collections::BTreeSet<String>,
+    sync_txs: BTreeSet<String>,
     loop_depth: u32,
     out: &'a mut FnSummary,
 }
 
-impl ConcWalker<'_> {
-    fn scan_stmts(&mut self, stmts: &[Stmt]) {
+impl SyncWalker<'_> {
+    /// Walk a statement list. When `tracked`, every statement starts a
+    /// fresh straight line, `let` guards stay held to the closing brace
+    /// and `drop(g);` releases `g`'s guards.
+    fn scan_block(&mut self, stmts: &[Stmt], tracked: bool) {
+        let depth = self.held.len();
         for stmt in stmts {
-            match stmt {
-                Stmt::Let { tuple, init: Some(e), .. } => {
-                    if let [tx, rx] = tuple.as_slice() {
-                        if let Some((sync, cap)) = channel_ctor(e) {
-                            if sync {
-                                self.sync_txs.insert(tx.clone());
-                            }
-                            self.out.channels.push(ChannelBind {
-                                sync,
-                                cap,
-                                tx: tx.clone(),
-                                rx: rx.clone(),
-                                pos: e.pos,
-                            });
+            let (e, owner) = match stmt {
+                Stmt::Let { name, tuple, init: Some(e), .. } => {
+                    if let ([tx, rx], Some((sync, cap))) = (tuple.as_slice(), channel_ctor(e)) {
+                        if sync {
+                            self.sync_txs.insert(tx.clone());
                         }
+                        let (tx, rx) = (tx.clone(), rx.clone());
+                        self.out.channels.push(ChannelBind { sync, cap, tx, rx, pos: e.pos });
                     }
-                    self.scan_expr(e, false);
+                    (e, Some(name))
                 }
-                Stmt::Let { .. } | Stmt::Item(_) => {}
-                // A semicolon-less tail is the block's value, not a
-                // discarded statement — the wrapper-delegation idiom
-                // (`fn send(…) -> … { self.0.send(v) }`) returns the
-                // `Result` instead of dropping it.
-                Stmt::Expr(e, semi) => self.scan_expr(e, *semi),
+                Stmt::Expr(e, _) => (e, None),
+                Stmt::Let { .. } | Stmt::Item(_) => continue,
+            };
+            if !tracked {
+                self.scan_expr(e, OFF);
+                continue;
+            }
+            let line = self.statement(e);
+            match owner {
+                // Guards taken on a `let`'s straight line stay held for
+                // the rest of the block, tagged with the binding.
+                Some(name) => self.held.extend(
+                    line.into_iter().filter(|(_, head)| !head).map(|(l, _)| (l, name.clone())),
+                ),
+                // `drop(g);` ends g's guards for the rest of the block.
+                // Path-insensitive like the rest of the walk: a drop in
+                // a conditional branch counts as a release, trading a
+                // missed exotic bug for zero false fire on the common
+                // `lock → work → drop → block` sequence.
+                None => {
+                    if let Some([owner]) = drop_arg(e).and_then(Expr::as_path) {
+                        self.held.retain(|(_, o)| o.as_ref() != Some(owner));
+                    }
+                }
+            }
+        }
+        self.held.truncate(depth);
+    }
+
+    fn scan_expr(&mut self, e: &Expr, reach: Reach) {
+        let head = Reach { line: reach.line.map(|_| true), opens: false };
+        match &e.kind {
+            ExprKind::Block(stmts) => self.scan_block(stmts, reach.opens),
+            ExprKind::Loop { body } => {
+                self.loop_depth += 1;
+                self.scan_block(body, reach.opens);
+                self.loop_depth -= 1;
+            }
+            // A `while` head re-evaluates every iteration
+            // (`while let Ok(v) = rx.recv()`), a `for` head once.
+            ExprKind::While { cond, body } => {
+                self.loop_depth += 1;
+                self.scan_expr(cond, head);
+                self.scan_block(body, reach.opens);
+                self.loop_depth -= 1;
+            }
+            ExprKind::For { iter, body } => {
+                self.scan_expr(iter, head);
+                self.loop_depth += 1;
+                self.scan_block(body, reach.opens);
+                self.loop_depth -= 1;
+            }
+            ExprKind::If { cond, then, alt } => {
+                self.scan_expr(cond, head);
+                self.scan_block(then, reach.opens);
+                if let Some(a) = alt {
+                    self.scan_expr(a, Reach { line: None, opens: reach.opens });
+                }
+            }
+            ExprKind::Match { scrutinee, arms } => {
+                self.scan_expr(scrutinee, head);
+                for a in arms {
+                    self.nested(a, reach.opens);
+                }
+            }
+            ExprKind::Closure(body) => self.nested(body, reach.opens),
+            _ => {
+                self.record(e, reach.line);
+                let mut children: Vec<&Expr> = Vec::new();
+                collect_children(e, &mut children);
+                for c in children {
+                    self.scan_expr(c, Reach { line: reach.line, opens: false });
+                }
             }
         }
     }
 
-    fn scan_expr(&mut self, e: &Expr, stmt_root: bool) {
-        match &e.kind {
-            ExprKind::Call { callee, args } => {
-                if let Some([.., last]) = callee.as_path() {
-                    if last == "drop" {
-                        if let [arg] = args.as_slice() {
-                            if let Some(name) = arg.chain_name() {
-                                self.out.chan_ops.push(ChanOp {
-                                    name: name.to_string(),
-                                    op: ChanOpKind::Drop,
-                                    pos: e.pos,
-                                    in_loop: self.loop_depth > 0,
-                                    discarded: false,
-                                });
-                            }
-                        }
-                    }
+    /// Walk `e` as a statement of its own, on a fresh line, and return
+    /// that line's acquisitions.
+    fn statement(&mut self, e: &Expr) -> Vec<(String, bool)> {
+        let outer = std::mem::take(&mut self.line);
+        self.scan_expr(e, STMT);
+        std::mem::replace(&mut self.line, outer)
+    }
+
+    /// A `match` arm or closure body: a statement of its own when its
+    /// parent opens blocks.
+    fn nested(&mut self, e: &Expr, opens: bool) {
+        if opens {
+            self.statement(e);
+        } else {
+            self.scan_expr(e, OFF);
+        }
+    }
+
+    /// Record what one non-control-flow expression does: lock events
+    /// (when it is on a `line`), channel operations, blocking sites.
+    fn record(&mut self, e: &Expr, line: Option<bool>) {
+        if let Some(under_head) = line {
+            if let Some(name) = acquisition(e) {
+                let held = self.held_now();
+                if !held.is_empty() {
+                    let (acquired, pos) = (name.to_string(), e.pos);
+                    let note = format!("direct `.{}()` acquisition", method_of(e));
+                    self.out.lock_events.push(LockEvent::Direct { held, acquired, pos, note });
                 }
-                self.scan_expr(callee, false);
-                for a in args {
-                    self.scan_expr(a, false);
+                self.line.push((name.to_string(), under_head));
+            }
+            if matches!(&e.kind, ExprKind::Call { .. } | ExprKind::MethodCall { .. }) {
+                let held = self.held_now();
+                if !held.is_empty() {
+                    self.out.lock_events.push(LockEvent::Call { pos: e.pos, held });
+                }
+            }
+        }
+        let in_loop = self.loop_depth > 0;
+        let mut chan_op = |name: &str, op| {
+            self.out.chan_ops.push(ChanOp { name: name.to_string(), op, pos: e.pos, in_loop });
+        };
+        match &e.kind {
+            ExprKind::Call { .. } => {
+                if let Some(name) = drop_arg(e).and_then(Expr::chain_name) {
+                    chan_op(name, ChanOpKind::Drop);
                 }
             }
             ExprKind::MethodCall { recv, method, args } => {
-                if let Some(op) = chan_op_kind(method, args.len()) {
-                    if let Some(name) = recv.chain_name() {
-                        self.out.chan_ops.push(ChanOp {
-                            name: name.to_string(),
-                            op,
-                            pos: e.pos,
-                            in_loop: self.loop_depth > 0,
-                            discarded: stmt_root && op == ChanOpKind::Send,
-                        });
-                        if let Some(what) = self.blocking_desc(name, method) {
-                            self.out.blocking.push(Site { pos: e.pos, what });
-                        }
+                let op = chan_op_kind(method, args.len());
+                if let (Some(op), Some(name)) = (op, recv.chain_name()) {
+                    chan_op(name, op);
+                    if let Some(what) = self.blocking_desc(name, method) {
+                        self.out.blocking.push(Site { pos: e.pos, what });
                     }
                 }
                 // Thread-handle join. The zero-arg gate keeps
@@ -1016,52 +828,15 @@ impl ConcWalker<'_> {
                 if method == "join" && args.is_empty() {
                     self.out.blocking.push(Site { pos: e.pos, what: "`.join()`".to_string() });
                 }
-                self.scan_expr(recv, false);
-                for a in args {
-                    self.scan_expr(a, false);
-                }
             }
-            ExprKind::Block(stmts) => self.scan_stmts(stmts),
-            ExprKind::Loop { body } => {
-                self.loop_depth += 1;
-                self.scan_stmts(body);
-                self.loop_depth -= 1;
-            }
-            // A `while` head re-evaluates every iteration
-            // (`while let Ok(v) = rx.recv()`), a `for` head once.
-            ExprKind::While { cond, body } => {
-                self.loop_depth += 1;
-                self.scan_expr(cond, false);
-                self.scan_stmts(body);
-                self.loop_depth -= 1;
-            }
-            ExprKind::For { iter, body } => {
-                self.scan_expr(iter, false);
-                self.loop_depth += 1;
-                self.scan_stmts(body);
-                self.loop_depth -= 1;
-            }
-            ExprKind::If { cond, then, alt } => {
-                self.scan_expr(cond, false);
-                self.scan_stmts(then);
-                if let Some(a) = alt {
-                    self.scan_expr(a, false);
-                }
-            }
-            ExprKind::Match { scrutinee, arms } => {
-                self.scan_expr(scrutinee, false);
-                for a in arms {
-                    self.scan_expr(a, false);
-                }
-            }
-            _ => {
-                let mut children: Vec<&Expr> = Vec::new();
-                collect_children(e, &mut children);
-                for c in children {
-                    self.scan_expr(c, false);
-                }
-            }
+            _ => {}
         }
+    }
+
+    /// Every guard live at this point: `let` guards, then this
+    /// statement's earlier acquisitions.
+    fn held_now(&self) -> Vec<String> {
+        self.held.iter().map(|(l, _)| l).chain(self.line.iter().map(|(l, _)| l)).cloned().collect()
     }
 
     /// Whether a channel op blocks: every `recv`/`recv_timeout`, and
@@ -1092,9 +867,29 @@ enum Origin {
     Param(usize),
 }
 
+/// What the walk knows about a value, for its two kinds of sink. They
+/// sanitise differently: a comparison, `contains` or `%` bounds a value
+/// for a flow sink but leaves it a raw byte for arithmetic; a `*_len` /
+/// `*_count` field, a field of a tainted value, a struct literal or an
+/// `Ok`/`Some` wrapper carries a flow but is not a raw byte; and a cast
+/// clears an arithmetic operand (see [`TaintWalker::raw_operand`]) but
+/// never a flow.
+#[derive(Debug, Clone, Default)]
+struct Taint {
+    /// The origin a flow sink (`taint-unchecked-flow`) reports.
+    origin: Option<Origin>,
+    /// Whether the value is an unsanitised `get_*` / `read_*` result
+    /// (`no-unchecked-arith`).
+    raw: bool,
+}
+
 struct TaintWalker<'a> {
     call_at: &'a BTreeMap<(u32, u32), usize>,
-    env: BTreeMap<String, Origin>,
+    env: BTreeMap<String, Taint>,
+    /// Off beneath a binary operator: inside an operand only the
+    /// arithmetic sink and the raw-byte bindings are live, not the flow
+    /// sinks, call arguments, clears or discards.
+    flow: bool,
     out: &'a mut FnSummary,
 }
 
@@ -1111,22 +906,19 @@ impl TaintWalker<'_> {
                     if let Some(e) = init {
                         self.scan_expr(e);
                         if name.as_deref() == Some("_") {
-                            self.record_let_discard(e);
-                        } else if let Some(n) = name {
-                            match self.expr_origin(e) {
-                                Some(o) => {
-                                    self.env.insert(n.clone(), o);
-                                }
-                                None => {
-                                    self.env.remove(n);
-                                }
+                            if self.flow {
+                                self.record_let_discard(e);
                             }
+                        } else if let Some(n) = name {
+                            // A `let` never forgets a raw byte, not even
+                            // when it shadows the name.
+                            self.rebind(n, self.taint(e), false, true);
                         }
                     }
                 }
                 Stmt::Expr(e, _) => {
                     self.scan_expr(e);
-                    if !last {
+                    if self.flow && !last {
                         self.record_ok_discard(e);
                     }
                     if last && is_fn_tail {
@@ -1138,13 +930,38 @@ impl TaintWalker<'_> {
         }
     }
 
+    /// Bind `name` to a value of taint `t`, keeping what it carried
+    /// before where `keep_origin` / `keep_raw` say so.
+    fn rebind(&mut self, name: &str, t: Taint, keep_origin: bool, keep_raw: bool) {
+        let prev = self.env.remove(name).unwrap_or_default();
+        let origin = match (self.flow, keep_origin) {
+            (false, _) => prev.origin,
+            (true, true) => t.origin.or(prev.origin),
+            (true, false) => t.origin,
+        };
+        let raw = t.raw || (keep_raw && prev.raw);
+        self.env.insert(name.to_string(), Taint { origin, raw });
+    }
+
+    /// An arithmetic operand that is a raw byte. A cast operand is the
+    /// explicit widening `no-unchecked-arith` asks for.
+    fn raw_operand(&self, e: &Expr) -> bool {
+        match &e.kind {
+            ExprKind::Cast { .. } => false,
+            ExprKind::Ref(x) | ExprKind::Try(x) => self.raw_operand(x),
+            _ => self.taint(e).raw,
+        }
+    }
+
     /// Walk one expression: record sinks and tainted call arguments
     /// (pre-order, against the current environment), recurse with
     /// control-flow awareness, then apply comparison/membership clears
     /// (post-order, so a sink *inside* a comparison still fires).
     fn scan_expr(&mut self, e: &Expr) {
-        self.record_sinks(e);
-        self.record_call_args(e);
+        if self.flow {
+            self.record_sinks(e);
+            self.record_call_args(e);
+        }
         match &e.kind {
             ExprKind::Block(stmts) => self.scan_stmts(stmts, false),
             ExprKind::Loop { body } => self.scan_stmts(body, false),
@@ -1169,26 +986,31 @@ impl TaintWalker<'_> {
                     self.scan_expr(a);
                 }
             }
+            ExprKind::Binary { op, lhs, rhs } => {
+                self.record_arith(e.pos, *op, &[&**lhs, &**rhs]);
+                let flow = std::mem::replace(&mut self.flow, false);
+                self.scan_expr(lhs);
+                self.scan_expr(rhs);
+                self.flow = flow;
+            }
             ExprKind::Assign { target, op, value } => {
                 self.scan_expr(value);
+                if let Some(op) = op {
+                    self.record_arith(e.pos, *op, &[&**value]);
+                }
                 if let ExprKind::Path(p) = &target.kind {
                     if let [name] = p.as_slice() {
-                        match (self.expr_origin(value), op) {
-                            (Some(o), _) => {
-                                self.env.insert(name.clone(), o);
-                            }
-                            (None, None) => {
-                                self.env.remove(name);
-                            }
-                            (None, Some(_)) => {} // compound op keeps prior origin
-                        }
+                        // A compound op keeps what the target carried.
+                        self.rebind(name, self.taint(value), op.is_some(), op.is_some());
                     }
                 }
             }
             ExprKind::Return(x) => {
                 if let Some(x) = x {
                     self.scan_expr(x);
-                    self.record_return_taint(x);
+                    if self.flow {
+                        self.record_return_taint(x);
+                    }
                 }
             }
             _ => {
@@ -1199,76 +1021,94 @@ impl TaintWalker<'_> {
                 }
             }
         }
+        if !self.flow {
+            return;
+        }
         // Post-order clears: a comparison or membership test is the
-        // bounds check the rule is looking for.
-        match &e.kind {
-            ExprKind::Binary { op: BinOp::Cmp, lhs, rhs } => {
-                for side in [lhs, rhs] {
-                    if let Some(n) = side.chain_name() {
-                        self.env.remove(n);
-                    }
-                }
-            }
+        // bounds check a flow sink is looking for. The value stays a raw
+        // byte for arithmetic.
+        let cleared: Vec<&Expr> = match &e.kind {
+            ExprKind::Binary { op: BinOp::Cmp, lhs, rhs } => vec![lhs.as_ref(), rhs.as_ref()],
             ExprKind::MethodCall { method, args, .. }
                 if matches!(method.as_str(), "contains" | "contains_key") =>
             {
-                for a in args {
-                    if let Some(n) = a.chain_name() {
-                        self.env.remove(n);
-                    }
-                }
+                args.iter().collect()
             }
-            _ => {}
+            _ => return,
+        };
+        for n in cleared.into_iter().filter_map(Expr::chain_name) {
+            if let Some(t) = self.env.get_mut(n) {
+                t.origin = None;
+            }
         }
     }
 
-    /// The taint origin of a value expression, if any.
-    fn expr_origin(&self, e: &Expr) -> Option<Origin> {
+    /// The arithmetic sink: an operator that can overflow, applied to a
+    /// raw byte.
+    fn record_arith(&mut self, pos: Pos, op: BinOp, operands: &[&Expr]) {
+        if op.can_overflow() && operands.iter().any(|x| self.raw_operand(x)) {
+            self.out.arith_sites.push(Site { pos, what: op.as_str().to_string() });
+        }
+    }
+
+    /// The taint of a value expression.
+    fn taint(&self, e: &Expr) -> Taint {
+        let flow = |origin| Taint { origin, raw: false };
         match &e.kind {
             ExprKind::MethodCall { method, .. } => {
                 if method.starts_with("get_") || method.starts_with("read_") {
-                    return Some(Origin::Source(format!("`.{method}()`")));
+                    let src = Origin::Source(format!("`.{method}()`"));
+                    return Taint { origin: Some(src), raw: true };
                 }
                 if is_sanitizer_method(method) {
-                    return None;
+                    return Taint::default();
                 }
-                self.call_idx(e.pos).map(Origin::Call)
+                flow(self.call_idx(e.pos).map(Origin::Call))
             }
             ExprKind::Call { callee, args } => {
                 // `Ok(x)` / `Some(x)` wrap without laundering.
                 if let Some([name]) = callee.as_path() {
                     if matches!(name.as_str(), "Ok" | "Some") && args.len() == 1 {
-                        return self.expr_origin(&args[0]);
+                        return flow(self.taint(&args[0]).origin);
                     }
                 }
-                self.call_idx(e.pos).map(Origin::Call)
+                flow(self.call_idx(e.pos).map(Origin::Call))
             }
             ExprKind::Path(p) => match p.as_slice() {
-                [name] => self.env.get(name).cloned(),
-                _ => None,
+                [name] => self.env.get(name).cloned().unwrap_or_default(),
+                _ => Taint::default(),
             },
             ExprKind::Field { base, name } => {
                 if name.ends_with("_len") || name.ends_with("_count") {
-                    return Some(Origin::Source(format!("`.{name}` field")));
+                    return flow(Some(Origin::Source(format!("`.{name}` field"))));
                 }
-                self.expr_origin(base)
+                flow(self.taint(base).origin)
             }
-            ExprKind::Try(x) | ExprKind::Unary(x) | ExprKind::Ref(x) => self.expr_origin(x),
-            // Casts do NOT sanitize here: `len as usize` still carries
+            // Casts do NOT sanitize a flow: `len as usize` still carries
             // an attacker-chosen magnitude into a capacity or index.
-            ExprKind::Cast { expr, .. } => self.expr_origin(expr),
-            ExprKind::Binary { op, lhs, rhs } => match op {
+            ExprKind::Try(x)
+            | ExprKind::Unary(x)
+            | ExprKind::Ref(x)
+            | ExprKind::Cast { expr: x, .. } => self.taint(x),
+            ExprKind::Binary { op, lhs, rhs } => {
+                let (l, r) = (self.taint(lhs), self.taint(rhs));
                 // Comparison yields a bool; `%`, `&&`, `||` bound or
                 // consume the value.
-                BinOp::Cmp | BinOp::And | BinOp::Or | BinOp::Rem => None,
-                _ => self.expr_origin(lhs).or_else(|| self.expr_origin(rhs)),
-            },
-            ExprKind::Index { base, .. } => self.expr_origin(base),
-            ExprKind::Struct { fields, .. } => {
-                fields.iter().find_map(|f| self.expr_origin(f))
+                let bounded = matches!(op, BinOp::Cmp | BinOp::And | BinOp::Or | BinOp::Rem);
+                let origin = if bounded { None } else { l.origin.or(r.origin) };
+                Taint { origin, raw: l.raw || r.raw }
             }
-            _ => None,
+            ExprKind::Index { base, .. } => self.taint(base),
+            ExprKind::Struct { fields, .. } => {
+                flow(fields.iter().find_map(|f| self.taint(f).origin))
+            }
+            _ => Taint::default(),
         }
+    }
+
+    /// The flow origin of a value expression, if any.
+    fn origin(&self, e: &Expr) -> Option<Origin> {
+        self.taint(e).origin
     }
 
     fn record_sink(&mut self, origin: Origin, pos: Pos, sink: &str) {
@@ -1288,7 +1128,7 @@ impl TaintWalker<'_> {
     fn record_sinks(&mut self, e: &Expr) {
         match &e.kind {
             ExprKind::Index { index, .. } => {
-                if let Some(o) = self.expr_origin(index) {
+                if let Some(o) = self.origin(index) {
                     self.record_sink(o, e.pos, "slice indexing");
                 }
             }
@@ -1299,7 +1139,7 @@ impl TaintWalker<'_> {
                 ) =>
             {
                 if let Some(arg0) = args.first() {
-                    if let Some(o) = self.expr_origin(arg0) {
+                    if let Some(o) = self.origin(arg0) {
                         let sink = format!("`.{method}(…)`");
                         self.record_sink(o, e.pos, &sink);
                     }
@@ -1309,7 +1149,7 @@ impl TaintWalker<'_> {
                 if let Some([.., ty, ctor]) = callee.as_path() {
                     if ctor == "with_capacity" {
                         if let Some(arg0) = args.first() {
-                            if let Some(o) = self.expr_origin(arg0) {
+                            if let Some(o) = self.origin(arg0) {
                                 let sink = format!("`{ty}::with_capacity(…)`");
                                 self.record_sink(o, e.pos, &sink);
                             }
@@ -1318,13 +1158,13 @@ impl TaintWalker<'_> {
                 }
             }
             ExprKind::MacroCall { name, args } if name == "vec" && args.len() == 2 => {
-                if let Some(o) = self.expr_origin(&args[1]) {
+                if let Some(o) = self.origin(&args[1]) {
                     self.record_sink(o, e.pos, "`vec![…; n]` length");
                 }
             }
             ExprKind::For { iter, .. } => {
                 if let ExprKind::Range { hi: Some(h), .. } = &iter.kind {
-                    if let Some(o) = self.expr_origin(h) {
+                    if let Some(o) = self.origin(h) {
                         self.record_sink(o, h.pos, "loop upper bound");
                     }
                 }
@@ -1340,7 +1180,7 @@ impl TaintWalker<'_> {
         };
         let Some(call) = self.call_idx(e.pos) else { return };
         for (i, a) in args.iter().enumerate() {
-            match self.expr_origin(a) {
+            match self.origin(a) {
                 Some(Origin::Source(src)) => self.out.tainted_args.push(TaintedArg {
                     call,
                     arg: i,
@@ -1364,7 +1204,7 @@ impl TaintWalker<'_> {
     }
 
     fn record_return_taint(&mut self, e: &Expr) {
-        match self.expr_origin(e) {
+        match self.origin(e) {
             Some(Origin::Source(_)) => self.out.returns_taint = true,
             Some(Origin::Call(i)) => self.out.taint_return_calls.push(i),
             _ => {}
@@ -1529,12 +1369,23 @@ mod tests {
             "impl S { fn f(&self) {\n\
              \x20   let a = self.alpha.lock();\n\
              \x20   let b = self.beta.lock();\n\
+             }\n\
+             fn g(&self, m: &M) {\n\
+             \x20   let (tx, rx) = mpsc::sync_channel(1);\n\
+             \x20   let g = m.lock();\n\
+             \x20   {\n\
+             \x20       let h = self.inner.lock();\n\
+             \x20       tx.send(1);\n\
+             \x20   }\n\
+             \x20   rx.recv();\n\
+             \x20   drop(g);\n\
+             \x20   rx.recv();\n\
              } }\n",
         );
         let f = only_fn(&s, "f");
         // `.lock()` sites also appear as Call events (they are method
         // calls, and a resolvable callee's transitive locks order after
-        // the guard just taken) — mirror of the old interleaved walk.
+        // the guard just taken).
         let directs: Vec<_> = f
             .lock_events
             .iter()
@@ -1545,30 +1396,28 @@ mod tests {
             .collect();
         assert_eq!(directs, vec![(vec!["alpha".to_string()], "beta".to_string())]);
         assert_eq!(f.direct_locks, vec!["alpha".to_string(), "beta".to_string()]);
-    }
 
-    #[test]
-    fn explicit_drop_releases_let_bound_guards() {
-        let s = summarize_src(
-            "fn f(m: &M, rx: &R) {\n\
-             \x20   let g = m.lock();\n\
-             \x20   rx.recv();\n\
-             \x20   drop(g);\n\
-             \x20   rx.try_recv();\n\
-             }\n",
-        );
-        let f = only_fn(&s, "f");
-        let call_lines: Vec<u32> = f
+        // One walk yields `g`'s guard events, channel operations and
+        // blocking sites, each in statement order: the nested block's
+        // guard dies at its brace, and after `drop(g)` the last `recv`
+        // runs guard-free.
+        let g = only_fn(&s, "g");
+        let events: Vec<String> = g
             .lock_events
             .iter()
-            .filter_map(|e| match e {
-                LockEvent::Call { pos, .. } => Some(pos.line),
-                LockEvent::Direct { .. } => None,
+            .map(|e| match e {
+                LockEvent::Direct { held, acquired, pos, .. } => {
+                    format!("{}:{}+{acquired}", pos.line, held.join(","))
+                }
+                LockEvent::Call { pos, held } => format!("{}:{}", pos.line, held.join(",")),
             })
             .collect();
-        // The `.lock()` itself, the `recv` under the guard, and the
-        // `drop` call; the `try_recv` after `drop(g)` runs guard-free.
-        assert_eq!(call_lines, vec![2, 3, 4], "events: {:?}", f.lock_events);
+        assert_eq!(events, ["7:m", "9:m+inner", "9:m,inner", "10:m,inner", "12:m", "13:m"]);
+        let ops: Vec<String> =
+            g.chan_ops.iter().map(|o| format!("{}:{:?} {}", o.pos.line, o.op, o.name)).collect();
+        assert_eq!(ops, ["10:Send tx", "12:Recv rx", "13:Drop g", "14:Recv rx"]);
+        let blocking: Vec<u32> = g.blocking.iter().map(|b| b.pos.line).collect();
+        assert_eq!(blocking, [10, 12, 14]);
     }
 
     #[test]
@@ -1588,18 +1437,15 @@ mod tests {
         assert!(f.channels[0].sync && f.channels[0].cap == Some(1));
         assert_eq!((f.channels[0].tx.as_str(), f.channels[0].rx.as_str()), ("tx", "rx"));
         assert!(!f.channels[1].sync);
-        let ops: Vec<(&str, ChanOpKind, bool, bool)> = f
-            .chan_ops
-            .iter()
-            .map(|o| (o.name.as_str(), o.op, o.in_loop, o.discarded))
-            .collect();
+        let ops: Vec<(&str, ChanOpKind, bool)> =
+            f.chan_ops.iter().map(|o| (o.name.as_str(), o.op, o.in_loop)).collect();
         assert_eq!(
             ops,
             vec![
-                ("tx", ChanOpKind::Send, false, true),
-                ("rx", ChanOpKind::Recv, true, false),
-                ("etx", ChanOpKind::Send, true, true),
-                ("erx", ChanOpKind::Drop, false, false),
+                ("tx", ChanOpKind::Send, false),
+                ("rx", ChanOpKind::Recv, true),
+                ("etx", ChanOpKind::Send, true),
+                ("erx", ChanOpKind::Drop, false),
             ],
             "ops: {:?}",
             f.chan_ops
@@ -1608,6 +1454,18 @@ mod tests {
         // test below); `etx.send` is unbounded and does not block.
         let what: Vec<&str> = f.blocking.iter().map(|s| s.what.as_str()).collect();
         assert_eq!(what, vec!["`.send(…)` on a bounded channel", "`.recv()`"]);
+        // The same walk saw the guard: the `while let` head's `recv`, the
+        // send in its body and the `drop` all run under `m`, and the
+        // bounded send before the `let` runs guard-free.
+        let guarded: Vec<(u32, u32)> = f
+            .lock_events
+            .iter()
+            .filter_map(|e| match e {
+                LockEvent::Call { pos, held } if held == &["m"] => Some((pos.line, pos.col)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(guarded, vec![(5, 15), (6, 26), (6, 39), (7, 5)], "{:?}", f.lock_events);
     }
 
     #[test]

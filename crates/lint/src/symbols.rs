@@ -104,12 +104,6 @@ impl<'a> SymbolTable<'a> {
             .map_or(&[], Vec::as_slice)
     }
 
-    /// Entry-point functions (`// vdsms-lint: entry`, scoped or not,
-    /// non-test).
-    pub fn entries(&self) -> impl Iterator<Item = &FnSym<'a>> {
-        self.fns.iter().filter(|f| f.def.is_entry() && !f.def.is_test)
-    }
-
     /// Entry-point functions that seed the hot set of `rule`: bare
     /// `entry` markers plus `entry(…)` markers naming the rule.
     pub fn entries_for<'s>(&'s self, rule: &'s str) -> impl Iterator<Item = &'s FnSym<'a>> {
@@ -156,7 +150,8 @@ mod tests {
         assert_eq!(table.methods("probe").len(), 3);
         assert_eq!(table.qualified("Det", "probe").len(), 2);
         assert_eq!(table.qualified("Other", "probe").len(), 1);
-        let entries: Vec<_> = table.entries().map(FnSym::qual_name).collect();
+        let entries: Vec<_> =
+            table.entries_for("no-panic-hot-path").map(FnSym::qual_name).collect();
         assert_eq!(entries, vec!["start"]);
     }
 }

@@ -1,9 +1,8 @@
-// channel-protocol positive fixture. Expected findings: 4 — a one-shot
-// reply channel sent twice, one sent in a loop, a send after the
-// receiver was dropped, and a send result discarded in statement
-// position on a non-shutdown path.
+// channel-protocol positive fixture. Expected findings: 3 — a one-shot
+// reply channel sent twice, one sent in a loop, and a send after the
+// receiver was dropped.
 
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc;
 
 pub fn double_reply() {
     let (tx, rx) = mpsc::sync_channel(1);
@@ -25,8 +24,4 @@ pub fn send_into_void() {
     let _ = tx.send(1);
     drop(rx);
     let _ = tx.send(2);
-}
-
-pub fn fire_and_forget(tx: &Sender<u64>) {
-    tx.send(7);
 }

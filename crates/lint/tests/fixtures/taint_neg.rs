@@ -20,6 +20,16 @@ pub fn checked_index(r: &mut Reader, table: &[u32]) -> u32 {
     }
 }
 
+// A guard clause bounds the index for the rest of the body, though the
+// byte stays raw for `no-unchecked-arith`.
+pub fn guarded_index(r: &mut Reader, table: &[u32]) -> u32 {
+    let i = r.read_u8() as usize;
+    if i >= table.len() {
+        return 0;
+    }
+    table[i]
+}
+
 // `.min(…)` caps the capacity before it reaches the allocator.
 pub fn clamped_capacity(r: &mut Reader) -> Vec<u8> {
     let n = (r.read_u8() as usize).min(4096);

@@ -9,10 +9,11 @@ impl Reader {
     }
 }
 
-// 1. Source and sink in one function: byte -> slice indexing.
+// 1. Source and sink in one function: byte -> slice indexing. The cast
+//    that would make `b` legal arithmetic bounds nothing.
 pub fn direct_index(r: &mut Reader, table: &[u32]) -> u32 {
-    let i = r.read_u8() as usize;
-    table[i]
+    let b = r.read_u8();
+    table[b as usize]
 }
 
 // 2. Source -> Vec::with_capacity (attacker-controlled allocation).

@@ -99,7 +99,7 @@ fn flow_positive_fixtures_fire_exactly_the_expected_rule() {
         ("loop_progress_pos.rs", "loop-progress", 2),
         ("swallow_pos.rs", "no-swallowed-error", 3),
         ("guard_blocking_pos.rs", "guard-across-blocking", 4),
-        ("channel_protocol_pos.rs", "channel-protocol", 4),
+        ("channel_protocol_pos.rs", "channel-protocol", 3),
     ] {
         let rep = flow_check(&[file], rule);
         assert_eq!(

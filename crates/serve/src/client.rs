@@ -330,14 +330,6 @@ impl Client {
         }
     }
 
-    /// Manually grant the server `n` more detection pushes.
-    ///
-    /// # Errors
-    /// Socket-level failures only.
-    pub fn grant_credit(&self, n: u64) -> Result<(), ClientError> {
-        self.write_frame(&Request::Credit { n })
-    }
-
     /// Stop (or resume) consuming server pushes — the stalled-reader
     /// primitive: a paused client grants no credit, so its queue on the
     /// server overflows deterministically while everyone else runs on.

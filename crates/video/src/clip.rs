@@ -34,11 +34,6 @@ impl Clip {
         &self.frames
     }
 
-    /// Consume the clip, returning its frames.
-    pub fn into_frames(self) -> Vec<Frame> {
-        self.frames
-    }
-
     /// Number of frames.
     pub fn len(&self) -> usize {
         self.frames.len()

@@ -51,11 +51,6 @@ impl Frame {
         &self.data
     }
 
-    /// Mutable access to the raw samples.
-    pub fn samples_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-
     /// Sample at `(x, y)`.
     ///
     /// # Panics

@@ -46,7 +46,10 @@ VDSMS_SCHED_SEEDS=1000 cargo test --release -q --test schedule_exploration
 echo "== zero-alloc steady state (release) =="
 # Both representations × both orders × both index modes, the default
 # configuration under traffic related to 64 overlapping queries, the
-# fused front ends, and a fleet's subscribe + unsubscribe pair.
+# fused front ends, a fleet's subscribe + unsubscribe pair, and one copy
+# of the catalogue (a_subscription_keeps_no_copy_of_the_query: a
+# subscribe frees the caller's sketch, and a detector keeps none of the
+# set it was built from).
 cargo test --release -q --test alloc_steady_state
 
 echo "== decoder fuzz (bounded, release) =="
@@ -102,6 +105,16 @@ echo "== attack-matrix smoke + robustness floors (vdsms eval-attacks) =="
   || { echo "attack-matrix floor check failed"; cat "$tmp/matrix.txt" "$tmp/matrix_err.txt"; exit 1; }
 grep -q "floor check passed" "$tmp/matrix_err.txt" \
   || { echo "expected a floor-check confirmation"; cat "$tmp/matrix_err.txt"; exit 1; }
+
+echo "== examples (release; each asserts its own outcome) =="
+# `cargo test` only compiles examples/; run them. offline_sketching goes
+# save -> load -> detect, live_subscription subscribes and unsubscribes
+# online; every example exits non-zero when its outcome does not hold.
+cargo build --release -q --examples
+for example in quickstart offline_sketching live_subscription ad_monitor tamper_hunt; do
+  "./target/release/examples/$example" > "$tmp/example.txt" 2>&1 \
+    || { echo "example $example failed"; cat "$tmp/example.txt"; exit 1; }
+done
 
 echo "== benchmark builds and smoke-runs (its own workspace) =="
 # Tier-1 never compiles benchmark/, so a rename that breaks its

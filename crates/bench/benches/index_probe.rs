@@ -134,11 +134,11 @@ fn bench_index_maintenance(c: &mut Criterion) {
 }
 
 /// One encode of a window against one of 1024 queries, the two ways a
-/// detector can make it: `reference` is [`BitSig::encode_counts_from_mins`]
-/// on the query's own sketch in the [`QuerySet`] (the no-index path, and
-/// every on-demand encode before the plane), `planes` is
+/// detector can make it, both from the query's slot of the slab:
+/// `reference` is [`HqIndex::values`], then the value kernel
+/// [`BitSig::encode_counts_from_mins`] (the no-index path), `planes` is
 /// [`HqIndex::encode_against`] — the directory lookup, then the plane
-/// kernel on the slab. Every query holds four cells in common, so one
+/// kernel. Every query holds four cells in common, so one
 /// window (`related`, those four cells: ≈ 50 of 800 values equal, the
 /// probe's phase-2 regime) ties with all of them and another (`unrelated`:
 /// no value equal, the on-demand regime) with none. `hot` repeats one
@@ -177,8 +177,8 @@ fn bench_encode(c: &mut Criterion) {
             let id = || next.replace((next.get() + step) % M);
             g.bench_function(format!("reference/{regime}_{walk}"), |bench| {
                 bench.iter(|| {
-                    let q = qs.get(id()).expect("every id is subscribed");
-                    sig.encode_counts_from_mins(black_box(sk.mins()), q.sketch.mins())
+                    let values = ix.values(id()).expect("every id is subscribed");
+                    sig.encode_counts_from_mins(black_box(sk.mins()), values)
                 });
             });
             g.bench_function(format!("planes/{regime}_{walk}"), |bench| {

@@ -40,71 +40,99 @@ enum Store {
     Geo(GeoStore),
 }
 
-/// The catalogue: the subscribed queries and, iff the configuration uses
-/// it, the HQ index over exactly that set.
+/// The catalogue: the HQ index over the subscribed queries, and each
+/// query's id and length in subscription order.
+///
+/// The index's slab is the one home of a query's `K` values: a
+/// subscription copies them in and drops the [`Query`], and every read of
+/// a query's values — the probe, an on-demand encode, a Sketch-representation
+/// comparison — goes there by id. The index is built whatever the
+/// configuration; `probe` only decides whether a window probes it or
+/// relates to every query (the NoIndex variants), and the id list is that
+/// related list, kept in subscription order because detections are
+/// emitted in it.
 ///
 /// Each half sits behind an [`Arc`] so a holder can hand clones to other
 /// threads, but every write goes through [`Arc::make_mut`] on *this*
 /// holder's pair: while it is the only holder the write happens in place
-/// (`K` index cells and one pushed sketch); with a clone outstanding it
+/// (`K` index cells and one pushed id); with a clone outstanding it
 /// copies first and leaves the clone untouched. The reference count is
 /// the only switch — uniqueness is an optimisation, never a requirement.
 #[derive(Clone)]
 pub(crate) struct Catalogue {
-    k: usize,
-    queries: Arc<QuerySet>,
-    /// `Some` iff the configuration uses the index.
-    index: Option<Arc<HqIndex>>,
+    /// Whether a window probes the index (`cfg.use_index`).
+    probe: bool,
+    index: Arc<HqIndex>,
+    /// `(id, keyframes)` of every subscribed query, in subscription order.
+    queries: Arc<Vec<(QueryId, usize)>>,
 }
 
 impl Catalogue {
     /// The empty catalogue for a configuration.
     pub(crate) fn empty(cfg: &DetectorConfig) -> Catalogue {
         Catalogue {
-            k: cfg.k,
-            queries: Arc::new(QuerySet::new()),
-            index: cfg.use_index.then(|| Arc::new(HqIndex::empty(cfg.k))),
+            probe: cfg.use_index,
+            index: Arc::new(HqIndex::empty(cfg.k)),
+            queries: Arc::default(),
         }
     }
 
-    /// Adopt a pair built elsewhere (and possibly still held there). The
-    /// index must have been built over exactly `queries`.
+    /// The catalogue of `queries`: adopt `index` (built elsewhere over
+    /// exactly `queries`, and possibly still held there) or, given `None`,
+    /// build it. Only the ids and lengths are taken from `queries`.
     ///
     /// # Panics
-    /// Panics on `K` mismatch, if index presence disagrees with
-    /// `cfg.use_index`, or if the index does not cover the queries.
+    /// Panics on `K` mismatch, or if the index does not hold every query
+    /// of `queries` under its id and length and nothing else.
     pub(crate) fn shared(
         cfg: &DetectorConfig,
-        queries: Arc<QuerySet>,
+        queries: &QuerySet,
         index: Option<Arc<HqIndex>>,
     ) -> Catalogue {
         if let Some(k) = queries.k() {
             assert_eq!(k, cfg.k, "query sketches must use K = {}", cfg.k);
         }
-        assert_eq!(
-            cfg.use_index,
-            index.is_some(),
-            "shared index must be provided exactly when cfg.use_index"
-        );
-        if let Some(ix) = &index {
-            assert_eq!(ix.k(), cfg.k, "shared index K mismatch");
-            assert_eq!(ix.len(), queries.len(), "shared index does not cover the catalogue");
+        let index = index.unwrap_or_else(|| Arc::new(HqIndex::build(cfg.k, queries)));
+        assert_eq!(index.k(), cfg.k, "shared index K mismatch");
+        // Values are read from the index alone, so a pair that disagrees
+        // would mis-detect silently: every id must be indexed with its
+        // length. Checking the `K` values too would cost `m × K` here.
+        assert_eq!(index.len(), queries.len(), "shared index does not cover the catalogue");
+        let queries: Vec<(QueryId, usize)> = queries.iter().map(|q| (q.id, q.keyframes)).collect();
+        for &(id, keyframes) in &queries {
+            assert_eq!(
+                index.keyframes_of(id),
+                Some(keyframes),
+                "shared index does not cover query {id}"
+            );
         }
-        Catalogue { k: cfg.k, queries, index }
+        Catalogue { probe: cfg.use_index, index, queries: Arc::new(queries) }
     }
 
-    /// The subscribed queries.
-    pub(crate) fn queries(&self) -> &QuerySet {
+    /// `(id, keyframes)` of every subscribed query, in subscription order.
+    pub(crate) fn queries(&self) -> &[(QueryId, usize)] {
         &self.queries
+    }
+
+    /// The longest subscribed query in key frames (the paper's global
+    /// `L`), 0 when none is.
+    pub(crate) fn max_keyframes(&self) -> usize {
+        self.queries.iter().map(|&(_, keyframes)| keyframes).max().unwrap_or(0)
+    }
+
+    /// The `K` values of the subscribed query `id`, from the index's slab.
+    pub(crate) fn values(&self, id: QueryId) -> Option<&[u64]> {
+        self.index.values(id)
     }
 
     /// Encode `candidate` against the subscribed query `id` into `sig`
     /// (Definition 3); `false`, with `sig` untouched, if `id` is not
     /// subscribed. Every on-demand encode of a candidate store comes
-    /// here, and here alone an encode picks its source: with an index, the
-    /// query's slot of the index's slab, plane against `plane` (built from
-    /// `candidate` by the first call after the caller cleared it); without
-    /// one, the query set's own sketch and the reference kernel.
+    /// here, and here alone an encode picks its kernel — both read the
+    /// query's slot of the index's slab: when windows probe the index,
+    /// the plane kernel against `plane` (built from `candidate` by the
+    /// first call after the caller cleared it); without probing, the
+    /// value kernel, the work Fig. 9's NoIndex arm measures.
     pub(crate) fn encode_against(
         &self,
         id: QueryId,
@@ -112,49 +140,46 @@ impl Catalogue {
         plane: &mut CandidatePlane,
         sig: &mut BitSig,
     ) -> bool {
-        match self.index.as_deref() {
-            Some(ix) => {
-                let mins = candidate.mins();
-                ix.encode_against(id, mins, plane.of(mins), sig).is_some()
-            }
-            None => self.queries.get(id).map(|q| sig.encode_into(candidate, &q.sketch)).is_some(),
+        let mins = candidate.mins();
+        if self.probe {
+            self.index.encode_against(id, mins, plane.of(mins), sig).is_some()
+        } else {
+            self.values(id).map(|values| sig.encode_counts_from_mins(mins, values)).is_some()
         }
     }
 
     /// How many hold each half: `(queries, index)`.
     #[cfg(test)]
-    pub(crate) fn holders(&self) -> (usize, Option<usize>) {
-        (Arc::strong_count(&self.queries), self.index.as_ref().map(Arc::strong_count))
+    pub(crate) fn holders(&self) -> (usize, usize) {
+        (Arc::strong_count(&self.queries), Arc::strong_count(&self.index))
     }
 
-    /// Add a query: `K` hash-table cells and one sketch in place when
-    /// this is the pair's only holder, a copy of both halves otherwise.
-    /// The one place a subscription is written, so the one place it is
-    /// validated: in place there is no old snapshot to fall back on, and
-    /// every rejection is decided before the first write to either half.
+    /// Add a query: its `K` values into the index's slab and cells, its id
+    /// and length onto the list — in place when this is the pair's only
+    /// holder, a copy of both halves otherwise — then drop it. The one
+    /// place a subscription is written, so the one place it is validated:
+    /// in place there is no old snapshot to fall back on, and every
+    /// rejection is decided before the first write to either half.
     ///
     /// # Panics
     /// Panics on sketch `K` mismatch, duplicate query id, or a full index.
     pub(crate) fn subscribe(&mut self, query: Query) {
-        assert_eq!(query.sketch.k(), self.k, "query sketch K mismatch");
-        assert!(self.queries.get(query.id).is_none(), "duplicate query id {}", query.id);
-        if let Some(ix) = &mut self.index {
-            assert!(ix.len() < MAX_QUERIES, "index is full ({MAX_QUERIES} queries)");
-            Arc::make_mut(ix).insert(&query);
-        }
-        Arc::make_mut(&mut self.queries).insert(query);
+        assert_eq!(query.sketch.k(), self.index.k(), "query sketch K mismatch");
+        assert!(self.index.keyframes_of(query.id).is_none(), "duplicate query id {}", query.id);
+        assert!(self.index.len() < MAX_QUERIES, "index is full ({MAX_QUERIES} queries)");
+        Arc::make_mut(&mut self.index).insert(&query);
+        Arc::make_mut(&mut self.queries).push((query.id, query.keyframes));
     }
 
     /// Remove a query; `false` if the id is not subscribed — found out
     /// before [`Arc::make_mut`], so an unknown id copies nothing.
     pub(crate) fn unsubscribe(&mut self, id: QueryId) -> bool {
-        if self.queries.get(id).is_none() {
+        if self.index.keyframes_of(id).is_none() {
             return false;
         }
-        if let Some(ix) = &mut self.index {
-            Arc::make_mut(ix).remove(id);
-        }
-        Arc::make_mut(&mut self.queries).remove(id).is_some()
+        Arc::make_mut(&mut self.index).remove(id);
+        Arc::make_mut(&mut self.queries).retain(|&(qid, _)| qid != id);
+        true
     }
 }
 
@@ -270,19 +295,20 @@ impl StreamState {
         self.next_window += 1;
         self.stats.windows += 1;
 
-        match catalogue.index.as_deref() {
-            Some(ix) => self.rel.reset_from_index(
-                ix,
+        if catalogue.probe {
+            self.rel.reset_from_index(
+                &catalogue.index,
                 &win.sketch,
                 self.cfg.pruning_delta(),
                 &mut self.stats,
-            ),
+            );
+        } else {
             // NoIndex: every query is related; for the Bit representation
             // the window's signature must be encoded against every query
             // (this cost is the point of Fig. 9's comparison). Encodes
             // happen lazily but every related entry will be touched, so
             // the accounting stays exact.
-            None => self.rel.reset_all_queries(catalogue.queries()),
+            self.rel.reset_all_queries(catalogue.queries());
         }
 
         let out = match &mut self.store {
@@ -300,10 +326,10 @@ impl StreamState {
 /// A standalone detector ([`Detector::new`]) is its catalogue's only
 /// holder, so [`Detector::subscribe`] / [`Detector::unsubscribe`] write
 /// in place. [`Detector::with_shared`] and [`Detector::install_catalogue`]
-/// are for callers that share one catalogue among detectors they drive
+/// are for callers that share one index among detectors they drive
 /// themselves; there a subscription through the detector copies first
 /// (the other holders keep theirs), and the cheap way to change the
-/// catalogue is to build the new pair once and install it on each. A
+/// catalogue is to build the new index once and install it on each. A
 /// [`crate::Fleet`] does neither: it keeps one catalogue per executor and
 /// lends it to plain per-stream states.
 pub struct Detector {
@@ -322,21 +348,17 @@ impl Detector {
     /// Panics if the configuration is invalid or a query's `K` mismatches.
     pub fn new(cfg: DetectorConfig, queries: QuerySet) -> Detector {
         cfg.validate();
-        if let Some(k) = queries.k() {
-            assert_eq!(k, cfg.k, "query sketches must use K = {}", cfg.k);
-        }
-        let index = cfg.use_index.then(|| Arc::new(HqIndex::build(cfg.k, &queries)));
-        Detector::with_shared(cfg, Arc::new(queries), index)
+        Detector { catalogue: Catalogue::shared(&cfg, &queries, None), state: StreamState::new(cfg) }
     }
 
-    /// Create a detector that shares a pre-built catalogue and index with
-    /// other detectors. The index must have been built over exactly
-    /// `queries`, and must be `Some` iff `cfg.use_index`.
+    /// Create a detector that shares a pre-built index with other
+    /// detectors. The index must have been built over exactly `queries`;
+    /// given `None`, the detector builds its own. Only the queries' ids and
+    /// lengths are kept — their values are read from the index.
     ///
     /// # Panics
     /// Panics if the configuration is invalid, a query's `K` mismatches,
-    /// index presence disagrees with `cfg.use_index`, or the index does
-    /// not cover `queries`.
+    /// or the index does not hold exactly `queries`' ids and lengths.
     pub fn with_shared(
         cfg: DetectorConfig,
         queries: Arc<QuerySet>,
@@ -344,7 +366,7 @@ impl Detector {
     ) -> Detector {
         cfg.validate();
         Detector {
-            catalogue: Catalogue::shared(&cfg, queries, index),
+            catalogue: Catalogue::shared(&cfg, &queries, index),
             state: StreamState::new(cfg),
         }
     }
@@ -366,9 +388,9 @@ impl Detector {
         &self.state.cfg
     }
 
-    /// The subscribed queries.
-    pub fn queries(&self) -> &QuerySet {
-        self.catalogue.queries()
+    /// Number of subscribed queries `m`.
+    pub fn query_count(&self) -> usize {
+        self.catalogue.queries().len()
     }
 
     /// Accumulated operation counters.
@@ -392,18 +414,19 @@ impl Detector {
         self.catalogue.unsubscribe(id)
     }
 
-    /// Replace the catalogue and index with a pair the caller shares with
-    /// other detectors. The swap happens between key frames and applies
-    /// to the open window when it closes, so it is equivalent to
+    /// Replace the catalogue with `queries` and an index over them that
+    /// the caller shares with other detectors (built here if `None`, as
+    /// in [`Detector::with_shared`]). The swap happens between key frames
+    /// and applies to the open window when it closes, so it is equivalent to
     /// per-detector `subscribe`/`unsubscribe` calls producing the same
     /// catalogue — candidates tracking a removed query shed their entries
     /// lazily, exactly as with [`Detector::unsubscribe`].
     ///
     /// # Panics
-    /// Panics on `K` mismatch, if index presence disagrees with
-    /// `cfg.use_index`, or if the index does not cover `queries`.
+    /// Panics on `K` mismatch, or if the index does not hold exactly
+    /// `queries`' ids and lengths.
     pub fn install_catalogue(&mut self, queries: Arc<QuerySet>, index: Option<Arc<HqIndex>>) {
-        self.catalogue = Catalogue::shared(&self.state.cfg, queries, index);
+        self.catalogue = Catalogue::shared(&self.state.cfg, &queries, index);
     }
 
     /// Feed one key frame's fingerprint. Returns the detections triggered
@@ -622,15 +645,62 @@ mod tests {
         let mut det =
             Detector::with_shared(config, Arc::clone(&held), Some(Arc::clone(&held_index)));
 
+        // The detector keeps the index and the ids, never the query set.
+        assert_eq!(Arc::strong_count(&held), 1, "a catalogue must not hold the query set");
+
         // An unknown id is found out before anything is written.
         assert!(!det.unsubscribe(99));
-        assert!(std::ptr::eq(det.queries(), &*held), "an unknown id must not copy the queries");
         assert_eq!(Arc::strong_count(&held_index), 2, "an unknown id must not copy the index");
 
-        // A write copies first: the other holder's pair is not torn.
+        // A write copies first: the other holder's index is not torn.
         det.subscribe(clip(2));
-        assert_eq!((det.queries().len(), held.len(), held_index.len()), (2, 1, 1));
-        assert_eq!((Arc::strong_count(&held), Arc::strong_count(&held_index)), (1, 1));
+        assert_eq!((det.query_count(), held_index.len()), (2, 1));
+        assert_eq!(Arc::strong_count(&held_index), 1);
+    }
+
+    /// Values are read from the index alone, so a shared index that does
+    /// not hold exactly the set's ids and lengths is refused — not
+    /// adopted to mis-detect silently.
+    #[test]
+    fn a_shared_index_over_another_catalogue_is_refused() {
+        let config = cfg(Order::Sequential, Representation::Sketch, false);
+        let family = Detector::family_for(&config);
+        let clip = |id: QueryId, n: u64| Query::from_cell_ids(id, &family, &(0..n).collect::<Vec<_>>());
+        let set = |queries: Vec<Query>| Arc::new(QuerySet::from_queries(queries));
+        let held = set(vec![clip(1, 3), clip(2, 3)]);
+        for (other, missing) in [
+            (set(vec![clip(1, 3), clip(2, 4)]), "does not cover query 2"),
+            (set(vec![clip(1, 3), clip(3, 3)]), "does not cover query 2"),
+            (set(vec![clip(1, 3)]), "does not cover the catalogue"),
+        ] {
+            let index = Some(Arc::new(HqIndex::build(K, &other)));
+            let refused = std::panic::catch_unwind(|| {
+                Detector::with_shared(config, Arc::clone(&held), index.clone())
+            });
+            let message = refused.err().and_then(|e| e.downcast::<String>().ok());
+            let message = message.expect("a mismatched pair must be refused");
+            assert!(message.contains(missing), "{message}");
+        }
+    }
+
+    /// The NoIndex related list is the subscription order, which emission
+    /// order follows — not the index's slot order, which an unsubscribe
+    /// reshuffles by moving the last slot into the hole.
+    #[test]
+    fn every_query_is_related_in_subscription_order() {
+        let config = cfg(Order::Sequential, Representation::Bit, false);
+        let family = Detector::family_for(&config);
+        let mut catalogue = Catalogue::empty(&config);
+        for id in [5, 1, 9, 3] {
+            catalogue.subscribe(Query::from_cell_ids(id, &family, &[u64::from(id); 2]));
+        }
+        assert!(catalogue.unsubscribe(5));
+        assert!(!catalogue.unsubscribe(5));
+        catalogue.subscribe(Query::from_cell_ids(7, &family, &[7, 8, 9]));
+        let mut rel = WindowRelations::new();
+        rel.reset_all_queries(catalogue.queries());
+        assert_eq!(rel.related(), [(1, 2), (9, 2), (3, 2), (7, 3)]);
+        assert_eq!(catalogue.max_keyframes(), 3);
     }
 
     #[test]

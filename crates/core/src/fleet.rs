@@ -50,11 +50,12 @@
 //! catalogue through [`Arc::make_mut`] — the same line at both executors;
 //! the reference count decides what it does. Inline the count is 1 (no
 //! stream, table or snapshot holds a second reference), so the write is
-//! the index's own `O(K)` update plus one sketch moved into the query
-//! set, in place: tens of microseconds at `m = 1024`, no allocation once
-//! the vectors have grown. With workers the count is `shards + 1`, so
-//! the write first copies both halves (≈ 20 MB at `m = 1024`, a few
-//! milliseconds), the shards swap their clones for the new ones at the
+//! the index's own `O(K)` update — the query's values copied into its
+//! slab, after which the query itself is dropped — plus one id pushed
+//! onto the list, in place: tens of microseconds at `m = 1024`, no
+//! allocation once the vectors have grown. With workers the count is
+//! `shards + 1`, so the write first copies both halves (≈ 15 MB at
+//! `m = 1024`, nearly all of it the index, a few milliseconds), the shards swap their clones for the new ones at the
 //! barrier, and the old copy is freed by the last shard to let go.
 //! Holding the only reference is an optimisation, never a requirement: a
 //! clone held anywhere costs one copy, not a panic or a torn read. Because
@@ -1266,7 +1267,7 @@ mod tests {
             // Inline, the fleet is the catalogue's only holder: what the
             // table probes is what `subscribe` wrote, and nothing copied.
             let sole_holder = |fleet: &Fleet| {
-                assert!(shards > 1 || fleet.catalogue.holders() == (1, Some(1)), "shards={shards}");
+                assert!(shards > 1 || fleet.catalogue.holders() == (1, 1), "shards={shards}");
             };
             let mut got = churned(
                 &mut fleet,

@@ -17,7 +17,7 @@ use crate::bitsig::{BitSig, CandidatePlane};
 use crate::config::{DetectorConfig, Representation};
 use crate::detection::Detection;
 use crate::engine::Catalogue;
-use crate::query::{QueryId, QuerySet};
+use crate::query::QueryId;
 use crate::stats::Stats;
 use crate::window::{sketch_relations, Window, WindowRelations};
 use std::collections::{BTreeMap, VecDeque};
@@ -175,7 +175,6 @@ impl GeoStore {
         stats: &mut Stats,
     ) -> Vec<Detection> {
         let mut out = Vec::new();
-        let queries = catalogue.queries();
 
         // --- Phase 1: cascade the new window backwards through the
         // segments, testing each induced suffix. All cascade state lives
@@ -207,7 +206,7 @@ impl GeoStore {
             win,
             cfg,
             stats,
-            queries,
+            catalogue,
             rel,
             &mut out,
         );
@@ -321,7 +320,7 @@ impl GeoStore {
                 win,
                 cfg,
                 stats,
-                queries,
+                catalogue,
                 rel,
                 &mut out,
             );
@@ -364,7 +363,7 @@ impl GeoStore {
         // `horizon/2` keeps the suffix lengths geometric *and* guarantees
         // some tested suffix overshoots a copy by at most `horizon/2`
         // windows.
-        let global_max = cfg.max_windows_for(queries.max_keyframes()).max(1);
+        let global_max = cfg.max_windows_for(catalogue.max_keyframes()).max(1);
         let merge_cap = prev_power_of_two((global_max / 2).max(1));
         while self.segments.len() >= 2 {
             let n = self.segments.len();
@@ -419,7 +418,7 @@ impl GeoStore {
         win: &Window,
         cfg: &DetectorConfig,
         stats: &mut Stats,
-        queries: &QuerySet,
+        catalogue: &Catalogue,
         rel: &mut WindowRelations,
         out: &mut Vec<Detection>,
     ) {
@@ -431,11 +430,11 @@ impl GeoStore {
             }
             let (sim, violates) = match rep {
                 Representation::Sketch => {
-                    let Some(q) = queries.get(e.qid) else {
+                    let Some(values) = catalogue.values(e.qid) else {
                         return false;
                     };
                     stats.sketch_compares += 1;
-                    let (n_eq, n_less) = sketch_relations(cur_sketch, &q.sketch);
+                    let (n_eq, n_less) = sketch_relations(cur_sketch.mins(), values);
                     (n_eq as f64 / k, n_less as f64 > k * (1.0 - cfg.pruning_delta()))
                 }
                 Representation::Bit => {
@@ -570,7 +569,7 @@ impl GeoStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Query;
+    use crate::query::{Query, QuerySet};
     use vdsms_sketch::MinHashFamily;
 
     const K: usize = 128;
@@ -590,7 +589,7 @@ mod tests {
 
     /// The catalogue of a no-index detector over `queries`.
     fn catalogue(queries: QuerySet) -> Catalogue {
-        Catalogue::shared(&cfg(Representation::Bit), std::sync::Arc::new(queries), None)
+        Catalogue::shared(&cfg(Representation::Bit), &queries, None)
     }
 
     fn family() -> MinHashFamily {

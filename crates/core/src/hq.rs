@@ -23,7 +23,7 @@
 //!    before any run is walked — so their cache misses overlap instead
 //!    of queueing. A cell is a 12-bit tag of the value's hash over the
 //!    20-bit slot of the owning query; a tag match on a slot not yet
-//!    discovered is verified against the query's own sketch copy, so
+//!    discovered is verified against the query's value in the slab, so
 //!    discovery is exact, and slots are deduplicated across rows.
 //! 2. **Encoding**: for each related slot, encode the full signature
 //!    from the query's *contiguous* sketch copy in the `columns` slab —
@@ -34,8 +34,10 @@
 //! The slab is also where a candidate store's *on-demand* encodes read a
 //! query ([`HqIndex::encode_against`], through an id → slot directory): a
 //! query the window is not related to shares no value with it, so its
-//! signature comes from the plane alone, a quarter of the bytes, and the
-//! window path reads one copy of each sketch — this one.
+//! signature comes from the plane alone, a quarter of the bytes. It is
+//! the only copy of a subscribed query's values a detector or fleet
+//! keeps: the NoIndex variants and the Sketch representation read them
+//! here too ([`HqIndex::values`]).
 //!
 //! Phase 2's final `n_lt > K(1−δ)` test accepts exactly the elements the
 //! paper's mid-probe pruning keeps: `n_lt` only grows along the walk, so
@@ -162,6 +164,22 @@ pub struct ProbeScratch {
     /// against it — phase 2's, or a later on-demand one — and dropped by
     /// the next probe.
     pub(crate) plane: CandidatePlane,
+    /// What the last probe's discovery phase did.
+    discovery: Discovery,
+}
+
+/// What one probe's discovery phase did, counted per lookup: how many
+/// of its `K` lookups found their home cell occupied, how many occupied
+/// cells their runs crossed, how many of those carried the lookup's tag,
+/// and how many tag matches on a slot not yet discovered were checked
+/// against the slot's value in the slab. Slots discovered are
+/// [`ProbeScratch::encodes`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Discovery {
+    pub(crate) home_hits: u64,
+    pub(crate) cells_walked: u64,
+    pub(crate) tag_matches: u64,
+    pub(crate) verifications: u64,
 }
 
 impl ProbeScratch {
@@ -184,6 +202,11 @@ impl ProbeScratch {
     /// Lemma-2-pruned ones included.
     pub(crate) fn encodes(&self) -> u64 {
         self.related.len() as u64
+    }
+
+    /// What the last probe's discovery phase did.
+    pub(crate) fn discovery(&self) -> Discovery {
+        self.discovery
     }
 }
 
@@ -299,6 +322,11 @@ impl HqIndex {
     /// Where `id` is, or would go, in the directory.
     fn locate(&self, id: QueryId) -> Result<usize, usize> {
         self.by_id.binary_search_by_key(&id, |&(qid, _)| qid)
+    }
+
+    /// The slot of the indexed query `id`.
+    fn slot_of(&self, id: QueryId) -> Option<usize> {
+        Some(self.by_id[self.locate(id).ok()?].1 as usize)
     }
 
     /// Write `slot`'s cell into every row, each at the first empty cell
@@ -437,6 +465,18 @@ impl HqIndex {
         true
     }
 
+    /// The `K` min-hash values of the indexed query `id`, from its slot of
+    /// the slab; `None` if `id` is not indexed.
+    pub fn values(&self, id: QueryId) -> Option<&[u64]> {
+        Some(&self.slot(self.slot_of(id)?)[..self.k])
+    }
+
+    /// The length in key frames of the indexed query `id`; `None` if `id`
+    /// is not indexed.
+    pub(crate) fn keyframes_of(&self, id: QueryId) -> Option<usize> {
+        Some(self.meta[self.slot_of(id)?].keyframes as usize)
+    }
+
     /// Encode a candidate sketch against the indexed query `id`, from the
     /// slab: `sig` becomes the signature [`BitSig::encode`] gives for the
     /// query's sketch, and its `(n_lt, n_eq)` is returned. `None`, with
@@ -452,8 +492,7 @@ impl HqIndex {
         candidate_plane: &[u64],
         sig: &mut BitSig,
     ) -> Option<(usize, usize)> {
-        let (_, slot) = self.by_id[self.locate(id).ok()?];
-        let (column, plane) = self.slot(slot as usize).split_at(self.k);
+        let (column, plane) = self.slot(self.slot_of(id)?).split_at(self.k);
         Some(sig.encode_counts_from_planes(candidate, candidate_plane, column, plane))
     }
 
@@ -487,7 +526,7 @@ impl HqIndex {
         let prune_above = (self.k as f64 * (1.0 - delta)).floor() as usize;
         let m = self.meta.len();
 
-        let ProbeScratch { related, seen, sig_pool, plane } = scratch;
+        let ProbeScratch { related, seen, sig_pool, plane, discovery } = scratch;
         related.clear();
         plane.clear();
         if seen.len() == m {
@@ -508,6 +547,8 @@ impl HqIndex {
         // keeps a window full of near-miss values (a thousand equal cells
         // for two dozen queries) from costing a thousand `columns` loads.
         let (width, mask, shift) = (self.width, self.width - 1, self.home_shift());
+        let mut counts = Discovery::default();
+        let Discovery { home_hits, cells_walked, tag_matches, verifications } = &mut counts;
         let batches = sk.mins().chunks(LOOKUP_BATCH).zip(self.table.chunks(LOOKUP_BATCH * width));
         for (b, (values, rows)) in batches.enumerate() {
             let mut homes = [0usize; LOOKUP_BATCH];
@@ -522,16 +563,23 @@ impl HqIndex {
                 if cell == EMPTY {
                     continue;
                 }
+                *home_hits += 1;
                 let i = b * LOOKUP_BATCH + j;
                 let discovered = related.len();
                 let mut p = homes[j];
                 // At most `width` steps: a row is never full (load ≤ ½).
                 for _ in 0..width {
                     let s = (cell & SLOT_MASK) as usize;
-                    if cell & !SLOT_MASK == tags[j] && !seen[s] && self.slot(s)[i] == value {
-                        seen[s] = true;
-                        // vdsms-lint: allow(no-alloc-hot-path) reason="scratch Vec reused across probes; bounded by the related-query count"
-                        related.push(s as u32);
+                    if cell & !SLOT_MASK == tags[j] {
+                        *tag_matches += 1;
+                        if !seen[s] {
+                            *verifications += 1;
+                            if self.slot(s)[i] == value {
+                                seen[s] = true;
+                                // vdsms-lint: allow(no-alloc-hot-path) reason="scratch Vec reused across probes; bounded by the related-query count"
+                                related.push(s as u32);
+                            }
+                        }
                     }
                     p = (p + 1) & mask;
                     cell = row[p];
@@ -539,6 +587,9 @@ impl HqIndex {
                         break;
                     }
                 }
+                // The run's occupied cells: from the home up to the empty
+                // cell that ended it.
+                *cells_walked += (p.wrapping_sub(homes[j]) & mask) as u64;
                 // Cells of equal value sit in table order, which deletions
                 // and growth shuffle; hits are promised newest-first.
                 if related.len() - discovered > 1 {
@@ -547,6 +598,8 @@ impl HqIndex {
                 }
             }
         }
+
+        *discovery = counts;
 
         // Phase 2 — encoding: one contiguous-slice encode per related
         // query, counted in the same pass, then the Lemma-2 test on the
@@ -595,14 +648,17 @@ impl HqIndex {
             .collect()
     }
 
-    /// Estimated heap size of the index in bytes (the paper notes the
-    /// index is a fixed `m × K` triples — here the hashed rows and the
-    /// sketch columns).
+    /// Heap bytes the index holds (the paper notes the index is a fixed
+    /// `m × K` triples — here the hashed rows, the slab and the
+    /// directory): every vector's capacity, so a slab chunk counts whole
+    /// from its first slot on.
     pub fn heap_bytes(&self) -> usize {
-        self.table.len() * std::mem::size_of::<u32>()
-            + self.meta.len() * self.stride * std::mem::size_of::<u64>()
-            + self.meta.len() * std::mem::size_of::<QueryMeta>()
-            + self.by_id.len() * std::mem::size_of::<(QueryId, u32)>()
+        let chunks: usize = self.columns.iter().map(Vec::capacity).sum();
+        self.table.capacity() * std::mem::size_of::<u32>()
+            + chunks * std::mem::size_of::<u64>()
+            + self.columns.capacity() * std::mem::size_of::<Vec<u64>>()
+            + self.meta.capacity() * std::mem::size_of::<QueryMeta>()
+            + self.by_id.capacity() * std::mem::size_of::<(QueryId, u32)>()
     }
 }
 
@@ -689,11 +745,41 @@ mod tests {
         hits.iter().map(|h| h.query_id).collect()
     }
 
-    /// The index against its three references, for one window sketch:
-    /// the brute-force scan (same hit set), the direct encoder (same
-    /// signatures) and `fresh`, an index built from scratch over the same
-    /// catalogue (same hits in the same order).
+    /// Discovery's counts by their definitions: each row's lookup walks
+    /// from its value's home to the first empty cell, one row after
+    /// another, and a tag match is checked against the slab unless its
+    /// slot was already found on an earlier row.
+    fn discovery_by_definition(ix: &HqIndex, sk: &Sketch) -> Discovery {
+        let mut d = Discovery::default();
+        let mut seen = vec![false; ix.len()];
+        for (i, (row, &value)) in ix.table.chunks_exact(ix.width).zip(sk.mins()).enumerate() {
+            let (mut p, tag) = home_and_tag(value, ix.home_shift());
+            d.home_hits += u64::from(row[p] != EMPTY);
+            while row[p] != EMPTY {
+                let s = (row[p] & SLOT_MASK) as usize;
+                d.cells_walked += 1;
+                if row[p] & !SLOT_MASK == tag {
+                    d.tag_matches += 1;
+                    if !seen[s] {
+                        d.verifications += 1;
+                        seen[s] = ix.slot(s)[i] == value;
+                    }
+                }
+                p = (p + 1) & (ix.width - 1);
+            }
+        }
+        d
+    }
+
+    /// The index against its references, for one window sketch: the
+    /// brute-force scan (same hit set), the direct encoder (same
+    /// signatures), `fresh`, an index built from scratch over the same
+    /// catalogue (same hits in the same order), and discovery's counts by
+    /// their definitions.
     fn check_probe(ix: &HqIndex, fresh: &HqIndex, qs: &QuerySet, sk: &Sketch, delta: f64) {
+        let mut scratch = ProbeScratch::default();
+        ix.probe_into(sk, delta, &mut scratch, &mut Vec::new());
+        assert_eq!(scratch.discovery(), discovery_by_definition(ix, sk), "discovery counts");
         let got = ix.probe(sk, delta);
         assert_eq!(got.row_searches, ix.k() as u64, "one lookup per row");
         for hit in &got.hits {
@@ -938,14 +1024,24 @@ mod tests {
         assert!(ix.probe(&sk, 0.7).hits.is_empty());
     }
 
+    /// `heap_bytes` is the layout's arithmetic: `K` rows of `width` cells,
+    /// every slab chunk whole from its first slot on, and the bookkeeping
+    /// vectors' capacities — at a catalogue that fills part of one chunk,
+    /// one whole chunk, and one slot of a second.
     #[test]
     fn heap_bytes_scales_with_m_times_k() {
         let f = family();
-        let ix = HqIndex::build(K, &query_set(&f, 10));
-        // Per query cell: at least two 4-byte table cells (load ≤ ½) and
-        // one u64 column entry.
-        let expected = 10 * K * 16;
-        assert!(ix.heap_bytes() >= expected);
+        let stride = K + plane_words(K);
+        for (m, width, chunks) in [(8, MIN_ROW_WIDTH, 1), (64, 128, 1), (65, 256, 2)] {
+            let ix = HqIndex::build(K, &query_set(&f, m as u32));
+            assert_eq!((ix.width, ix.columns.len()), (width, chunks), "m = {m}");
+            let bookkeeping = ix.columns.capacity() * std::mem::size_of::<Vec<u64>>()
+                + ix.meta.capacity() * std::mem::size_of::<QueryMeta>()
+                + ix.by_id.capacity() * std::mem::size_of::<(QueryId, u32)>();
+            let expected = K * width * 4 + chunks * CHUNK_SLOTS * stride * 8 + bookkeeping;
+            assert_eq!(ix.heap_bytes(), expected, "m = {m}");
+            assert!(bookkeeping < 2 * m * 64 + 1024, "m = {m}: {bookkeeping} bookkeeping bytes");
+        }
     }
 
     /// One step of a subscription history.

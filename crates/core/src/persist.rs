@@ -184,4 +184,85 @@ mod tests {
         let dets = det.run(ids.iter().copied().enumerate().map(|(i, v)| (i as u64, v)));
         assert!(dets.iter().any(|d| d.query_id == 9));
     }
+
+    /// A file's way into the catalogue, against the set it was saved
+    /// from. The catalogue is near-miss duplicates — twelve queries over
+    /// four shared runs of cell ids, so whole runs of min-hash values are
+    /// held by several queries. Detectors built from the loaded set must
+    /// emit what detectors built from the in-memory one do in every
+    /// configuration; an index built over the loaded set must probe and
+    /// encode like one built over the original; and a catalogue's slab
+    /// must hold the saved minima under every id.
+    #[test]
+    fn a_loaded_catalogue_detects_probes_and_encodes_like_the_saved_one() {
+        use crate::bitsig::{BitSig, CandidatePlane};
+        use crate::config::{DetectorConfig, Order, Representation};
+        use crate::engine::Catalogue;
+        use crate::hq::HqIndex;
+        use crate::Detector;
+        const K: usize = 64;
+        let base = DetectorConfig { k: K, delta: 0.7, window_keyframes: 4, ..Default::default() };
+        let family = Detector::family_for(&base);
+        let run = |r: u32| (0..16).map(move |j| u64::from(r % 4) * 1_000 + j);
+        let cells = |i: u32| -> Vec<u64> {
+            let neighbour = run(i + 1).take(4 + 4 * (i as usize / 4));
+            run(i).chain(neighbour).chain([50_000 + u64::from(i)]).collect()
+        };
+        let set = QuerySet::from_queries(
+            (0..12u32).map(|i| Query::from_cell_ids(i, &family, &cells(i))).collect(),
+        );
+        let loaded = load_queries(&save_queries(&set), K).unwrap();
+
+        // Plants of three near-miss queries, one of them reversed, between
+        // stretches of background.
+        let background = |n: u64, at: u64| (0..n).map(move |j| 9_000_000 + at * 100 + j);
+        let stream: Vec<u64> = background(13, 0)
+            .chain(cells(0))
+            .chain(background(9, 1))
+            .chain(cells(5).into_iter().rev())
+            .chain(background(11, 2))
+            .chain(cells(10))
+            .chain(background(7, 3))
+            .collect();
+        let frames = || stream.iter().copied().enumerate().map(|(i, v)| (i as u64, v));
+        for order in [Order::Sequential, Order::Geometric] {
+            for representation in [Representation::Sketch, Representation::Bit] {
+                for use_index in [false, true] {
+                    let cfg = DetectorConfig { order, representation, use_index, ..base };
+                    let want = Detector::new(cfg, set.clone()).run(frames());
+                    let got = Detector::new(cfg, loaded.clone()).run(frames());
+                    let label = format!("{order:?}/{representation:?}/use_index={use_index}");
+                    assert!(want.iter().any(|d| d.query_id == 5), "{label}: no plant found");
+                    assert_eq!(got, want, "{label}");
+                }
+            }
+        }
+
+        let (original, reloaded) = (HqIndex::build(K, &set), HqIndex::build(K, &loaded));
+        let hits = |ix: &HqIndex, sk: &Sketch| -> Vec<(u32, usize, BitSig)> {
+            let hits = ix.probe(sk, base.delta).hits;
+            hits.into_iter().map(|h| (h.query_id, h.keyframes, h.sig)).collect()
+        };
+        let windows = stream.chunks(4).map(|w| Sketch::from_ids(&family, w.iter().copied()));
+        let (mut plane, mut reloaded_plane) = (CandidatePlane::default(), CandidatePlane::default());
+        for sk in windows.chain(set.iter().map(|q| q.sketch.clone())) {
+            assert_eq!(hits(&reloaded, &sk), hits(&original, &sk));
+            plane.clear();
+            reloaded_plane.clear();
+            for id in 0..14u32 {
+                let (mut want, mut got) = (BitSig::default(), BitSig::default());
+                let mins = sk.mins();
+                let counts = original.encode_against(id, mins, plane.of(mins), &mut want);
+                let reloaded_counts =
+                    reloaded.encode_against(id, mins, reloaded_plane.of(mins), &mut got);
+                assert_eq!((reloaded_counts, got), (counts, want), "query {id}");
+            }
+        }
+
+        let catalogue = Catalogue::shared(&base, &loaded, None);
+        for q in set.iter() {
+            assert_eq!(catalogue.values(q.id), Some(q.sketch.mins()), "query {}", q.id);
+        }
+        assert_eq!(catalogue.values(12), None);
+    }
 }

@@ -33,12 +33,18 @@ impl Query {
     }
 }
 
-/// The set of subscribed queries, indexable by id.
+/// A batch of sketched queries, indexable by id: what is saved and
+/// loaded ([`crate::persist`]), what an index is built over
+/// ([`crate::HqIndex::build`]) and what a detector starts from
+/// ([`crate::Detector::new`]). A catalogue never holds one: subscribing
+/// copies a query's values into the index's slab and keeps only its id
+/// and length.
 ///
-/// Queries are kept in subscription order — what [`QuerySet::iter`]
-/// yields, and through it the NoIndex variants' related order — beside an
-/// id-sorted directory, so [`QuerySet::get`] is a binary search rather
-/// than a scan of `m` sketches' headers.
+/// Queries are kept in insertion order — what [`QuerySet::iter`]
+/// yields, and through it the order a catalogue built from the set
+/// subscribes them in — beside an id-sorted directory, so
+/// [`QuerySet::get`] is a binary search rather than a scan of `m`
+/// sketches' headers.
 #[derive(Debug, Clone, Default)]
 pub struct QuerySet {
     queries: Vec<Query>,
@@ -121,11 +127,6 @@ impl QuerySet {
     pub fn k(&self) -> Option<usize> {
         self.queries.first().map(|q| q.sketch.k())
     }
-
-    /// The maximum query length in key frames (the paper's global `L`).
-    pub fn max_keyframes(&self) -> usize {
-        self.queries.iter().map(|q| q.keyframes).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +153,6 @@ mod tests {
         set.insert(Query::from_cell_ids(2, &f, &[3, 4, 5]));
         assert_eq!(set.len(), 2);
         assert_eq!(set.get(2).unwrap().keyframes, 3);
-        assert_eq!(set.max_keyframes(), 3);
         let removed = set.remove(1).unwrap();
         assert_eq!(removed.id, 1);
         assert!(set.get(1).is_none());
@@ -213,6 +213,5 @@ mod tests {
         let set = QuerySet::new();
         assert!(set.is_empty());
         assert_eq!(set.k(), None);
-        assert_eq!(set.max_keyframes(), 0);
     }
 }

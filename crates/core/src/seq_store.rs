@@ -13,7 +13,7 @@ use crate::bitsig::BitSig;
 use crate::config::{DetectorConfig, Representation};
 use crate::detection::Detection;
 use crate::engine::Catalogue;
-use crate::query::{QueryId, QuerySet};
+use crate::query::QueryId;
 use crate::stats::Stats;
 use crate::window::{sketch_relations, Window, WindowRelations};
 use std::collections::VecDeque;
@@ -96,7 +96,6 @@ impl SeqStore {
         stats: &mut Stats,
     ) -> Vec<Detection> {
         let mut out = Vec::new();
-        let queries = catalogue.queries();
 
         // Extend every existing suffix candidate with the new window.
         let mut idx = 0;
@@ -120,7 +119,7 @@ impl SeqStore {
                             cand.start_frame,
                             win,
                             cfg,
-                            queries,
+                            catalogue,
                             stats,
                             &mut out,
                         );
@@ -225,7 +224,7 @@ impl SeqStore {
                         cand.start_frame,
                         win,
                         cfg,
-                        queries,
+                        catalogue,
                         stats,
                         &mut out,
                     );
@@ -294,7 +293,7 @@ fn retain_entries_sketch(
     start_frame: u64,
     win: &Window,
     cfg: &DetectorConfig,
-    queries: &QuerySet,
+    catalogue: &Catalogue,
     stats: &mut Stats,
     out: &mut Vec<Detection>,
 ) {
@@ -304,11 +303,11 @@ fn retain_entries_sketch(
             stats.length_expiries += 1;
             return false;
         }
-        let Some(q) = queries.get(e.qid) else {
+        let Some(values) = catalogue.values(e.qid) else {
             return false;
         };
         stats.sketch_compares += 1;
-        let (n_eq, n_less) = sketch_relations(cand_sketch, &q.sketch);
+        let (n_eq, n_less) = sketch_relations(cand_sketch.mins(), values);
         if n_less as f64 > k * (1.0 - cfg.pruning_delta()) {
             stats.lemma2_prunes += 1;
             return false;
@@ -333,7 +332,7 @@ fn retain_entries_sketch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Query;
+    use crate::query::{Query, QuerySet};
     use vdsms_sketch::MinHashFamily;
 
     const K: usize = 128;
@@ -352,7 +351,7 @@ mod tests {
 
     /// The catalogue of a no-index detector over `queries`.
     fn catalogue(queries: QuerySet) -> Catalogue {
-        Catalogue::shared(&cfg(Representation::Bit), std::sync::Arc::new(queries), None)
+        Catalogue::shared(&cfg(Representation::Bit), &queries, None)
     }
 
     fn family() -> MinHashFamily {

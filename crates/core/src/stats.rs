@@ -41,6 +41,19 @@ pub struct Stats {
     pub index_probes: u64,
     /// Binary/equal-search row operations inside index probes.
     pub index_row_searches: u64,
+    /// Index probe discovery: row lookups whose home cell was occupied
+    /// (of the `K` per probe; the rest cost one load and no walk).
+    pub index_home_hits: u64,
+    /// Index probe discovery: occupied cells crossed by the lookups' runs.
+    pub index_cells_walked: u64,
+    /// Index probe discovery: walked cells whose 12-bit tag matched the
+    /// lookup's value — true equalities and tag collisions alike, on
+    /// queries already discovered or not.
+    pub index_tag_matches: u64,
+    /// Index probe discovery: tag matches on a query not yet discovered
+    /// that were checked against its value in the slab. The checks that
+    /// held are [`Stats::probe_encodes`].
+    pub index_verifications: u64,
     /// Candidate-query entries pruned by Lemma 2.
     pub lemma2_prunes: u64,
     /// Candidate-query entries expired by the λL length bound.
@@ -89,6 +102,10 @@ impl Stats {
         self.sig_compares += other.sig_compares;
         self.index_probes += other.index_probes;
         self.index_row_searches += other.index_row_searches;
+        self.index_home_hits += other.index_home_hits;
+        self.index_cells_walked += other.index_cells_walked;
+        self.index_tag_matches += other.index_tag_matches;
+        self.index_verifications += other.index_verifications;
         self.lemma2_prunes += other.lemma2_prunes;
         self.length_expiries += other.length_expiries;
         self.detections += other.detections;

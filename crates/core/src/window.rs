@@ -3,7 +3,7 @@
 use crate::bitsig::BitSig;
 use crate::engine::Catalogue;
 use crate::hq::{HqIndex, ProbeHit, ProbeScratch};
-use crate::query::{QueryId, QuerySet};
+use crate::query::QueryId;
 use crate::stats::Stats;
 use vdsms_sketch::Sketch;
 
@@ -56,9 +56,10 @@ impl WindowRelations {
         WindowRelations::default()
     }
 
-    /// Build for the NoIndex variants: every query is related; signatures
-    /// are encoded lazily as the stores touch them.
-    pub fn all_queries(queries: &QuerySet) -> WindowRelations {
+    /// Build for the NoIndex variants: every query of `queries`, given as
+    /// `(id, keyframes)`, is related; signatures are encoded lazily as the
+    /// stores touch them.
+    pub fn all_queries(queries: &[(QueryId, usize)]) -> WindowRelations {
         let mut rel = WindowRelations::new();
         rel.reset_all_queries(queries);
         rel
@@ -88,6 +89,11 @@ impl WindowRelations {
         stats.index_row_searches +=
             index.probe_into(window_sketch, delta, &mut self.scratch, &mut self.hits);
         stats.probe_encodes += self.scratch.encodes();
+        let discovery = self.scratch.discovery();
+        stats.index_home_hits += discovery.home_hits;
+        stats.index_cells_walked += discovery.cells_walked;
+        stats.index_tag_matches += discovery.tag_matches;
+        stats.index_verifications += discovery.verifications;
         for h in self.hits.drain(..) {
             // vdsms-lint: allow(no-alloc-hot-path) reason="capacity reused across windows; grows only while the probe-hit high-water mark rises"
             self.related.push((h.query_id, h.keyframes));
@@ -97,14 +103,12 @@ impl WindowRelations {
         self.sigs.sort_unstable_by_key(|(id, _)| *id);
     }
 
-    /// Refill with every subscribed query (NoIndex variants), reusing
-    /// this relation set's buffers.
-    pub fn reset_all_queries(&mut self, queries: &QuerySet) {
+    /// Refill with every subscribed query (NoIndex variants), given as
+    /// `(id, keyframes)` in subscription order, reusing this relation
+    /// set's buffers.
+    pub fn reset_all_queries(&mut self, queries: &[(QueryId, usize)]) {
         self.clear();
-        for q in queries.iter() {
-            // vdsms-lint: allow(no-alloc-hot-path) reason="capacity reused across windows; bounded by the subscribed-query count"
-            self.related.push((q.id, q.keyframes));
-        }
+        self.related.extend_from_slice(queries);
     }
 
     /// The related-query list for this window.
@@ -188,17 +192,18 @@ impl WindowRelations {
     }
 }
 
-/// Relation counts between two raw sketches: `(n_equal, n_less)` where
-/// `n_less` counts positions with `a < b`. This is the Sketch
-/// representation's comparison primitive (`C_comp`), also used for its
-/// Lemma-2 pruning.
-pub fn sketch_relations(a: &Sketch, b: &Sketch) -> (usize, usize) {
-    assert_eq!(a.k(), b.k(), "sketch K mismatch");
+/// Relation counts between two sketches' min-hash values: `(n_equal,
+/// n_less)` where `n_less` counts positions with `a < b`. This is the
+/// Sketch representation's comparison primitive (`C_comp`), also used for
+/// its Lemma-2 pruning; a store passes a candidate's sketch and a query's
+/// values from the index's slab.
+pub fn sketch_relations(a: &[u64], b: &[u64]) -> (usize, usize) {
+    assert_eq!(a.len(), b.len(), "sketch K mismatch");
     // Branch-free: each lane contributes 0/1 to both counters, so the
     // loop has no data-dependent branches and vectorizes.
     let mut n_eq = 0usize;
     let mut n_less = 0usize;
-    for (&x, &y) in a.mins().iter().zip(b.mins()) {
+    for (&x, &y) in a.iter().zip(b) {
         n_eq += usize::from(x == y);
         n_less += usize::from(x < y);
     }
@@ -209,8 +214,7 @@ pub fn sketch_relations(a: &Sketch, b: &Sketch) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::config::DetectorConfig;
-    use crate::query::Query;
-    use std::sync::Arc;
+    use crate::query::{Query, QuerySet};
     use vdsms_sketch::MinHashFamily;
 
     #[test]
@@ -218,7 +222,7 @@ mod tests {
         let f = MinHashFamily::new(100, 1);
         let a = Sketch::from_ids(&f, 0..50u64);
         let b = Sketch::from_ids(&f, 25..80u64);
-        let (n_eq, n_less) = sketch_relations(&a, &b);
+        let (n_eq, n_less) = sketch_relations(a.mins(), b.mins());
         let sig = BitSig::encode(&a, &b);
         assert_eq!(n_eq, sig.count_equal());
         assert_eq!(n_less, sig.count_less());
@@ -227,8 +231,7 @@ mod tests {
     /// A catalogue over `queries`, with or without the index.
     fn catalogue(queries: QuerySet, use_index: bool) -> Catalogue {
         let cfg = DetectorConfig { k: 32, use_index, ..Default::default() };
-        let index = use_index.then(|| Arc::new(HqIndex::build(32, &queries)));
-        Catalogue::shared(&cfg, Arc::new(queries), index)
+        Catalogue::shared(&cfg, &queries, None)
     }
 
     #[test]

@@ -203,6 +203,10 @@ proptest! {
                 sig_compares: cmp,
                 sig_encodes: enc,
                 probe_encodes: enc ^ cmp,
+                index_home_hits: w ^ det,
+                index_cells_walked: cmp + peak,
+                index_tag_matches: enc + det,
+                index_verifications: peak ^ enc,
                 live_signature_peak: peak,
                 detections: det,
                 frames_dropped: dropped,

@@ -211,7 +211,7 @@ impl Monitor {
 
     /// Number of subscribed queries.
     pub fn query_count(&self) -> usize {
-        self.detector.queries().len()
+        self.detector.query_count()
     }
 }
 

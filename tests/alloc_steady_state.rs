@@ -14,12 +14,14 @@
 //! buffers from one per-stream pool, and a dead entry's goes back to it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use vdsms::codec::bitio::ByteReader;
 use vdsms::codec::{Encoder, EncoderConfig, StreamHeader};
-use vdsms::core::{Detector, DetectorConfig, Fleet, Order, Query, QuerySet, Representation, Stats};
+use vdsms::core::{
+    Detector, DetectorConfig, Fleet, HqIndex, Order, Query, QuerySet, Representation, Stats,
+};
 use vdsms::features::{FeatureConfig, FeatureExtractor, FingerprintStream};
 use vdsms::serve::ChunkedIngest;
 use vdsms::video::source::{ClipGenerator, SourceSpec};
@@ -34,34 +36,40 @@ struct CountingAlloc;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Bytes asked for by the calls `ALLOCS` counts.
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Live bytes gained while counting: allocated minus freed (a `realloc`
+/// counts its new size in and its old size out).
+static LIVE: AtomicI64 = AtomicI64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);
+
+/// Count one call asking for `size` bytes, in place of `freed` ones.
+fn count(size: usize, freed: usize) {
+    if COUNTING.load(Ordering::Relaxed) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(size as u64, Ordering::Relaxed);
+        LIVE.fetch_add(size as i64 - freed as i64, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        }
+        count(layout.size(), 0);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if COUNTING.load(Ordering::Relaxed) {
+            LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        }
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        }
+        count(new_size, layout.size());
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        }
+        count(layout.size(), 0);
         System.alloc_zeroed(layout)
     }
 }
@@ -430,19 +438,21 @@ fn chunked_ingest_steady_state_is_allocation_free() {
     }
 }
 
-/// Allocator calls and bytes requested while `f` runs.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+/// Allocator calls, bytes requested and live bytes gained while `f` runs.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64, i64) {
     ALLOCS.store(0, Ordering::SeqCst);
     BYTES.store(0, Ordering::SeqCst);
+    LIVE.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
     let out = f();
     COUNTING.store(false, Ordering::SeqCst);
-    (out, ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst))
+    let live = LIVE.load(Ordering::SeqCst);
+    (out, ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst), live)
 }
 
 /// An inline fleet is its catalogue's only holder, so a subscription is
-/// written in place — `K` index cells and one sketch moved into the query
-/// set — whatever the catalogue's size and however many streams are open.
+/// written in place — `K` index cells, the query's values in the slab and
+/// one id on the list — whatever the catalogue's size and however many streams are open.
 /// A copy of the catalogue instead would show here as one allocation per
 /// subscribed sketch (> 1 000 calls, ≈ 20 MB). An id that is not
 /// subscribed must cost nothing at either executor: it is looked up before
@@ -475,7 +485,7 @@ fn fleet_subscription_is_written_in_place() {
         assert!(fleet.unsubscribe(M).unwrap());
 
         let decoy = clip(M + 1);
-        let (removed, allocs, bytes) = counted(|| {
+        let (removed, allocs, bytes, _) = counted(|| {
             fleet.subscribe(decoy).unwrap();
             fleet.unsubscribe(M + 1).unwrap()
         });
@@ -487,7 +497,7 @@ fn fleet_subscription_is_written_in_place() {
                  {bytes} bytes (expected at most 8 calls, under 64 KiB)"
             );
         }
-        let (unknown, allocs, _) = counted(|| fleet.unsubscribe(M + 2).unwrap());
+        let (unknown, allocs, _, _) = counted(|| fleet.unsubscribe(M + 2).unwrap());
         assert!(!unknown);
         assert!(
             allocs <= 8,
@@ -495,4 +505,59 @@ fn fleet_subscription_is_written_in_place() {
         );
         assert_eq!((fleet.query_count(), fleet.stream_count()), (M as usize, STREAMS as usize));
     }
+}
+
+/// One copy of the catalogue: a subscription copies the query's values
+/// into the index's slab and keeps nothing else of it, so the subscribe
+/// that consumes a sketch built by the caller frees it — at an inline
+/// fleet of `m = 1024` with every vector already grown, live bytes fall by
+/// the sketch's `K × 8` less at most 1 KiB of bookkeeping. A detector
+/// built from a query set keeps none of the set's sketches either: what
+/// it holds afterwards is its index and its per-stream state, less the
+/// sketches it was handed.
+#[test]
+fn a_subscription_keeps_no_copy_of_the_query() {
+    let _gate = GATE.lock().unwrap();
+    const M: u32 = 1024;
+    let cfg = DetectorConfig::default();
+    let family = Detector::family_for(&cfg);
+    let clip = |id: u32| {
+        let cells: Vec<u64> = (0..40u64).map(|i| u64::from(id) * 64 + i % 20).collect();
+        Query::from_cell_ids(id, &family, &cells)
+    };
+    let sketch_bytes = (cfg.k * std::mem::size_of::<u64>()) as i64;
+
+    let mut fleet = Fleet::new(cfg);
+    for id in 0..M {
+        fleet.subscribe(clip(id)).unwrap();
+    }
+    fleet.add_stream(0).unwrap();
+    assert!(fleet.push_keyframe(0, 0, 9_000_000).unwrap().is_empty());
+    // The warm-up pair, as in `fleet_subscription_is_written_in_place`.
+    fleet.subscribe(clip(M)).unwrap();
+    assert!(fleet.unsubscribe(M).unwrap());
+    let query = clip(M + 1);
+    let ((), _, _, live) = counted(|| fleet.subscribe(query).unwrap());
+    assert!(
+        live <= -(sketch_bytes - 1024),
+        "an inline subscribe at m = {M} left {live:+} live bytes: the caller's \
+         {sketch_bytes}-byte sketch must be freed, not kept beside the slab"
+    );
+    assert_eq!(fleet.query_count(), M as usize + 1);
+    drop(fleet);
+
+    // What a detector holds with no query: its per-stream state and an
+    // empty index.
+    let (empty, _, _, state) = counted(|| Detector::new(cfg, QuerySet::new()));
+    drop(empty);
+    let set = QuerySet::from_queries((0..M).map(clip).collect());
+    let index = HqIndex::build(cfg.k, &set).heap_bytes() as i64;
+    let (det, _, _, live) = counted(|| Detector::new(cfg, set));
+    let bound = state + index - i64::from(M) * sketch_bytes;
+    assert!(
+        live <= bound,
+        "Detector::new over {M} queries left {live} live bytes, above the {bound} its index \
+         ({index}) and state ({state}) come to once the set's sketches are freed"
+    );
+    assert_eq!(det.query_count(), M as usize);
 }

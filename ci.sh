@@ -125,7 +125,30 @@ echo "== benchmark builds and smoke-runs (its own workspace) =="
 (cd benchmark && cargo test -q --offline)
 
 echo "== clippy =="
-cargo clippy --workspace --all-targets -- -D warnings
+# Every member and target, tests and examples included. clippy.toml
+# (and crates/{core,features,sketch}/clippy.toml) bans wall-clock reads,
+# partial_cmp, std locks and, in those three crates, hashing collections.
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
+
+echo "== clippy seeded violations (once per clippy.toml) =="
+# clippy must report exactly the lines in the seeded crate's
+# expected.txt: the `all` lines under every clippy.toml, the `hash` lines
+# under the crate copies only. A copy that drifts from the root lists, or
+# a deleted seeded line, fails here. A fresh target dir per run, so no
+# cached verdict replays.
+seeded=crates/lint/tests/clippy_seeded
+for conf in clippy.toml crates/*/clippy.toml; do
+  dir="$(dirname "$conf")"
+  conf_dir="$PWD/$dir"
+  if [ "$dir" = . ]; then configs=all; else configs='all|hash'; fi
+  want="$(grep -E "^($configs) " "$seeded/expected.txt" | cut -d' ' -f2 | sort)"
+  got="$(cd "$seeded" && CLIPPY_CONF_DIR="$conf_dir" cargo clippy -q --all-targets \
+      --target-dir "$tmp/clippy-seeded-${dir//\//-}" --message-format=short \
+      -- -D warnings -D clippy::undocumented_unsafe_blocks 2>&1 \
+    | grep -E 'disallowed (method|type)|missing a safety comment' | cut -d: -f1,2 | sort -u || true)"
+  [ "$got" = "$want" ] \
+    || { echo "seeded clippy run under $conf: reported lines differ from expected.txt"; diff <(echo "$want") <(echo "$got"); exit 1; }
+done
 
 echo "== rustdoc =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q

@@ -10,8 +10,7 @@
 //! fig13, fig14, fig15 (see DESIGN.md for the experiment index).
 
 use std::io::Write;
-use std::time::Instant;
-use vdsms_bench::{exps, Ctx, Scale};
+use vdsms_bench::{exps, now, Ctx, Scale};
 
 fn usage() -> ! {
     eprintln!(
@@ -69,10 +68,10 @@ fn main() {
 
     let mut ctx = Ctx::new(scale, seed);
     let mut rendered = String::new();
-    let total = Instant::now();
+    let total = now();
     for id in &ids {
         eprintln!("[experiments] running {id} at {scale:?} scale...");
-        let started = Instant::now();
+        let started = now();
         for table in exps::run(id, &mut ctx, scale) {
             println!("{}", table.to_plain());
             rendered.push_str(&table.to_markdown());

@@ -4,7 +4,6 @@
 //! sequences for every K.
 
 use std::collections::HashMap;
-use std::time::Instant;
 use vdsms_baselines::{BaselineKind, BaselineMatcher, BaselineQuery};
 use vdsms_codec::DcFrame;
 use vdsms_core::{Detection, Detector, DetectorConfig, Query, QuerySet, Stats};
@@ -204,7 +203,7 @@ impl Ctx {
     pub fn stream(&mut self, kind: StreamKind) -> &ComposedStream {
         if !self.streams.contains_key(&kind) {
             self.progress(&format!("composing {kind:?} stream..."));
-            let t = Instant::now();
+            let t = crate::now();
             let s = compose_stream(&self.library, kind);
             self.progress(&format!(
                 "{kind:?}: {} frames, {} bytes, {:.1}s",
@@ -289,7 +288,7 @@ impl Ctx {
             * self.spec.fps.as_f64())
         .round() as u64;
         let mut det = Detector::new(cfg, queries);
-        let t = Instant::now();
+        let t = crate::now();
         let detections = det.run(cells);
         let engine_seconds = t.elapsed().as_secs_f64();
         let pr = score(&detections, &truth, w_frames);
@@ -318,7 +317,7 @@ impl Ctx {
         let truth = self.stream(kind).truth.clone();
         let w_frames = self.spec.window_frames(w_seconds);
         let mut matcher = BaselineMatcher::new(baseline, threshold, gap, queries);
-        let t = Instant::now();
+        let t = crate::now();
         let mut dets = Vec::new();
         for (frame, f) in feats {
             dets.extend(matcher.push_keyframe(frame, f));

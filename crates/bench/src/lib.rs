@@ -18,3 +18,13 @@ pub mod table;
 
 pub use context::{Ctx, Scale};
 pub use table::Table;
+
+/// The experiments' one clock read, behind the setup and engine seconds
+/// they report; no detection result depends on it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the experiments report wall-clock cost by design"
+)]
+pub fn now() -> std::time::Instant {
+    std::time::Instant::now()
+}

@@ -106,8 +106,8 @@ fn tag(stream_id: StreamId, detections: Vec<Detection>) -> impl Iterator<Item = 
 /// state only: every operation that evaluates a window borrows the
 /// catalogue from the table's owner for the call. Streams live in a
 /// `BTreeMap` so whole-table walks run in stream-id order, keeping
-/// detection and stats output deterministic across runs (the
-/// `deterministic-iteration` lint rule).
+/// detection and stats output deterministic across runs (this crate's
+/// `clippy.toml` bans `HashMap` and `HashSet`).
 struct StreamTable {
     cfg: DetectorConfig,
     streams: BTreeMap<StreamId, StreamState>,

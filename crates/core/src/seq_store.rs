@@ -423,8 +423,8 @@ mod tests {
         let key = |d: &Detection| (d.query_id, d.start_frame, d.end_frame);
         let mut a: Vec<_> = bit.iter().map(|d| (key(d), d.similarity)).collect();
         let mut b: Vec<_> = sketch.iter().map(|d| (key(d), d.similarity)).collect();
-        a.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        b.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        a.sort_by(|x, y| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)));
+        b.sort_by(|x, y| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)));
         assert_eq!(a, b);
     }
 

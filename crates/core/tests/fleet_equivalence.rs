@@ -66,7 +66,7 @@ enum Step {
 }
 
 fn script(n_streams: u8, ops: &[Op]) -> Vec<Step> {
-    let mut subscribed = std::collections::HashSet::new();
+    let mut subscribed = std::collections::BTreeSet::new();
     let mut next_frame = vec![0u64; usize::from(n_streams)];
     let mut steps = Vec::new();
     for op in ops {

@@ -208,7 +208,7 @@ mod tests {
     fn cell_ids_are_in_range_and_cover_grid_and_pyramid() {
         let p = GridPyramid::new(3, 4);
         let n = p.num_cells();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         // Scan a lattice of points; ids must be in range.
         let steps = 17;
         for i in 0..steps {

@@ -5,7 +5,7 @@
 //! for unrelated clips it must stay far. These are the invariants all
 //! detection quality rests on.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use vdsms_codec::{Encoder, EncoderConfig, PartialDecoder};
 use vdsms_features::{FeatureConfig, FeatureExtractor};
 use vdsms_video::source::{ClipGenerator, SourceSpec};
@@ -24,7 +24,7 @@ fn clip(seed: u64, secs: f64) -> Clip {
     ClipGenerator::new(spec).clip(secs)
 }
 
-fn ids(c: &Clip, quality: u8) -> HashSet<u64> {
+fn ids(c: &Clip, quality: u8) -> BTreeSet<u64> {
     let bytes = Encoder::encode_clip(c, EncoderConfig { gop: 5, quality, motion_search: true });
     let dcs = PartialDecoder::new(&bytes).unwrap().decode_all().unwrap();
     FeatureExtractor::new(FeatureConfig::default())
@@ -33,7 +33,7 @@ fn ids(c: &Clip, quality: u8) -> HashSet<u64> {
         .collect()
 }
 
-fn jaccard(a: &HashSet<u64>, b: &HashSet<u64>) -> f64 {
+fn jaccard(a: &BTreeSet<u64>, b: &BTreeSet<u64>) -> f64 {
     let i = a.intersection(b).count();
     i as f64 / (a.len() + b.len() - i) as f64
 }

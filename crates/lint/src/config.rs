@@ -6,7 +6,7 @@
 //! ```toml
 //! # comment
 //! [default]              # rule defaults for every crate
-//! no-wall-clock = true
+//! lock-order = true
 //!
 //! [crate.vdsms-core]     # per-crate overrides, by package name
 //! no-panic-hot-path = true
@@ -21,12 +21,8 @@ use std::collections::BTreeMap;
 pub const KNOWN_KEYS: &[&str] = &[
     "no-panic-hot-path",
     "no-alloc-hot-path",
-    "deterministic-iteration",
-    "no-wall-clock",
-    "lock-discipline",
     "lock-order",
     "no-unchecked-arith",
-    "float-determinism",
     "taint-unchecked-flow",
     "loop-progress",
     "no-swallowed-error",
@@ -50,18 +46,14 @@ impl RuleSet {
     /// The gate's built-in defaults. The hot-path rules are globally on
     /// because they are reachability-gated (a crate with no function
     /// reachable from a `// vdsms-lint: entry` marker gets no findings);
-    /// `deterministic-iteration` and `no-unchecked-arith` stay opt-in
-    /// per crate (they assert crate-specific contracts).
+    /// `no-unchecked-arith` stays opt-in per crate (it asserts a
+    /// crate-specific contract).
     pub fn builtin_default() -> RuleSet {
         let mut switches = BTreeMap::new();
         switches.insert("no-panic-hot-path".to_string(), true);
         switches.insert("no-alloc-hot-path".to_string(), true);
-        switches.insert("deterministic-iteration".to_string(), false);
-        switches.insert("no-wall-clock".to_string(), true);
-        switches.insert("lock-discipline".to_string(), true);
         switches.insert("lock-order".to_string(), true);
         switches.insert("no-unchecked-arith".to_string(), false);
-        switches.insert("float-determinism".to_string(), true);
         // `taint-unchecked-flow` asserts a codec-grade input contract and
         // stays opt-in per crate, like `no-unchecked-arith`; the other
         // two v3 rules are cheap and reachability- or resolution-gated.
@@ -211,17 +203,17 @@ mod tests {
         let cfg = parse_config(
             "
             [default]
-            no-wall-clock = true
+            lock-order = true
             [crate.vdsms-core]
             no-panic-hot-path = true
             [crate.vdsms-bench]
-            no-wall-clock = false
+            lock-order = false
             ",
         )
         .unwrap();
         assert!(cfg.rules_for("vdsms-core").enabled("no-panic-hot-path"));
-        assert!(cfg.rules_for("vdsms-core").enabled("no-wall-clock"));
-        assert!(!cfg.rules_for("vdsms-bench").enabled("no-wall-clock"));
+        assert!(cfg.rules_for("vdsms-core").enabled("lock-order"));
+        assert!(!cfg.rules_for("vdsms-bench").enabled("lock-order"));
         // Unmentioned crates keep the built-in defaults.
         assert!(cfg.rules_for("other").enabled("no-panic-hot-path"));
         assert!(!cfg.rules_for("other").enabled("no-unchecked-arith"));
@@ -231,13 +223,13 @@ mod tests {
     fn unknown_keys_and_sections_are_rejected() {
         assert!(parse_config("[default]\nno-such-rule = true").is_err());
         assert!(parse_config("[weird]\n").is_err());
-        assert!(parse_config("no-wall-clock = true").is_err());
-        assert!(parse_config("[default]\nno-wall-clock = yes").is_err());
+        assert!(parse_config("lock-order = true").is_err());
+        assert!(parse_config("[default]\nlock-order = yes").is_err());
     }
 
     #[test]
     fn comments_and_blanks_are_ignored() {
-        let cfg = parse_config("# top\n[default] # section\nno-wall-clock = false # off\n").unwrap();
-        assert!(!cfg.rules_for("x").enabled("no-wall-clock"));
+        let cfg = parse_config("# top\n[default] # section\nlock-order = false # off\n").unwrap();
+        assert!(!cfg.rules_for("x").enabled("lock-order"));
     }
 }

@@ -28,10 +28,6 @@
 //!   explicit cast or passed through a call boundary
 //!   (`u64::from(b)` widens; `wrapping_*` / `checked_*` /
 //!   `saturating_*` are method calls, not bare operators, so they pass).
-//! - **`float-determinism`** — `partial_cmp` in production code: its
-//!   `Option` forces `unwrap`-or-fallback on NaN and its NaN behaviour
-//!   is order-unstable; detection scoring must use `total_cmp` or
-//!   integer keys.
 //! - **`taint-unchecked-flow` (v3)** — interprocedural untrusted-byte
 //!   taint: sources are `read_*` / `get_*` reads and `*_len` / `*_count`
 //!   payload fields; sinks are slice indexing, capacity reservation and
@@ -61,7 +57,7 @@ use crate::callgraph::{transitive_union, CallGraph, Reachability};
 use crate::config::RuleSet;
 use crate::diag::Diagnostic;
 use crate::rules::{
-    CHANNEL_PROTOCOL, FLOAT_DET, GUARD_BLOCKING, LOCK_ORDER, LOOP_PROGRESS, NO_ALLOC, NO_PANIC,
+    CHANNEL_PROTOCOL, GUARD_BLOCKING, LOCK_ORDER, LOOP_PROGRESS, NO_ALLOC, NO_PANIC,
     NO_SWALLOWED_ERROR, NO_UNCHECKED_ARITH, TAINT_FLOW,
 };
 use crate::summaries::{CallRef, ChanOpKind, FileSummary, LockEvent, TaintSrc};
@@ -94,7 +90,6 @@ pub fn analyze(
     hot_path_rules(&mut ctx, &reach_panic, &reach_alloc);
     lock_order(&mut ctx, &graph);
     unchecked_arith(&mut ctx);
-    float_determinism(&mut ctx);
     taint_flow(&mut ctx, &resolved);
     loop_progress(&mut ctx, &reach_progress);
     swallowed_errors(&mut ctx, &resolved);
@@ -331,25 +326,6 @@ fn unchecked_arith(ctx: &mut Ctx<'_>) {
                 f.qual_name()
             );
             ctx.emit(NO_UNCHECKED_ARITH, f.file, site.pos, msg);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// float-determinism
-// ---------------------------------------------------------------------
-
-fn float_determinism(ctx: &mut Ctx<'_>) {
-    for f in &ctx.symbols.fns {
-        if f.def.is_test || !ctx.enabled(f.file, FLOAT_DET) {
-            continue;
-        }
-        for pos in &f.def.float_sites {
-            let msg = format!(
-                "`partial_cmp` in `{}` is NaN-unstable (returns `None`, tempting `unwrap`, and orders NaN inconsistently); use `f64::total_cmp` / `f32::total_cmp` or compare integer keys",
-                f.qual_name()
-            );
-            ctx.emit(FLOAT_DET, f.file, *pos, msg);
         }
     }
 }

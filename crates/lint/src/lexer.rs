@@ -101,11 +101,6 @@ pub struct LexedFile {
 }
 
 impl LexedFile {
-    /// Tokens paired with their test-code flag.
-    pub fn code_tokens(&self) -> impl Iterator<Item = (usize, &Token)> {
-        self.tokens.iter().enumerate()
-    }
-
     /// Whether token `i` is inside test-only code.
     pub fn is_test(&self, i: usize) -> bool {
         self.in_test.get(i).copied().unwrap_or(false)

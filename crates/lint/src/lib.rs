@@ -6,21 +6,25 @@
 //! (Yan/Ooi/Zhou, ICDE 2008, §VI assumes uninterrupted operation) are
 //! properties of the *code*, not of any one test run. This crate enforces
 //! them mechanically, in one pass — read, lex, parse, summarise, link,
-//! report — with two layers of rules sharing one hand-rolled lexer (no
-//! external parser dependencies, consistent with the workspace's offline
-//! stand-in policy):
+//! report — with one hand-rolled lexer (no external parser
+//! dependencies, consistent with the workspace's offline stand-in
+//! policy) feeding two layers:
 //!
-//! 1. **Per-file token rules** ([`rules`]) — pattern matchers for
-//!    structural bans (order-randomized collections, wall-clock reads,
-//!    std locks, unaudited `unsafe`).
+//! 1. **A per-file token rule** ([`rules`]) — every crate root but the
+//!    `parking_lot` shim's carries `#![forbid(unsafe_code)]`.
 //! 2. **Workspace semantic analyses** ([`flow`]) — a recursive-descent
 //!    [`parser`] builds a lint-grade [`ast`], per-function [`summaries`]
 //!    are the only thing that crosses from the AST walkers to the link
 //!    phase, a [`symbols`] table and a [`callgraph`] link every file, and
 //!    the analyses run over the whole workspace at once: interprocedural
 //!    hot-path inference (panic- and allocation-freedom from
-//!    `// vdsms-lint: entry` markers), lock-order deadlock detection,
-//!    taint-based overflow checking and float-compare determinism.
+//!    `// vdsms-lint: entry` markers), lock-order deadlock detection and
+//!    taint-based overflow checking.
+//!
+//! The generic bans — wall-clock reads, hash-order collections, `std`
+//! locks, `partial_cmp`, undocumented `unsafe` blocks — are not here:
+//! the workspace's `clippy.toml` files and
+//! `clippy::undocumented_unsafe_blocks` own them, over every target.
 //!
 //! Both layers share inline suppressions with mandatory reasons,
 //! per-crate configuration in `lint.toml`, and machine-readable JSON
@@ -49,7 +53,6 @@ pub mod symbols;
 
 pub use config::{parse_config, ConfigError, LintConfig, RuleSet};
 pub use diag::{Diagnostic, Report};
-pub use rules::FileReport;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};

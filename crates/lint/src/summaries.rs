@@ -9,7 +9,7 @@
 //! here never see the symbol table.
 //!
 //! The extraction walkers are the local halves of the flow analyses:
-//! panic/alloc sites and float comparisons, the loop cursor scanner
+//! panic/alloc sites, the loop cursor scanner
 //! (`loop-progress`), one guard/channel/blocking walk (`lock-order`,
 //! `guard-across-blocking`, `channel-protocol`) and one untrusted-byte
 //! taint walk whose sinks are indexing, capacity, loop bounds
@@ -250,8 +250,6 @@ pub struct FnSummary {
     /// Unchecked-arithmetic sites on locally tainted operands
     /// (`what` = operator text).
     pub arith_sites: Vec<Site>,
-    /// `partial_cmp` sites.
-    pub float_sites: Vec<Pos>,
     /// Lock identities this function acquires directly (sorted,
     /// deduplicated) — the base set for transitive lock summaries.
     pub direct_locks: Vec<String>,
@@ -396,7 +394,7 @@ fn summarize_fn(self_ty: Option<&str>, def: &crate::ast::FnDef) -> FnSummary {
         call_at.entry((p.line, p.col)).or_insert(i);
     }
 
-    // Panic / alloc / float sites and direct lock acquisitions.
+    // Panic / alloc sites and direct lock acquisitions.
     let mut direct_locks: BTreeSet<String> = BTreeSet::new();
     walk_stmts(body, &mut |e: &Expr| {
         if let Some(what) = panic_site(e) {
@@ -404,11 +402,6 @@ fn summarize_fn(self_ty: Option<&str>, def: &crate::ast::FnDef) -> FnSummary {
         }
         if let Some(what) = alloc_site(e) {
             f.alloc_sites.push(Site { pos: e.pos, what });
-        }
-        if let ExprKind::MethodCall { method, .. } = &e.kind {
-            if method == "partial_cmp" {
-                f.float_sites.push(e.pos);
-            }
         }
         if let Some(name) = acquisition(e) {
             direct_locks.insert(name.to_string());

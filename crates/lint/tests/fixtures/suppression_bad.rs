@@ -1,11 +1,11 @@
 // Fixture: malformed directives. Expected findings: invalid-suppression x3
 // (missing reason, unknown rule, attempt to allow invalid-suppression)
-// plus the surviving no-wall-clock finding the first directive failed
+// plus the surviving no-panic-hot-path finding the first directive failed
 // to cover.
-fn render_elapsed(frames: u64) -> u64 {
-    // vdsms-lint: allow(no-wall-clock)
-    let t0 = std::time::Instant::now();
-    frames / t0.elapsed().as_secs().max(1)
+// vdsms-lint: entry
+fn frame_rate(frames: u64, seconds: Option<u64>) -> u64 {
+    // vdsms-lint: allow(no-panic-hot-path)
+    frames / seconds.unwrap().max(1)
 }
 
 // vdsms-lint: allow(made-up-rule) reason="no such rule"

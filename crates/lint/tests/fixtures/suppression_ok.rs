@@ -1,7 +1,7 @@
 // Fixture: one real violation silenced by a well-formed directive.
 // Expected: zero diagnostics, suppressed == 1.
-fn render_elapsed(frames: u64) -> u64 {
-    // vdsms-lint: allow(no-wall-clock) reason="CLI progress display only, never feeds detection"
-    let t0 = std::time::Instant::now();
-    frames / t0.elapsed().as_secs().max(1)
+// vdsms-lint: entry
+fn frame_rate(frames: u64, seconds: Option<u64>) -> u64 {
+    // vdsms-lint: allow(no-panic-hot-path) reason="the caller checked seconds is Some"
+    frames / seconds.unwrap().max(1)
 }

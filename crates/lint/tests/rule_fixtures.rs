@@ -1,19 +1,15 @@
-//! Fixture-driven rule tests: every rule has a positive fixture (must
-//! fire, with the expected count) and a negative fixture full of
-//! look-alikes (must stay silent), plus suppression round-trips.
+//! Fixture-driven rule tests: every workspace analysis has a positive
+//! fixture (must fire, with the expected count) and a negative fixture
+//! full of look-alikes (must stay silent), plus suppression round-trips.
 //!
-//! Token rules run per file through [`token_rules`] +
-//! [`apply_suppressions`]; the workspace analyses (hot-path, lock-order,
-//! taint, float ordering, …) run through [`lint_sources`] with a config
-//! enabling exactly the rule under test, so cross-firing between rules
-//! cannot mask a miscount.
+//! The analyses (hot-path, lock-order, taint, …) run through
+//! [`lint_sources`] with a config enabling exactly the rule under test,
+//! so cross-firing between rules cannot mask a miscount. The crate-root
+//! half of `unsafe-audit` is unit-tested in `src/rules.rs`.
 
 use std::path::PathBuf;
 use vdsms_lint::config::KNOWN_KEYS;
-use vdsms_lint::rules::{apply_suppressions, token_rules};
-use vdsms_lint::{
-    lint_sources, parse_config, FileReport, LintConfig, Report, RuleSet, SourceFile,
-};
+use vdsms_lint::{lint_sources, parse_config, LintConfig, Report, SourceFile};
 
 fn fixture(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
@@ -28,16 +24,6 @@ fn source(crate_name: &str, name: &str) -> SourceFile {
         source: fixture(name),
         is_crate_root: false,
     }
-}
-
-/// Token rules + suppressions on one file in isolation.
-fn check_file(file: &SourceFile, rules: &RuleSet) -> FileReport {
-    let lexed = vdsms_lint::lexer::lex(&file.source);
-    apply_suppressions(&file.path, &lexed.comments, token_rules(file, &lexed, rules), rules)
-}
-
-fn check(name: &str) -> FileReport {
-    check_file(&source("fixture", name), &RuleSet::all_enabled())
 }
 
 /// A config with exactly `rule` enabled (and everything else off).
@@ -64,37 +50,12 @@ fn count_of(diags: &[vdsms_lint::Diagnostic], rule: &str) -> usize {
 }
 
 #[test]
-fn token_positive_fixtures_fire_exactly_the_expected_rule() {
-    for (file, rule, expected) in [
-        ("det_iter_pos.rs", "deterministic-iteration", 3),
-        ("wall_clock_pos.rs", "no-wall-clock", 2),
-        ("lock_pos.rs", "lock-discipline", 2),
-        ("unsafe_pos.rs", "unsafe-audit", 1),
-    ] {
-        let rep = check(file);
-        assert_eq!(
-            count_of(&rep.diagnostics, rule),
-            expected,
-            "{file}: wrong `{rule}` count: {:#?}",
-            rep.diagnostics
-        );
-        assert_eq!(
-            rep.diagnostics.len(),
-            expected,
-            "{file}: unexpected extra findings: {:#?}",
-            rep.diagnostics
-        );
-    }
-}
-
-#[test]
 fn flow_positive_fixtures_fire_exactly_the_expected_rule() {
     for (file, rule, expected) in [
         ("no_panic_pos.rs", "no-panic-hot-path", 4),
         ("alloc_pos.rs", "no-alloc-hot-path", 4),
         ("lock_order_pos.rs", "lock-order", 1),
         ("arith_pos.rs", "no-unchecked-arith", 3),
-        ("float_pos.rs", "float-determinism", 2),
         ("taint_pos.rs", "taint-unchecked-flow", 5),
         ("loop_progress_pos.rs", "loop-progress", 2),
         ("swallow_pos.rs", "no-swallowed-error", 3),
@@ -119,17 +80,11 @@ fn flow_positive_fixtures_fire_exactly_the_expected_rule() {
 
 #[test]
 fn negative_fixtures_are_silent() {
-    for file in ["det_iter_neg.rs", "wall_clock_neg.rs", "lock_neg.rs", "unsafe_neg.rs"] {
-        let rep = check(file);
-        assert!(rep.diagnostics.is_empty(), "{file}: {:#?}", rep.diagnostics);
-        assert_eq!(rep.suppressed, 0, "{file}: nothing should need suppression");
-    }
     for (file, rule) in [
         ("no_panic_neg.rs", "no-panic-hot-path"),
         ("alloc_neg.rs", "no-alloc-hot-path"),
         ("lock_order_neg.rs", "lock-order"),
         ("arith_neg.rs", "no-unchecked-arith"),
-        ("float_neg.rs", "float-determinism"),
         ("taint_neg.rs", "taint-unchecked-flow"),
         ("loop_progress_neg.rs", "loop-progress"),
         ("swallow_neg.rs", "no-swallowed-error"),
@@ -207,7 +162,7 @@ fn guard_across_blocking_prints_the_transitive_witness_chain() {
 
 #[test]
 fn valid_suppression_silences_and_is_counted() {
-    let rep = check("suppression_ok.rs");
+    let rep = flow_check(&["suppression_ok.rs"], "no-panic-hot-path");
     assert!(rep.diagnostics.is_empty(), "{:#?}", rep.diagnostics);
     assert_eq!(rep.suppressed, 1);
 }
@@ -232,10 +187,10 @@ fn suppressions_cover_workspace_analyses_too() {
 
 #[test]
 fn malformed_suppressions_are_themselves_findings() {
-    let rep = check("suppression_bad.rs");
+    let rep = flow_check(&["suppression_bad.rs"], "no-panic-hot-path");
     assert_eq!(count_of(&rep.diagnostics, "invalid-suppression"), 3, "{:#?}", rep.diagnostics);
     assert_eq!(
-        count_of(&rep.diagnostics, "no-wall-clock"),
+        count_of(&rep.diagnostics, "no-panic-hot-path"),
         1,
         "a reason-less directive must not silence the finding it targets"
     );
@@ -245,10 +200,7 @@ fn malformed_suppressions_are_themselves_findings() {
 #[test]
 fn positive_fixtures_are_silent_when_their_rule_is_disabled() {
     // The per-crate config story in miniature: the same source is clean
-    // once the rule is switched off.
-    let rep = check_file(&source("fixture", "det_iter_pos.rs"), &RuleSet::builtin_default());
-    assert!(rep.diagnostics.is_empty(), "{:#?}", rep.diagnostics);
-    // And a flow fixture with a different (token) rule enabled instead.
-    let rep = flow_check(&["no_panic_pos.rs"], "no-wall-clock");
+    // once its rule is switched off and another one is on instead.
+    let rep = flow_check(&["no_panic_pos.rs"], "lock-order");
     assert!(rep.diagnostics.is_empty(), "{:#?}", rep.diagnostics);
 }

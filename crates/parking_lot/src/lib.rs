@@ -10,6 +10,7 @@
 //! this is one relaxed atomic load (the production path); inside one, a
 //! seeded controller perturbs the interleaving so concurrency tests can
 //! explore many schedules deterministically. See [`schedule`].
+#![allow(clippy::disallowed_types, reason = "the shim wraps the std locks")]
 
 pub mod schedule;
 
@@ -159,8 +160,16 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// These tests pass through yield points, which a schedule session in
+    /// a parallel test would record and draw decisions for: hold the
+    /// session lock so that no session is running.
+    fn outside_any_session() -> sync::MutexGuard<'static, ()> {
+        schedule::SESSION.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn mutex_round_trip() {
+        let _session = outside_any_session();
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
@@ -170,6 +179,7 @@ mod tests {
 
     #[test]
     fn rwlock_shared_and_exclusive() {
+        let _session = outside_any_session();
         let l = RwLock::new(vec![1, 2]);
         {
             let a = l.read();
@@ -182,6 +192,7 @@ mod tests {
 
     #[test]
     fn condvar_signals_across_threads() {
+        let _session = outside_any_session();
         let pair = Arc::new((Mutex::new(false), Condvar::new()));
         let p2 = Arc::clone(&pair);
         let t = std::thread::spawn(move || {
@@ -199,6 +210,7 @@ mod tests {
 
     #[test]
     fn poisoned_lock_recovers_value() {
+        let _session = outside_any_session();
         let m = Arc::new(Mutex::new(7));
         let m2 = Arc::clone(&m);
         let _ = std::thread::spawn(move || {

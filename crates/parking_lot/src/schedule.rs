@@ -29,8 +29,8 @@
 //!   failing test can print the interleaving it died under.
 //!
 //! The controller deliberately uses `std::sync` primitives internally:
-//! instrumenting itself with itself would recurse. (`lock-discipline`
-//! is off for this crate — see `lint.toml`.)
+//! instrumenting itself with itself would recurse. (The crate root
+//! allows `clippy::disallowed_types`, which bans them everywhere else.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -40,7 +40,7 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Serializes sessions: `begin` in one test blocks until the session of
 /// another test (sharing this process) has finished.
-static SESSION: Mutex<()> = Mutex::new(());
+pub(crate) static SESSION: Mutex<()> = Mutex::new(());
 
 /// The active session's controller state (`None` outside a session).
 static STATE: Mutex<Option<State>> = Mutex::new(None);
@@ -200,7 +200,9 @@ mod tests {
 
     #[test]
     fn disabled_yield_points_are_inert() {
-        // No session: must not record, must not panic.
+        // No session (holding the session lock keeps a parallel test from
+        // starting one): must not record, must not panic.
+        let _session = SESSION.lock().unwrap_or_else(|e| e.into_inner());
         yield_point("mutex.lock");
         assert!(!ENABLED.load(Ordering::SeqCst));
     }

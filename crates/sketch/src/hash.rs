@@ -139,7 +139,7 @@ pub fn mix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn family_is_deterministic_per_seed() {
@@ -180,7 +180,7 @@ mod tests {
     fn functions_are_injective_enough_on_small_domains() {
         // Distinct inputs rarely collide under a single function.
         let fam = MinHashFamily::new(1, 11);
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for x in 0..10_000u64 {
             seen.insert(fam.hash(0, x));
         }
@@ -229,7 +229,7 @@ mod tests {
 
     #[test]
     fn mix64_is_bijective_on_samples() {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for x in 0..100_000u64 {
             assert!(seen.insert(mix64(x)), "mix64 collision");
         }

@@ -183,7 +183,10 @@ pub fn fingerprint_stream(
     stream: &ComposedStream,
     features: &FeatureConfig,
 ) -> FingerprintedStream {
-    // vdsms-lint: allow(no-wall-clock) reason="decode_seconds is a reported measurement, not an input to detection; results stay replay-identical"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "decode_seconds is a reported measurement, not an input to detection; results stay replay-identical"
+    )]
     let started = std::time::Instant::now();
     let extractor = FeatureExtractor::new(*features);
     // vdsms-lint: allow(no-panic-hot-path) reason="the bitstream was composed by this same crate's generator; a parse failure is a workload bug, not an input condition"

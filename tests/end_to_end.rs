@@ -1,6 +1,7 @@
 //! End-to-end integration: synthetic workload → codec → features →
 //! engine → scored detections, across method variants.
 
+use std::sync::OnceLock;
 use vdsms::core::{DetectorConfig, Order, Query, QuerySet, Representation};
 use vdsms::core::Detector;
 use vdsms::features::FeatureConfig;
@@ -28,7 +29,14 @@ struct Setup {
     w_keyframes: usize,
 }
 
-fn setup(kind: StreamKind) -> Setup {
+/// The setup of each stream kind, built once and shared by every test in
+/// this binary (they only read it).
+fn setup(kind: StreamKind) -> &'static Setup {
+    static SETUPS: [OnceLock<Setup>; 3] = [const { OnceLock::new() }; 3];
+    SETUPS[kind as usize].get_or_init(|| build_setup(kind))
+}
+
+fn build_setup(kind: StreamKind) -> Setup {
     let spec = test_spec();
     let lib = ClipLibrary::new(spec.clone());
     let fc = FeatureConfig::default();
@@ -72,7 +80,7 @@ fn vs1_all_variants_reach_high_accuracy() {
     for order in [Order::Sequential, Order::Geometric] {
         for rep in [Representation::Bit, Representation::Sketch] {
             for use_index in [true, false] {
-                let pr = run_variant(&s, order, rep, use_index, 0.7);
+                let pr = run_variant(s, order, rep, use_index, 0.7);
                 assert!(
                     pr.precision >= 0.95,
                     "{order:?}/{rep:?}/ix={use_index}: precision {:?}",
@@ -91,7 +99,7 @@ fn vs1_all_variants_reach_high_accuracy() {
 #[test]
 fn vs2_bit_sequential_detects_tampered_copies() {
     let s = setup(StreamKind::Vs2);
-    let pr = run_variant(&s, Order::Sequential, Representation::Bit, true, 0.6);
+    let pr = run_variant(s, Order::Sequential, Representation::Bit, true, 0.6);
     assert!(pr.precision >= 0.9, "{pr:?}");
     assert!(pr.recall >= 0.6, "{pr:?}");
 }
@@ -102,8 +110,8 @@ fn sketch_and_bit_agree_on_vs1_detection_outcome() {
     // per-copy recall must be identical for the NoIndex sequential
     // variants.
     let s = setup(StreamKind::Vs1);
-    let a = run_variant(&s, Order::Sequential, Representation::Bit, false, 0.7);
-    let b = run_variant(&s, Order::Sequential, Representation::Sketch, false, 0.7);
+    let a = run_variant(s, Order::Sequential, Representation::Bit, false, 0.7);
+    let b = run_variant(s, Order::Sequential, Representation::Sketch, false, 0.7);
     assert_eq!(a.found, b.found);
     assert_eq!(a.detections, b.detections);
 }
@@ -113,7 +121,7 @@ fn recall_is_monotone_decreasing_in_delta() {
     let s = setup(StreamKind::Vs2);
     let mut last = f64::INFINITY;
     for delta in [0.5, 0.6, 0.7, 0.8, 0.9] {
-        let pr = run_variant(&s, Order::Sequential, Representation::Bit, true, delta);
+        let pr = run_variant(s, Order::Sequential, Representation::Bit, true, delta);
         assert!(
             pr.recall <= last + 1e-9,
             "recall must not rise with δ: {} at δ={delta}, was {last}", pr.recall
@@ -127,7 +135,7 @@ fn geometric_never_beats_sequential_recall_by_much() {
     // Geometric tests a subset of suffixes; its recall should be at or
     // below sequential's (the paper's Figs. 7-8 trade-off).
     let s = setup(StreamKind::Vs1);
-    let seq = run_variant(&s, Order::Sequential, Representation::Bit, true, 0.8);
-    let geo = run_variant(&s, Order::Geometric, Representation::Bit, true, 0.8);
+    let seq = run_variant(s, Order::Sequential, Representation::Bit, true, 0.8);
+    let geo = run_variant(s, Order::Geometric, Representation::Bit, true, 0.8);
     assert!(geo.recall <= seq.recall + 0.21, "geo {:?} vs seq {:?}", geo, seq);
 }

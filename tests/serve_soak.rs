@@ -133,6 +133,10 @@ fn a_deaf_peer_cannot_hold_the_daemon_past_its_drain_deadline() {
     let addr = daemon.local_addr().to_string();
     let server = std::thread::spawn(move || daemon.run());
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a soak-test deadline, not a detection input"
+    )]
     let started = std::time::Instant::now();
     let report = run_sim(&plan, || Client::connect_tcp(&addr));
     let serve_report = server.join().expect("daemon thread");

@@ -608,13 +608,19 @@ mod tests {
             write_reply(&mut server, &Reply::Health(HealthReport::default()));
             write_reply(&mut server, &Reply::Attached { stream_id: 7, global_id: 42 });
             assert_eq!(read_request(&mut server), Request::Health);
-            write_reply(&mut server, &Reply::Health(HealthReport { sessions: 5, ..Default::default() }));
+            write_reply(
+                &mut server,
+                &Reply::Health(HealthReport { sessions: 5, ..Default::default() }),
+            );
             server
         });
         let first = client.round_trip_within(&Request::Health, Duration::from_millis(50));
         assert!(matches!(first, Err(ClientError::Timeout)), "{first:?}");
         let second = client.round_trip_within(&Request::AttachStream { stream_id: 7 }, LONG);
-        assert!(matches!(second, Ok(Reply::Attached { stream_id: 7, global_id: 42 })), "{second:?}");
+        assert!(
+            matches!(second, Ok(Reply::Attached { stream_id: 7, global_id: 42 })),
+            "{second:?}"
+        );
         // Nothing is owed any more: the next reply is taken as it comes.
         let third = client.round_trip_within(&Request::Health, LONG);
         assert!(matches!(third, Ok(Reply::Health(h)) if h.sessions == 5), "{third:?}");

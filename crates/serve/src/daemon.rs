@@ -3,74 +3,73 @@
 //! Thread topology per daemon:
 //!
 //! ```text
-//! run() thread ── spawns the two below, joins the engine, then the rest
-//!   ├─ engine thread ─ owns the fleet (see crate::engine); reads the inbox
+//! run() thread ── spawns the accept thread, waits for the engine's report
 //!   ├─ accept thread ─ blocks in accept(); admission control per
 //!   │                  connection (per-accept catch_unwind)
 //!   └─ per session:
-//!        reader thread ─ socket → session buffer → frames → EngineCmd
-//!                        into the bounded inbox (Credit stays local)
+//!        reader thread ─ socket → session buffer → frames, each applied
+//!                        to the one engine under its lock (Credit stays
+//!                        local)
 //!        writer thread ─ SessionQueue → socket (bounded stall aborts)
 //! ```
 //!
+//! There is no engine thread. The [`Engine`](crate::engine) sits behind
+//! one lock, shared by the accept thread (it registers a session), every
+//! reader (it applies that session's requests) and every session's drop
+//! guard (it releases what the session owned). A reader takes the lock
+//! for one frame and releases it before the next; it never holds it
+//! across a `read()`. Commands are still applied one at a time, so every
+//! client sees one serialized command order.
+//!
 //! Both directions push back. Outbound, each session has its bounded
-//! [`SessionQueue`] and the engine never waits on it. Inbound, every
-//! reader feeds one `sync_channel` of `INBOX_DEPTH` (16) commands: a sender
-//! faster than the engine finds its reader blocked in `send`, the reader
-//! stops reading its socket, and the kernel's socket buffer pushes back
-//! on the sender — the daemon holds at most `INBOX_DEPTH` commands plus
-//! one per reader, not a backlog that grows with how far behind it is.
-//! The engine always drains the inbox (its pushes to sessions never
-//! wait), so a flooding session delays only the commands queued behind
-//! its own.
+//! [`SessionQueue`] and the engine never waits on it. Inbound, a reader
+//! that waits for the lock, or is busy applying a frame, is not reading
+//! its socket, and the kernel's socket buffer pushes back on the sender:
+//! the daemon holds at most one session buffer of a session's bytes, not
+//! a backlog that grows with how far behind it is.
 //!
 //! A session reader receives straight into one session buffer
 //! (`SESSION_BUF_LEN`, 64 KiB, so a 16 KiB chunk frame arrives in one read)
 //! and parses frames in place; a partial frame left at the end is moved
-//! to the front before the next read. Stream bytes are copied twice more
-//! on their way to the decoder: out of the session buffer into the
-//! `Request::StreamData` that crosses the inbox, and from there into the
-//! stream's reassembly buffer, which the decoder reads in place (see
-//! [`crate::ingest`]).
+//! to the front before the next read. A chunk's bytes go from the
+//! session buffer to the stream's reassembly buffer as a borrowed slice,
+//! and the decoder reads that buffer in place (see [`crate::ingest`]).
 //!
 //! A panic anywhere stays contained: the accept loop survives a
 //! panicking admission path, a session thread's panic tears down only
-//! that session (its drop guard still releases the slot and notifies
-//! the engine), and the engine catches per-command panics itself.
+//! that session (its drop guard still releases the slot and tells the
+//! engine), and the engine catches per-command panics itself.
 //!
-//! Shutdown is protocol-driven: any session sends `Shutdown`, the
-//! engine stops admission via the shared flag, drains the fleet, and
-//! finishes every queue; writers flush `Drained` and shut their
-//! sockets down, which unblocks their readers; `run` joins the engine,
-//! wakes the accept thread with one connection to its own address,
-//! waits (bounded) for the session threads and returns the
-//! [`ServeReport`].
+//! Shutdown is protocol-driven: the reader that applies a `Shutdown`
+//! takes the engine out of the lock, drains it with the lock released,
+//! and sends the [`ServeReport`] to `run`. Any later locker finds no
+//! engine and ends its session. The drain raises the shared stop flag,
+//! stops admission and finishes every queue; writers flush `Drained` and
+//! shut their sockets down, which unblocks their readers. `run` wakes the
+//! accept thread with one connection to its own address, waits (bounded)
+//! for the session threads and returns the report.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use parking_lot::Mutex;
 use vdsms_core::sync::{channel, sync_channel, RecvTimeoutError, Sender, SyncSender};
 
 use crate::config::ServeConfig;
-use crate::engine::{Engine, EngineCmd, ServeReport};
+use crate::engine::{Command, Engine, Flow, ServeReport};
 use crate::protocol::{
-    encode_reply, parse_request, peek_frame, ErrorCode, FrameStatus, Reply, Request,
+    encode_reply, parse_inbound, peek_frame, ErrorCode, FrameStatus, Inbound, Reply, Request,
 };
 use crate::queue::{Outbound, SessionQueue};
 
 pub use crate::engine::ServeReport as Report;
-
-/// Commands the engine's inbox holds before a session reader blocks in
-/// `send`. Small on purpose: it only has to cover the engine's wake-up,
-/// and every slot can pin a chunk-sized `Vec`.
-const INBOX_DEPTH: usize = 16;
 
 /// Initial length of a session's receive buffer: room for three 16 KiB
 /// chunk frames and most of a fourth, so a chunk and its frame header
@@ -178,17 +177,52 @@ pub struct Daemon {
     local: Endpoint,
 }
 
+/// The one engine, shared by the accept thread, every session reader and
+/// every session guard, and the one-shot channel its report leaves by.
+struct Shared {
+    /// `None` once a `Shutdown` took the engine out to drain it.
+    engine: Mutex<Option<Engine>>,
+    report: SyncSender<ServeReport>,
+}
+
+impl Shared {
+    /// Apply one command to the engine; whether it is still serving.
+    ///
+    /// The lock is held for this one command. The command that stops the
+    /// engine takes it out of the lock, drains it with the lock released
+    /// (the fleet's drain joins its workers) and sends the report; every
+    /// later caller finds no engine.
+    fn submit(&self, session: u64, cmd: Command<'_>) -> bool {
+        let mut slot = self.engine.lock();
+        let Some(engine) = slot.as_mut() else { return false };
+        // vdsms-lint: allow(guard-across-blocking) reason="the witnesses are name collisions (the fleet's and a stream's methods resolved to Client's round trips); the one real wait is a sharded fleet's round trip to its workers, which never take this lock, and the drain runs after the guard is dropped"
+        if let Flow::Continue = engine.execute(session, cmd) {
+            return true;
+        }
+        let engine = slot.take();
+        drop(slot);
+        if let Some(engine) = engine {
+            // The engine contains per-command panics itself; one in the
+            // drain still owes `run` a report.
+            let report = catch_unwind(AssertUnwindSafe(|| engine.finish()))
+                .unwrap_or_else(|_| ServeReport::lost());
+            self.report.send_best_effort(report);
+        }
+        false
+    }
+}
+
 /// Releases a session slot and tells the engine the connection is gone,
 /// even if the reader thread panicked.
 struct SessionGuard {
     session: u64,
-    tx: SyncSender<EngineCmd>,
+    shared: Arc<Shared>,
     count: Arc<AtomicUsize>,
 }
 
 impl Drop for SessionGuard {
     fn drop(&mut self) {
-        let _ = self.tx.send_best_effort(EngineCmd::Closed { session: self.session });
+        self.shared.submit(self.session, Command::Closed);
         self.count.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -223,9 +257,9 @@ impl Daemon {
     pub fn run(self) -> ServeReport {
         let Daemon { listener, cfg, local, .. } = self;
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = sync_channel::<EngineCmd>(INBOX_DEPTH);
+        let (report_tx, report_rx) = sync_channel::<ServeReport>(1);
         let engine = Engine::new(cfg.clone(), Arc::clone(&stop));
-        let engine_handle = std::thread::spawn(move || engine.run(rx));
+        let shared = Arc::new(Shared { engine: Mutex::new(Some(engine)), report: report_tx });
 
         // Every session thread holds a clone of `alive` until it exits
         // and nothing is ever sent on it: `exited` disconnects when the
@@ -237,23 +271,23 @@ impl Daemon {
         // The listener stays open here until `run` returns, so the
         // wake-up below reaches it even if the accept thread is gone.
         let listener = Arc::new(listener);
-        let acceptor =
-            Acceptor { listener: Arc::clone(&listener), cfg, tx, stop: Arc::clone(&stop), alive };
+        let acceptor = Acceptor {
+            listener: Arc::clone(&listener),
+            cfg,
+            shared,
+            stop: Arc::clone(&stop),
+            alive,
+        };
         let accept_handle = std::thread::spawn(move || acceptor.run());
 
-        // The engine initiated the stop; it exits after draining. The
-        // engine catches per-command panics itself, so a join failure
-        // means something unrecoverable — report it instead of dying.
-        let report = engine_handle.join().unwrap_or_else(|_| ServeReport {
-            drain_timed_out: true,
-            sessions_served: 0,
-            detections_pushed: 0,
-            engine_panics: 1,
-            stats: vdsms_core::Stats::default(),
-        });
+        // The reader that applies `Shutdown` drains the engine and sends
+        // its report. The channel disconnects without one only if every
+        // holder of the engine is gone, which the accept thread alone
+        // prevents until `stop`: report it instead of dying.
+        let report = report_rx.recv().unwrap_or_else(|_| ServeReport::lost());
 
         // The engine raised `stop` in its drain (raise it here too, for
-        // the join-failure case); the accept thread sees it after its
+        // a lost report); the accept thread sees it after its
         // next accept, which one connection to our own address provides.
         // If that connection cannot be made (the socket file was
         // unlinked under us) the thread stays parked in accept() and is
@@ -295,7 +329,7 @@ impl Endpoint {
 struct Acceptor {
     listener: Arc<Listener>,
     cfg: ServeConfig,
-    tx: SyncSender<EngineCmd>,
+    shared: Arc<Shared>,
     stop: Arc<AtomicBool>,
     alive: Sender<()>,
 }
@@ -344,7 +378,7 @@ impl Acceptor {
         session: u64,
         session_count: &Arc<AtomicUsize>,
     ) -> Option<(JoinHandle<()>, JoinHandle<()>)> {
-        let Acceptor { cfg, tx, stop, alive, .. } = self;
+        let Acceptor { cfg, shared, stop, alive, .. } = self;
         // vdsms-lint: allow(no-swallowed-error) reason="a socket that cannot take a timeout still works with blocking writes; the stall bound in write_session just gets coarser"
         let _ = conn.set_write_timeout(Some(Duration::from_millis(cfg.write_timeout_ms.max(1))));
         let refuse = |code: ErrorCode, msg: &str| {
@@ -363,7 +397,7 @@ impl Acceptor {
         session_count.fetch_add(1, Ordering::SeqCst);
 
         let queue = Arc::new(SessionQueue::new(cfg.queue_capacity, cfg.initial_credit));
-        if !tx.send_best_effort(EngineCmd::Open { session, queue: Arc::clone(&queue) }) {
+        if !shared.submit(session, Command::Open(Arc::clone(&queue))) {
             session_count.fetch_sub(1, Ordering::SeqCst);
             conn.shutdown();
             return None;
@@ -374,7 +408,7 @@ impl Acceptor {
             Ok(c) => c,
             Err(_) => {
                 // The guard path is not set up yet; release by hand.
-                let _ = tx.send_best_effort(EngineCmd::Closed { session });
+                shared.submit(session, Command::Closed);
                 session_count.fetch_sub(1, Ordering::SeqCst);
                 conn.shutdown();
                 return None;
@@ -384,18 +418,18 @@ impl Acceptor {
         let reader = {
             let guard = SessionGuard {
                 session,
-                tx: tx.clone(),
+                shared: Arc::clone(shared),
                 count: Arc::clone(session_count),
             };
             let queue = Arc::clone(&queue);
-            let tx = tx.clone();
             let cfg = cfg.clone();
             let alive = alive.clone();
             std::thread::spawn(move || {
-                let (_guard, _alive) = (guard, alive);
+                let _alive = alive;
                 let _ = catch_unwind(AssertUnwindSafe(|| {
-                    read_session(conn, session, &tx, &queue, &cfg);
+                    read_session(conn, session, &guard.shared, &queue, &cfg);
                 }));
+                drop(guard);
             })
         };
         let writer = {
@@ -415,16 +449,17 @@ impl Acceptor {
 
 /// The session reader: socket bytes → frames → engine commands.
 ///
-/// Receives into the unfilled part of one buffer and parses frames
-/// where they land. Exits on EOF, socket error, idle expiry, a framing
-/// violation (oversized/malformed) or a gone engine; the caller's drop
-/// guard notifies the engine. Generic over the byte source so tests can
-/// choose how the bytes are cut into reads.
+/// Receives into the unfilled part of one buffer, parses frames where
+/// they land and applies each to the engine before the next read. Exits
+/// on EOF, socket error, idle expiry, a framing violation
+/// (oversized/malformed) or a gone engine; the caller's drop guard tells
+/// the engine. Generic over the byte source so tests can choose how the
+/// bytes are cut into reads.
 // vdsms-lint: entry(no-panic-hot-path, loop-progress)
 fn read_session(
     mut conn: impl Read,
     session: u64,
-    tx: &SyncSender<EngineCmd>,
+    shared: &Shared,
     queue: &Arc<SessionQueue>,
     cfg: &ServeConfig,
 ) {
@@ -464,20 +499,20 @@ fn read_session(
                         }
                         FrameStatus::Frame { start, end } => {
                             let body = &buf[consumed + start..consumed + end];
-                            match parse_request(body) {
+                            match parse_inbound(body) {
                                 Err(e) => {
                                     fatal(ErrorCode::Malformed, &e.to_string());
                                     return;
                                 }
                                 // Flow control is reader-local: grants
-                                // must work even while the engine is
-                                // busy with someone else's chunk.
-                                Ok(Request::Credit { n }) => queue.grant(n),
-                                // Blocks while the inbox is full: that
-                                // is the inbound backpressure.
+                                // must work even while another session
+                                // holds the engine.
+                                Ok(Inbound::Request(Request::Credit { n })) => queue.grant(n),
+                                // Waits while another session holds the
+                                // engine: that is the inbound backpressure.
                                 Ok(req) => {
-                                    if !tx.send_best_effort(EngineCmd::Request { session, req }) {
-                                        return; // engine gone (post-drain)
+                                    if !shared.submit(session, Command::Request(req)) {
+                                        return; // engine drained
                                     }
                                 }
                             }
@@ -554,7 +589,34 @@ fn write_session(mut conn: Conn, queue: &Arc<SessionQueue>, cfg: &ServeConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::encode_request;
+    use crate::client::Client;
+    use crate::protocol::{encode_request, parse_reply, LEN_PREFIX, PROTOCOL_VERSION};
+    use vdsms_codec::{Encoder, EncoderConfig};
+    use vdsms_core::DetectorConfig;
+    use vdsms_features::{FeatureExtractor, FingerprintStream};
+    use vdsms_video::source::{ClipGenerator, SourceSpec};
+    use vdsms_video::Fps;
+
+    fn stream_bytes(seed: u64, seconds: f64) -> Vec<u8> {
+        let spec = SourceSpec {
+            width: 176,
+            height: 120,
+            fps: Fps::integer(10),
+            seed,
+            min_scene_s: 1.0,
+            max_scene_s: 2.0,
+            motifs: None,
+        };
+        let clip = ClipGenerator::new(spec).clip(seconds);
+        Encoder::encode_clip(&clip, EncoderConfig { gop: 5, quality: 80, motion_search: true })
+    }
+
+    /// An engine behind its lock, as `Daemon::run` builds it.
+    fn shared(cfg: ServeConfig) -> Arc<Shared> {
+        let engine = Engine::new(cfg, Arc::new(AtomicBool::new(false)));
+        let (report, _) = sync_channel(1);
+        Arc::new(Shared { engine: Mutex::new(Some(engine)), report })
+    }
 
     /// A byte source that hands out at most `step` bytes per read.
     struct Drip<'a> {
@@ -571,54 +633,74 @@ mod tests {
         }
     }
 
-    /// Run a reader over `wire` cut into `step`-byte reads; the requests
-    /// it forwarded and the credit it granted locally.
-    fn forwarded(wire: &[u8], step: usize) -> (Vec<Request>, u64) {
-        let (tx, rx) = sync_channel::<EngineCmd>(1024);
-        let queue = Arc::new(SessionQueue::new(8, 0));
-        read_session(Drip { bytes: wire, step }, 9, &tx, &queue, &ServeConfig::default());
-        drop(tx);
-        let mut requests = Vec::new();
-        while let Ok(cmd) = rx.recv() {
-            match cmd {
-                EngineCmd::Request { session: 9, req } => requests.push(req),
-                _ => panic!("a reader forwards only its own session's requests"),
+    /// Run a reader over `wire` cut into `step`-byte reads against a
+    /// fresh engine, drain it, and return every reply the session's
+    /// queue then yields, and the detections the engine pushed.
+    fn replies(wire: &[u8], step: usize, cfg: &ServeConfig) -> (Vec<Reply>, u64) {
+        let shared = shared(cfg.clone());
+        // No credit of its own: a detection leaves only on credit the
+        // reader granted.
+        let queue = Arc::new(SessionQueue::new(64, 0));
+        assert!(shared.submit(9, Command::Open(Arc::clone(&queue))));
+        read_session(Drip { bytes: wire, step }, 9, &shared, &queue, cfg);
+        let engine = shared.engine.lock().take().expect("no Shutdown on the wire");
+        let report = engine.finish();
+        let mut replies = Vec::new();
+        loop {
+            match queue.pop() {
+                Outbound::Data(bytes) => replies.push(parse_reply(&bytes[LEN_PREFIX..]).unwrap()),
+                Outbound::Lagged(missed) => replies.push(Reply::Lagged { missed }),
+                Outbound::Finished => break,
             }
         }
-        // Credit went to the queue, not the engine: one droppable frame
-        // pops per unit granted.
-        let mut credit = 0;
-        for _ in 0..8 {
-            queue.push_droppable(vec![0]);
-        }
-        queue.finish();
-        while let Outbound::Data(_) = queue.pop() {
-            credit += 1;
-        }
-        (requests, credit)
+        (replies, report.detections_pushed)
     }
 
     #[test]
-    fn a_request_sequence_reads_the_same_however_the_bytes_arrive() {
-        let requests = vec![
-            Request::Hello { version: 1, tenant: 3 },
-            Request::Subscribe { query_id: 2, cells: (0..500).collect() },
+    fn the_engine_replies_the_same_however_the_bytes_arrive() {
+        let cfg = ServeConfig {
+            detector: DetectorConfig { window_keyframes: 4, ..Default::default() },
+            ..Default::default()
+        };
+        let bytes = stream_bytes(9, 12.0);
+        assert!(bytes.len() > SESSION_BUF_LEN + (32 << 10), "stream of {} bytes", bytes.len());
+        let extractor = FeatureExtractor::new(cfg.features);
+        let mut fs = FingerprintStream::new(&bytes, extractor).unwrap();
+        let mut cells = Vec::new();
+        while let Some((_, cell)) = fs.next_fingerprint().unwrap() {
+            cells.push(cell);
+        }
+        // A query made from the stream's own cells fires on it.
+        let cells = cells[4..12].to_vec();
+
+        let (head, rest) = bytes.split_at(16 << 10);
+        // One frame longer than the session buffer: it has to grow.
+        let (long, tail) = rest.split_at(SESSION_BUF_LEN + 1234);
+        let mut requests = vec![
+            Request::Hello { version: PROTOCOL_VERSION, tenant: 3 },
+            Request::Subscribe { query_id: 2, cells },
             Request::AttachStream { stream_id: 1 },
-            Request::StreamData { stream_id: 1, bytes: vec![0xA5; 16 << 10] },
+            Request::StreamData { stream_id: 1, bytes: head.to_vec() },
             Request::Credit { n: 3 },
-            // One frame longer than the session buffer: it has to grow.
-            Request::StreamData { stream_id: 1, bytes: vec![0x5A; SESSION_BUF_LEN + 1234] },
-            Request::StreamData { stream_id: 1, bytes: vec![7; 100] },
-            Request::StreamEnd { stream_id: 1 },
-            Request::Health,
+            Request::StreamData { stream_id: 1, bytes: long.to_vec() },
         ];
+        requests.extend(
+            tail.chunks(5000).map(|c| Request::StreamData { stream_id: 1, bytes: c.to_vec() }),
+        );
+        requests.extend([Request::StreamEnd { stream_id: 1 }, Request::Health]);
         let wire: Vec<u8> = requests.iter().flat_map(encode_request).collect();
-        let expected: Vec<Request> =
-            requests.into_iter().filter(|r| !matches!(r, Request::Credit { .. })).collect();
-        for step in [1, 7, SESSION_BUF_LEN, usize::MAX] {
-            let (got, credit) = forwarded(&wire, step);
+
+        let (expected, pushed) = replies(&wire, usize::MAX, &cfg);
+        assert!(pushed > 0, "the stream's own query must fire");
+        let sent = expected.iter().filter(|r| matches!(r, Reply::Detection { .. })).count();
+        assert_eq!(sent as u64, pushed.min(3), "detections leave on the reader's grant only");
+        assert!(matches!(expected[0], Reply::HelloOk { session: 9, .. }));
+        assert!(expected.iter().any(|r| matches!(r, Reply::StreamEndAck { stream_id: 1, .. })));
+        assert!(matches!(expected[expected.len() - 2], Reply::Health(_)));
+        assert_eq!(expected[expected.len() - 1], Reply::Drained);
+        for step in [1, 7, 64 << 10] {
+            let (got, _) = replies(&wire, step, &cfg);
             assert_eq!(got, expected, "reads of {step} bytes");
-            assert_eq!(credit, 3, "reads of {step} bytes");
         }
     }
 
@@ -637,17 +719,20 @@ mod tests {
     }
 
     #[test]
-    fn a_full_inbox_stops_the_reader_and_the_socket_pushes_back() {
+    fn a_held_engine_stops_the_reader_and_the_socket_pushes_back() {
         let (mut ours, theirs) = UnixStream::pair().unwrap();
         ours.set_write_timeout(Some(Duration::from_millis(250))).unwrap();
         let taken = Arc::new(AtomicUsize::new(0));
-        // An engine that never receives: the inbox fills and stays full.
-        let (tx, rx) = sync_channel::<EngineCmd>(INBOX_DEPTH);
+        let shared = shared(ServeConfig::default());
+        // Another session's command in flight, for as long as the test
+        // likes.
+        let mut held = shared.engine.lock();
         let reader = {
             let conn = Counted { conn: theirs, taken: Arc::clone(&taken) };
+            let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
                 let queue = Arc::new(SessionQueue::new(8, 0));
-                read_session(conn, 1, &tx, &queue, &ServeConfig::default());
+                read_session(conn, 1, &shared, &queue, &ServeConfig::default());
             })
         };
 
@@ -662,17 +747,72 @@ mod tests {
             }
         }
         assert!(pushed_back, "the sender was never made to wait");
-        // The reader forwarded at most the inbox plus the one command it
-        // is blocked sending, so it took no more than those frames and
-        // what one buffer had room for behind them.
-        let held = taken.load(Ordering::SeqCst);
+        // The reader waits on the lock with its first frame, so it took
+        // no more than one buffer's worth of the socket.
+        let took = taken.load(Ordering::SeqCst);
         assert!(
-            held <= (INBOX_DEPTH + 1) * frame.len() + SESSION_BUF_LEN,
-            "reader took {held} bytes from a socket nobody was draining"
+            took <= SESSION_BUF_LEN + frame.len(),
+            "reader took {took} bytes from a socket nobody was draining"
         );
 
-        // The engine going away releases the blocked reader.
-        drop(rx);
+        // The engine going away releases the waiting reader.
+        *held = None;
+        drop(held);
         reader.join().unwrap();
+    }
+
+    #[test]
+    fn a_flooding_session_does_not_starve_its_neighbour() {
+        let path =
+            std::env::temp_dir().join(format!("vdsms-neighbour-{}.sock", std::process::id()));
+        let daemon = Daemon::bind(&Endpoint::Unix(path.clone()), ServeConfig::default()).unwrap();
+        let server = std::thread::spawn(move || daemon.run());
+
+        let flooding = Arc::new(AtomicBool::new(true));
+        let chunks_sent = Arc::new(AtomicUsize::new(0));
+        let flooder = {
+            let (path, flooding, chunks_sent) =
+                (path.clone(), Arc::clone(&flooding), Arc::clone(&chunks_sent));
+            std::thread::spawn(move || {
+                let bytes = stream_bytes(11, 20.0);
+                let client = Client::connect_unix(&path).unwrap();
+                client.hello(1).unwrap();
+                let mut stream_id = 0;
+                while flooding.load(Ordering::SeqCst) && stream_id < 1000 {
+                    client.attach_stream(stream_id).unwrap();
+                    for chunk in bytes.chunks(16 << 10) {
+                        client.send_chunk(stream_id, chunk.to_vec()).unwrap();
+                        chunks_sent.fetch_add(1, Ordering::SeqCst);
+                    }
+                    client.end_stream(stream_id).unwrap();
+                    stream_id += 1;
+                }
+                client.close();
+                stream_id
+            })
+        };
+        while chunks_sent.load(Ordering::SeqCst) < 8 {
+            std::thread::yield_now();
+        }
+
+        let neighbour = Client::connect_unix(&path).unwrap();
+        neighbour.hello(2).unwrap();
+        let before = chunks_sent.load(Ordering::SeqCst);
+        for i in 0..50 {
+            if let Err(e) = neighbour.health() {
+                panic!("health round trip {i} beside a flooding session: {e:?}");
+            }
+        }
+        let during = chunks_sent.load(Ordering::SeqCst) - before;
+        flooding.store(false, Ordering::SeqCst);
+        let streams = flooder.join().unwrap();
+        assert!(streams > 0 && during > 0, "the flood ran beside the round trips");
+
+        neighbour.shutdown_server().unwrap();
+        assert!(neighbour.wait_drained(Duration::from_secs(30)), "no Drained frame");
+        neighbour.close();
+        let report = server.join().unwrap();
+        assert_eq!(report.engine_panics, 0);
+        assert!(!report.drain_timed_out);
     }
 }

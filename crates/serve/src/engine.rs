@@ -1,13 +1,15 @@
-//! The engine thread: single owner of the fleet and all session state.
+//! The engine: sole owner of the fleet and all session state.
 //!
-//! Every session's reader forwards its requests over one FIFO channel
-//! to this thread, which owns the [`Fleet`] exclusively — there is
-//! no locking around detector state, and every client observes the
-//! fleet through the same serialized command order. Replies and
-//! detection pushes go back through each session's bounded
-//! [`SessionQueue`], so a slow client can never block this thread.
+//! There is one `Engine` per daemon and no thread of its own: it
+//! lives behind one lock, and each session thread applies its own
+//! commands to it (`Engine::execute`) one at a time. Every fleet
+//! interaction is therefore serialized, and every client observes the
+//! fleet through one command order, as the serial oracle requires.
+//! Replies and detection pushes go back through each session's bounded
+//! [`SessionQueue`], which never blocks, so a slow client can never
+//! hold the engine.
 //!
-//! Fault posture: a panic while handling one command is caught,
+//! Fault posture: a panic while applying one command is caught,
 //! counted, and surfaced to that session as an `Internal` error — one
 //! hostile request cannot take the daemon down. Bitstream damage
 //! detaches the offending stream only; the session and every other
@@ -19,7 +21,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use vdsms_codec::IngestHealth;
-use vdsms_core::sync::Receiver;
 use vdsms_core::{Fleet, FleetError, Query, Stats, StreamDetection, StreamId};
 use vdsms_features::FeatureExtractor;
 use vdsms_sketch::MinHashFamily;
@@ -27,34 +28,29 @@ use vdsms_sketch::MinHashFamily;
 use crate::config::ServeConfig;
 use crate::ingest::{ChunkedIngest, IngestError};
 use crate::protocol::{
-    encode_reply, ErrorCode, HealthReport, Reply, Request, PROTOCOL_VERSION, TAG_ATTACH,
+    encode_reply, ErrorCode, HealthReport, Inbound, Reply, Request, PROTOCOL_VERSION, TAG_ATTACH,
     TAG_DETACH, TAG_GOODBYE, TAG_HELLO, TAG_SHUTDOWN, TAG_STREAM_DATA, TAG_STREAM_END,
     TAG_SUBSCRIBE, TAG_UNSUBSCRIBE,
 };
 use crate::queue::SessionQueue;
 
-/// What session readers send to the engine thread.
-pub enum EngineCmd {
+/// What a session's threads apply to the engine.
+pub(crate) enum Command<'a> {
     /// A connection was admitted: register its outbound queue.
-    Open {
-        /// Daemon-assigned session id.
-        session: u64,
-        /// The session's outbound queue (shared with its writer thread).
-        queue: Arc<SessionQueue>,
-    },
-    /// A parsed request from a session.
-    Request {
-        /// The originating session.
-        session: u64,
-        /// The request.
-        req: Request,
-    },
+    Open(Arc<SessionQueue>),
+    /// A parsed request; stream bytes are borrowed from the session's
+    /// receive buffer.
+    Request(Inbound<'a>),
     /// The session's connection is gone (EOF, error, or timeout):
     /// release everything it owned.
-    Closed {
-        /// The departed session.
-        session: u64,
-    },
+    Closed,
+}
+
+/// Whether the daemon keeps serving after a command.
+pub(crate) enum Flow {
+    Continue,
+    /// A `Shutdown` was applied: drain with [`Engine::finish`].
+    Stop,
 }
 
 /// Final accounting returned when the daemon exits.
@@ -72,6 +68,20 @@ pub struct ServeReport {
     pub stats: Stats,
 }
 
+impl ServeReport {
+    /// What `run` reports when the engine's own report is lost (its drain
+    /// panicked).
+    pub(crate) fn lost() -> ServeReport {
+        ServeReport {
+            drain_timed_out: true,
+            sessions_served: 0,
+            detections_pushed: 0,
+            engine_panics: 1,
+            stats: Stats::default(),
+        }
+    }
+}
+
 struct StreamState {
     global: StreamId,
     ingest: ChunkedIngest,
@@ -87,14 +97,9 @@ struct SessionState {
     streams: BTreeMap<u32, StreamState>,
 }
 
-enum Flow {
-    Continue,
-    Stop,
-}
-
-/// The engine: owns the fleet; consumed by [`Engine::run`] on its own
-/// thread.
-pub struct Engine {
+/// The engine: owns the fleet and every session's state; consumed by
+/// [`Engine::finish`] at shutdown.
+pub(crate) struct Engine {
     cfg: ServeConfig,
     fleet: Fleet,
     family: MinHashFamily,
@@ -127,8 +132,8 @@ pub struct Engine {
 
 impl Engine {
     /// Build the engine. `stop` is shared with the daemon's listeners:
-    /// the engine raises it when a `Shutdown` frame arrives.
-    pub fn new(cfg: ServeConfig, stop: Arc<AtomicBool>) -> Engine {
+    /// the engine raises it when it drains.
+    pub(crate) fn new(cfg: ServeConfig, stop: Arc<AtomicBool>) -> Engine {
         let family = vdsms_core::Detector::family_for(&cfg.detector);
         let extractor = FeatureExtractor::new(cfg.features);
         let fleet = Fleet::new(cfg.detector);
@@ -156,33 +161,30 @@ impl Engine {
         }
     }
 
-    /// Consume commands until shutdown (a `Shutdown` frame, or every
-    /// sender gone), then drain and report.
-    pub fn run(mut self, rx: Receiver<EngineCmd>) -> ServeReport {
-        while let Ok(cmd) = rx.recv() {
-            // One hostile or buggy command must not take the daemon
-            // down: catch the panic, count it, tell the session.
-            let session = match &cmd {
-                EngineCmd::Open { session, .. }
-                | EngineCmd::Request { session, .. }
-                | EngineCmd::Closed { session } => *session,
-            };
-            let flow = catch_unwind(AssertUnwindSafe(|| self.handle(cmd)));
-            match flow {
-                Ok(Flow::Continue) => {}
-                Ok(Flow::Stop) => break,
-                Err(_) => {
-                    self.engine_panics += 1;
-                    if let Some(s) = self.sessions.get(&session) {
-                        s.queue.push_control(encode_reply(&Reply::Error {
-                            re: 0,
-                            code: ErrorCode::Internal,
-                            msg: "engine panic handling request".into(),
-                        }));
-                    }
-                }
+    /// Apply one session's command. One hostile or buggy command must
+    /// not take the daemon down: a panic is caught, counted and reported
+    /// to the session, and the engine keeps serving.
+    pub(crate) fn execute(&mut self, session: u64, cmd: Command<'_>) -> Flow {
+        let flow = catch_unwind(AssertUnwindSafe(|| match cmd {
+            Command::Open(queue) => {
+                self.open(session, queue);
+                Flow::Continue
             }
-        }
+            Command::Request(req) => self.handle_request(session, req),
+            Command::Closed => {
+                self.teardown_session(session);
+                Flow::Continue
+            }
+        }));
+        flow.unwrap_or_else(|_| {
+            self.engine_panics += 1;
+            self.error(session, 0, ErrorCode::Internal, "engine panic handling request");
+            Flow::Continue
+        })
+    }
+
+    /// Drain after a `Shutdown` and report.
+    pub(crate) fn finish(mut self) -> ServeReport {
         self.drain();
         // Detector stats cannot see ingest-layer damage; fold it in (as
         // `vdsms monitor` does) so `is_degraded` on the report holds for
@@ -206,27 +208,17 @@ impl Engine {
         }
     }
 
-    fn handle(&mut self, cmd: EngineCmd) -> Flow {
-        match cmd {
-            EngineCmd::Open { session, queue } => {
-                self.sessions.insert(
-                    session,
-                    SessionState {
-                        queue,
-                        tenant: None,
-                        queries: BTreeMap::new(),
-                        streams: BTreeMap::new(),
-                    },
-                );
-                self.sessions_served += 1;
-                Flow::Continue
-            }
-            EngineCmd::Closed { session } => {
-                self.teardown_session(session);
-                Flow::Continue
-            }
-            EngineCmd::Request { session, req } => self.handle_request(session, req),
-        }
+    fn open(&mut self, session: u64, queue: Arc<SessionQueue>) {
+        self.sessions.insert(
+            session,
+            SessionState {
+                queue,
+                tenant: None,
+                queries: BTreeMap::new(),
+                streams: BTreeMap::new(),
+            },
+        );
+        self.sessions_served += 1;
     }
 
     fn reply(&self, session: u64, reply: &Reply) {
@@ -248,16 +240,21 @@ impl Engine {
     }
 
     // vdsms-lint: entry(no-panic-hot-path, loop-progress)
-    fn handle_request(&mut self, session: u64, req: Request) -> Flow {
+    fn handle_request(&mut self, session: u64, req: Inbound<'_>) -> Flow {
         if !self.sessions.contains_key(&session) {
             return Flow::Continue; // raced with teardown
         }
-        let hello_done =
-            self.sessions.get(&session).map(|s| s.tenant.is_some()).unwrap_or(false);
-        if !hello_done && !matches!(req, Request::Hello { .. }) {
+        let hello_done = self.sessions.get(&session).map(|s| s.tenant.is_some()).unwrap_or(false);
+        if !hello_done && !matches!(req, Inbound::Request(Request::Hello { .. })) {
             self.fatal(session, 0, ErrorCode::HelloRequired, "hello must be the first frame");
             return Flow::Continue;
         }
+        let req = match req {
+            Inbound::StreamData { stream_id, bytes } => {
+                return self.on_stream_data(session, stream_id, bytes)
+            }
+            Inbound::Request(req) => req,
+        };
         match req {
             Request::Hello { version, tenant } => self.on_hello(session, version, tenant),
             Request::Subscribe { query_id, cells } => self.on_subscribe(session, query_id, &cells),
@@ -270,7 +267,7 @@ impl Engine {
             Request::DetachStream { stream_id } => self.on_detach(session, stream_id),
             Request::Health => self.on_health(session),
             Request::Credit { n } => {
-                // Normally intercepted reader-side; granting here too is
+                // Normally granted reader-side; granting here too is
                 // harmless and keeps direct-driven engines correct.
                 if let Some(s) = self.sessions.get(&session) {
                     s.queue.grant(n);
@@ -686,7 +683,6 @@ mod tests {
     use crate::protocol::{parse_reply, TAG_CREDIT};
     use crate::queue::Outbound;
     use vdsms_codec::{Encoder, EncoderConfig};
-    use vdsms_core::sync::channel;
     use vdsms_core::DetectorConfig;
     use vdsms_features::{FeatureConfig, FingerprintStream};
     use vdsms_video::source::{ClipGenerator, SourceSpec};
@@ -716,17 +712,21 @@ mod tests {
         got
     }
 
-    struct Drive {
-        tx: vdsms_core::sync::Sender<EngineCmd>,
-        handle: std::thread::JoinHandle<ServeReport>,
+    fn engine(cfg: ServeConfig) -> Engine {
+        Engine::new(cfg, Arc::new(AtomicBool::new(false)))
     }
 
-    fn start_engine(cfg: ServeConfig) -> Drive {
-        let (tx, rx) = channel();
-        let stop = Arc::new(AtomicBool::new(false));
-        let engine = Engine::new(cfg, stop);
-        let handle = std::thread::spawn(move || engine.run(rx));
-        Drive { tx, handle }
+    fn open(engine: &mut Engine, session: u64, queue: &Arc<SessionQueue>) {
+        assert!(matches!(
+            engine.execute(session, Command::Open(Arc::clone(queue))),
+            Flow::Continue
+        ));
+    }
+
+    /// Apply one request as a session reader does; whether it stopped the
+    /// engine.
+    fn send(engine: &mut Engine, session: u64, req: Request) -> bool {
+        matches!(engine.execute(session, Command::Request(Inbound::Request(req))), Flow::Stop)
     }
 
     fn pop_reply(q: &SessionQueue) -> Reply {
@@ -743,16 +743,10 @@ mod tests {
             detector: DetectorConfig { window_keyframes: 4, ..Default::default() },
             ..Default::default()
         };
-        let drive = start_engine(cfg);
+        let mut engine = engine(cfg);
         let q = Arc::new(SessionQueue::new(64, 1_000));
-        drive.tx.send(EngineCmd::Open { session: 1, queue: Arc::clone(&q) }).unwrap();
-        drive
-            .tx
-            .send(EngineCmd::Request {
-                session: 1,
-                req: Request::Hello { version: PROTOCOL_VERSION, tenant: 7 },
-            })
-            .unwrap();
+        open(&mut engine, 1, &q);
+        send(&mut engine, 1, Request::Hello { version: PROTOCOL_VERSION, tenant: 7 });
         assert_eq!(pop_reply(&q), Reply::HelloOk { version: PROTOCOL_VERSION, session: 1 });
 
         // Subscribe a query made from a span of the stream's own cells:
@@ -761,36 +755,20 @@ mod tests {
         let fps = fingerprints(&bytes);
         assert!(fps.len() >= 12, "need enough key frames: got {}", fps.len());
         let cells: Vec<u64> = fps[4..12].iter().map(|&(_, c)| c).collect();
-        drive
-            .tx
-            .send(EngineCmd::Request {
-                session: 1,
-                req: Request::Subscribe { query_id: 3, cells },
-            })
-            .unwrap();
+        send(&mut engine, 1, Request::Subscribe { query_id: 3, cells });
         assert_eq!(pop_reply(&q), Reply::Ok { re: TAG_SUBSCRIBE });
 
-        drive
-            .tx
-            .send(EngineCmd::Request { session: 1, req: Request::AttachStream { stream_id: 5 } })
-            .unwrap();
+        send(&mut engine, 1, Request::AttachStream { stream_id: 5 });
         let Reply::Attached { stream_id: 5, global_id } = pop_reply(&q) else {
             panic!("expected Attached")
         };
 
+        // Chunks go in borrowed, as a session reader hands them over.
         for chunk in bytes.chunks(777) {
-            drive
-                .tx
-                .send(EngineCmd::Request {
-                    session: 1,
-                    req: Request::StreamData { stream_id: 5, bytes: chunk.to_vec() },
-                })
-                .unwrap();
+            let data = Inbound::StreamData { stream_id: 5, bytes: chunk };
+            assert!(matches!(engine.execute(1, Command::Request(data)), Flow::Continue));
         }
-        drive
-            .tx
-            .send(EngineCmd::Request { session: 1, req: Request::StreamEnd { stream_id: 5 } })
-            .unwrap();
+        send(&mut engine, 1, Request::StreamEnd { stream_id: 5 });
 
         // Collect until the StreamEndAck; detections arrive interleaved.
         let mut detections = Vec::new();
@@ -811,11 +789,11 @@ mod tests {
         assert!(!detections.is_empty(), "own-subsequence query must fire");
         assert!(detections.iter().all(|&(qid, sid)| qid == 3 && sid == global_id));
 
-        drive.tx.send(EngineCmd::Request { session: 1, req: Request::Shutdown }).unwrap();
+        assert!(send(&mut engine, 1, Request::Shutdown), "shutdown stops the engine");
         assert_eq!(pop_reply(&q), Reply::Ok { re: TAG_SHUTDOWN });
+        let report = engine.finish();
         assert_eq!(pop_reply(&q), Reply::Drained);
         assert_eq!(q.pop(), Outbound::Finished);
-        let report = drive.handle.join().unwrap();
         assert!(!report.drain_timed_out);
         assert_eq!(report.sessions_served, 1);
         assert_eq!(report.engine_panics, 0);
@@ -830,12 +808,10 @@ mod tests {
             max_streams_per_session: 1,
             ..Default::default()
         };
-        let drive = start_engine(cfg);
+        let mut engine = engine(cfg);
         let q = Arc::new(SessionQueue::new(64, 64));
-        drive.tx.send(EngineCmd::Open { session: 1, queue: Arc::clone(&q) }).unwrap();
-        let send = |req: Request| {
-            drive.tx.send(EngineCmd::Request { session: 1, req }).unwrap();
-        };
+        open(&mut engine, 1, &q);
+        let mut send = |req: Request| send(&mut engine, 1, req);
         send(Request::Hello { version: PROTOCOL_VERSION, tenant: 1 });
         assert!(matches!(pop_reply(&q), Reply::HelloOk { .. }));
 
@@ -878,18 +854,16 @@ mod tests {
 
         send(Request::Shutdown);
         assert_eq!(pop_reply(&q), Reply::Ok { re: TAG_SHUTDOWN });
-        let report = drive.handle.join().unwrap();
+        let report = engine.finish();
         assert_eq!(report.engine_panics, 0);
     }
 
     #[test]
     fn bad_bitstream_detaches_one_stream_but_spares_the_session() {
-        let drive = start_engine(ServeConfig { recover: false, ..Default::default() });
+        let mut engine = engine(ServeConfig { recover: false, ..Default::default() });
         let q = Arc::new(SessionQueue::new(64, 64));
-        drive.tx.send(EngineCmd::Open { session: 1, queue: Arc::clone(&q) }).unwrap();
-        let send = |req: Request| {
-            drive.tx.send(EngineCmd::Request { session: 1, req }).unwrap();
-        };
+        open(&mut engine, 1, &q);
+        let mut send = |req: Request| send(&mut engine, 1, req);
         send(Request::Hello { version: PROTOCOL_VERSION, tenant: 1 });
         assert!(matches!(pop_reply(&q), Reply::HelloOk { .. }));
         send(Request::AttachStream { stream_id: 1 });
@@ -911,70 +885,75 @@ mod tests {
         assert_eq!(report.streams, 0);
         send(Request::Shutdown);
         assert_eq!(pop_reply(&q), Reply::Ok { re: TAG_SHUTDOWN });
-        drive.handle.join().unwrap();
+        engine.finish();
     }
 
     #[test]
     fn hello_gate_version_check_and_session_teardown_release_quota() {
-        let drive = start_engine(ServeConfig::default());
+        let mut engine = engine(ServeConfig::default());
         // No hello → fatal HelloRequired, queue finishes.
         let q1 = Arc::new(SessionQueue::new(8, 8));
-        drive.tx.send(EngineCmd::Open { session: 1, queue: Arc::clone(&q1) }).unwrap();
-        drive
-            .tx
-            .send(EngineCmd::Request { session: 1, req: Request::Health })
-            .unwrap();
-        assert!(matches!(
-            pop_reply(&q1),
-            Reply::Error { code: ErrorCode::HelloRequired, .. }
-        ));
+        open(&mut engine, 1, &q1);
+        send(&mut engine, 1, Request::Health);
+        assert!(matches!(pop_reply(&q1), Reply::Error { code: ErrorCode::HelloRequired, .. }));
         assert_eq!(q1.pop(), Outbound::Finished);
 
         // Wrong version → fatal BadVersion.
         let q2 = Arc::new(SessionQueue::new(8, 8));
-        drive.tx.send(EngineCmd::Open { session: 2, queue: Arc::clone(&q2) }).unwrap();
-        drive
-            .tx
-            .send(EngineCmd::Request {
-                session: 2,
-                req: Request::Hello { version: 999, tenant: 0 },
-            })
-            .unwrap();
+        open(&mut engine, 2, &q2);
+        send(&mut engine, 2, Request::Hello { version: 999, tenant: 0 });
         assert!(matches!(pop_reply(&q2), Reply::Error { code: ErrorCode::BadVersion, .. }));
         assert_eq!(q2.pop(), Outbound::Finished);
 
         // A closed session releases its tenant quota for the next one.
-        let cfg_check = |tenant: u64, session: u64| {
+        let cfg_check = |engine: &mut Engine, tenant: u64, session: u64| {
             let q = Arc::new(SessionQueue::new(8, 8));
-            drive.tx.send(EngineCmd::Open { session, queue: Arc::clone(&q) }).unwrap();
-            drive
-                .tx
-                .send(EngineCmd::Request {
-                    session,
-                    req: Request::Hello { version: PROTOCOL_VERSION, tenant },
-                })
-                .unwrap();
+            open(engine, session, &q);
+            send(engine, session, Request::Hello { version: PROTOCOL_VERSION, tenant });
             assert!(matches!(pop_reply(&q), Reply::HelloOk { .. }));
-            drive
-                .tx
-                .send(EngineCmd::Request {
-                    session,
-                    req: Request::Subscribe { query_id: 1, cells: vec![5, 6] },
-                })
-                .unwrap();
+            send(engine, session, Request::Subscribe { query_id: 1, cells: vec![5, 6] });
             assert_eq!(pop_reply(&q), Reply::Ok { re: TAG_SUBSCRIBE });
             q
         };
-        let drive_cfg = &drive;
-        let q3 = cfg_check(42, 3);
-        drive_cfg.tx.send(EngineCmd::Closed { session: 3 }).unwrap();
+        let q3 = cfg_check(&mut engine, 42, 3);
+        engine.execute(3, Command::Closed);
         assert_eq!(q3.pop(), Outbound::Finished);
-        let q4 = cfg_check(42, 4);
+        let q4 = cfg_check(&mut engine, 42, 4);
 
-        drive.tx.send(EngineCmd::Request { session: 4, req: Request::Shutdown }).unwrap();
+        send(&mut engine, 4, Request::Shutdown);
         assert_eq!(pop_reply(&q4), Reply::Ok { re: TAG_SHUTDOWN });
-        let report = drive.handle.join().unwrap();
+        let report = engine.finish();
         assert_eq!(report.sessions_served, 4);
         assert_eq!(report.engine_panics, 0);
+    }
+
+    #[test]
+    fn borrowed_stream_data_passes_the_gates_every_request_does() {
+        let mut engine = engine(ServeConfig::default());
+        let data = || Command::Request(Inbound::StreamData { stream_id: 1, bytes: &[1, 2, 3] });
+
+        // Before hello: fatal HelloRequired, queue finishes.
+        let q = Arc::new(SessionQueue::new(8, 8));
+        open(&mut engine, 1, &q);
+        assert!(matches!(engine.execute(1, data()), Flow::Continue));
+        assert!(matches!(pop_reply(&q), Reply::Error { code: ErrorCode::HelloRequired, .. }));
+        assert_eq!(q.pop(), Outbound::Finished);
+
+        // After teardown: dropped without a reply, as any request is.
+        assert!(matches!(engine.execute(1, data()), Flow::Continue));
+        assert!(!send(&mut engine, 1, Request::Shutdown), "a torn-down session cannot stop it");
+        assert_eq!(q.pop(), Outbound::Finished);
+
+        // After hello, on a stream never attached: UnknownStream.
+        let q = Arc::new(SessionQueue::new(8, 8));
+        open(&mut engine, 2, &q);
+        send(&mut engine, 2, Request::Hello { version: PROTOCOL_VERSION, tenant: 0 });
+        assert!(matches!(pop_reply(&q), Reply::HelloOk { .. }));
+        engine.execute(2, data());
+        assert!(matches!(
+            pop_reply(&q),
+            Reply::Error { re: TAG_STREAM_DATA, code: ErrorCode::UnknownStream, .. }
+        ));
+        assert_eq!(engine.finish().engine_panics, 0);
     }
 }

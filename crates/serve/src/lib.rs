@@ -35,7 +35,7 @@ pub mod queue;
 pub use client::Client;
 pub use config::ServeConfig;
 pub use daemon::{Daemon, Endpoint};
-pub use engine::{EngineCmd, ServeReport};
+pub use engine::ServeReport;
 pub use ingest::{ChunkedIngest, IngestError};
 pub use protocol::{ErrorCode, HealthReport, Reply, Request};
 pub use queue::{Outbound, SessionQueue};

@@ -246,7 +246,13 @@ pub enum Reply {
     /// Health/stats snapshot.
     Health(HealthReport),
     /// `StreamEnd` completed; final per-stream ingest accounting.
-    StreamEndAck { stream_id: u32, keyframes: u64, frames_dropped: u64, bytes_skipped: u64, resyncs: u64 },
+    StreamEndAck {
+        stream_id: u32,
+        keyframes: u64,
+        frames_dropped: u64,
+        bytes_skipped: u64,
+        resyncs: u64,
+    },
     /// `AttachStream` completed; the fleet-global stream id detections
     /// will carry.
     Attached { stream_id: u32, global_id: u32 },
@@ -442,10 +448,23 @@ fn get_id(r: &mut ByteReader<'_>, field: &'static str) -> Result<u32, WireError>
     u32::try_from(v).map_err(|_| WireError::BadField(field))
 }
 
-/// Parse a request frame body (everything after the length prefix).
-/// Bounded memory: element counts are validated against the remaining
-/// body bytes before any allocation sized from them.
-pub fn parse_request(body: &[u8]) -> Result<Request, WireError> {
+/// A request as the daemon's session reader parses it: a `StreamData`
+/// body stays borrowed from the receive buffer, everything else is an
+/// owned [`Request`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Inbound<'a> {
+    /// A chunk of raw bitstream bytes for an attached stream, still in
+    /// the buffer the frame was received into.
+    StreamData { stream_id: u32, bytes: &'a [u8] },
+    /// Any other request.
+    Request(Request),
+}
+
+/// Parse a request frame body (everything after the length prefix)
+/// without copying stream bytes out of it. Bounded memory: element
+/// counts are validated against the remaining body bytes before any
+/// allocation sized from them.
+pub fn parse_inbound(body: &[u8]) -> Result<Inbound<'_>, WireError> {
     let mut r = ByteReader::new(body);
     let tag = r.get_u8().map_err(|_| WireError::Truncated)?;
     let req = match tag {
@@ -471,10 +490,11 @@ pub fn parse_request(body: &[u8]) -> Result<Request, WireError> {
         TAG_UNSUBSCRIBE => Request::Unsubscribe { query_id: get_id(&mut r, "query id")? },
         TAG_ATTACH => Request::AttachStream { stream_id: get_id(&mut r, "stream id")? },
         TAG_STREAM_DATA => {
+            // The bytes are the rest of the body: nothing can trail them.
             let stream_id = get_id(&mut r, "stream id")?;
             let n = r.remaining();
-            let bytes = r.get_bytes(n).map_err(|_| WireError::Truncated)?.to_vec();
-            Request::StreamData { stream_id, bytes }
+            let bytes = r.get_bytes(n).map_err(|_| WireError::Truncated)?;
+            return Ok(Inbound::StreamData { stream_id, bytes });
         }
         TAG_STREAM_END => Request::StreamEnd { stream_id: get_id(&mut r, "stream id")? },
         TAG_DETACH => Request::DetachStream { stream_id: get_id(&mut r, "stream id")? },
@@ -487,7 +507,18 @@ pub fn parse_request(body: &[u8]) -> Result<Request, WireError> {
     if !r.is_at_end() {
         return Err(WireError::BadField("trailing bytes"));
     }
-    Ok(req)
+    Ok(Inbound::Request(req))
+}
+
+/// Parse a request frame body into an owned [`Request`]: [`parse_inbound`]
+/// with a `StreamData` body copied out of `body`.
+pub fn parse_request(body: &[u8]) -> Result<Request, WireError> {
+    Ok(match parse_inbound(body)? {
+        Inbound::StreamData { stream_id, bytes } => {
+            Request::StreamData { stream_id, bytes: bytes.to_vec() }
+        }
+        Inbound::Request(req) => req,
+    })
 }
 
 /// Parse a reply frame body (everything after the length prefix).
@@ -504,8 +535,7 @@ pub fn parse_reply(body: &[u8]) -> Result<Reply, WireError> {
         TAG_ERROR => {
             let re = r.get_u8().map_err(|_| WireError::Truncated)?;
             let code_byte = r.get_u8().map_err(|_| WireError::Truncated)?;
-            let code = ErrorCode::from_byte(code_byte)
-                .ok_or(WireError::BadField("error code"))?;
+            let code = ErrorCode::from_byte(code_byte).ok_or(WireError::BadField("error code"))?;
             let n = r.get_varint().map_err(|_| WireError::Truncated)? as usize;
             if n > r.remaining() {
                 return Err(WireError::BadField("message length"));

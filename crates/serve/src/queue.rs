@@ -1,7 +1,7 @@
 //! Per-session bounded outbound queue with drop-oldest overflow and
 //! credit-based flow control.
 //!
-//! The invariant that makes a slow client harmless: the engine thread
+//! The invariant that makes a slow client harmless: the engine
 //! only ever *pushes* here — push never blocks and never allocates
 //! beyond the configured bound, so ingest throughput is independent of
 //! any client's read speed. Frames come in two classes:

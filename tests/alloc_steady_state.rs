@@ -14,16 +14,21 @@
 //! buffers from one per-stream pool, and a dead entry's goes back to it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use vdsms::codec::bitio::ByteReader;
-use vdsms::codec::{Encoder, EncoderConfig, StreamHeader};
+use vdsms::codec::{complete_record_end, Encoder, EncoderConfig, StreamHeader};
 use vdsms::core::{
     Detector, DetectorConfig, Fleet, HqIndex, Order, Query, QuerySet, Representation, Stats,
 };
 use vdsms::features::{FeatureConfig, FeatureExtractor, FingerprintStream};
-use vdsms::serve::ChunkedIngest;
+use vdsms::serve::protocol::{
+    encode_request, parse_reply, peek_frame, FrameStatus, Reply, Request, PROTOCOL_VERSION,
+};
+use vdsms::serve::{ChunkedIngest, Daemon, Endpoint, ServeConfig};
 use vdsms::video::source::{ClipGenerator, SourceSpec};
 use vdsms::video::Fps;
 
@@ -439,6 +444,114 @@ fn chunked_ingest_steady_state_is_allocation_free() {
         ingest.finish(&mut out).unwrap();
         assert!(ingest.health().is_clean());
     }
+}
+
+/// A live daemon's chunk path allocates nothing per chunk: a `StreamData`
+/// body goes from the session's receive buffer to the stream's
+/// reassembly buffer as a borrowed slice. Each phase attaches a stream,
+/// sends the first `n` 16 KiB chunks of a clean stream that matches no
+/// query (cut at a record boundary), ends it and waits for the
+/// `StreamEndAck`; every per-stream cost is paid once per phase, so a
+/// phase of 2N chunks must cost exactly what a phase of N chunks does.
+/// Counted across every thread: the socket writer here, the daemon's
+/// session reader and writer. A copy of each chunk would show as one
+/// allocation per chunk.
+#[test]
+fn daemon_chunk_path_is_allocation_free() {
+    let _gate = GATE.lock();
+    let clip = ClipGenerator::new(SourceSpec {
+        width: 176,
+        height: 120,
+        fps: Fps::integer(10),
+        seed: 4545,
+        min_scene_s: 1.0,
+        max_scene_s: 3.0,
+        motifs: None,
+    })
+    .clip(60.0);
+    let bytes =
+        Encoder::encode_clip(&clip, EncoderConfig { gop: 5, quality: 80, motion_search: true });
+    const CHUNK: usize = 16 << 10;
+    const N: usize = 12;
+    let mut r = ByteReader::new(&bytes);
+    StreamHeader::read(&mut r).unwrap();
+    // The end of the first record that ends at or after `n` chunks.
+    let cut = |n: usize| {
+        let mut end = r.position();
+        while end < n * CHUNK {
+            end = complete_record_end(&bytes, end).expect("the clip is longer than the phase");
+        }
+        end
+    };
+    // A phase's whole wire, encoded before anything is counted.
+    let wire = |stream_id: u32, n: usize| -> Vec<u8> {
+        let mut frames = vec![Request::AttachStream { stream_id }];
+        frames.extend(
+            bytes[..cut(n)]
+                .chunks(CHUNK)
+                .map(|c| Request::StreamData { stream_id, bytes: c.to_vec() }),
+        );
+        frames.push(Request::StreamEnd { stream_id });
+        frames.iter().flat_map(encode_request).collect()
+    };
+
+    let path = std::env::temp_dir().join(format!("vdsms-alloc-{}.sock", std::process::id()));
+    let daemon = Daemon::bind(&Endpoint::Unix(path.clone()), ServeConfig::default()).unwrap();
+    let server = std::thread::spawn(move || daemon.run());
+    let mut conn = UnixStream::connect(&path).unwrap();
+    let mut replies = [0u8; 4096];
+    let mut filled = 0usize;
+    // Read until a reply `done` accepts; every reply must parse and none
+    // may be an error. No allocation on the way for the replies a phase
+    // gets (`Attached`, `StreamEndAck`).
+    let mut await_reply = |conn: &mut UnixStream, done: &dyn Fn(&Reply) -> bool| loop {
+        while let FrameStatus::Frame { start, end } = peek_frame(&replies[..filled], 4096) {
+            let reply = parse_reply(&replies[start..end]).unwrap();
+            assert!(!matches!(reply, Reply::Error { .. }), "daemon replied {reply:?}");
+            replies.copy_within(end..filled, 0);
+            filled -= end;
+            if done(&reply) {
+                return;
+            }
+        }
+        let n = conn.read(&mut replies[filled..]).unwrap();
+        assert!(n > 0, "daemon closed the connection");
+        filled += n;
+    };
+    let hello = [
+        Request::Hello { version: PROTOCOL_VERSION, tenant: 1 },
+        // Cells no clip produces: the stream is probed, nothing fires.
+        Request::Subscribe { query_id: 1, cells: (1..=32).map(|c| c << 48).collect() },
+    ];
+    conn.write_all(&hello.iter().flat_map(encode_request).collect::<Vec<u8>>()).unwrap();
+    await_reply(&mut conn, &|r| matches!(r, Reply::Ok { .. }));
+
+    let mut phase = |stream_id: u32, n: usize| {
+        let wire = wire(stream_id, n);
+        let ((), allocs, _, _) = counted(|| {
+            conn.write_all(&wire).unwrap();
+            await_reply(&mut conn, &|r| matches!(r, Reply::StreamEndAck { .. }));
+        });
+        allocs
+    };
+    // Warm-up: the engine's scratch reaches its high-water mark.
+    phase(0, 2 * N);
+    let one = phase(1, N);
+    let two = phase(2, 2 * N);
+    assert_eq!(
+        two,
+        one,
+        "daemon chunk path: {two} allocation(s) over a {}-chunk phase, {one} over a {N}-chunk \
+         phase (expected the same: nothing per chunk)",
+        2 * N
+    );
+
+    conn.write_all(&encode_request(&Request::Shutdown)).unwrap();
+    let mut rest = Vec::new();
+    conn.read_to_end(&mut rest).unwrap();
+    let report = server.join().unwrap();
+    assert_eq!(report.engine_panics, 0);
+    assert_eq!(report.stats.detections, 0, "the stream matches no query");
 }
 
 /// Allocator calls, bytes requested and live bytes gained while `f` runs.

@@ -12,8 +12,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use vdsms::serve::protocol::{
-    encode_reply, encode_request, parse_reply, parse_request, peek_frame, FrameStatus,
-    LEN_PREFIX, MAX_FRAME_LEN_DEFAULT,
+    encode_reply, encode_request, parse_inbound, parse_reply, parse_request, peek_frame,
+    FrameStatus, Inbound, LEN_PREFIX, MAX_FRAME_LEN_DEFAULT,
 };
 use vdsms::serve::{Client, Daemon, Endpoint, ErrorCode, Reply, Request, ServeConfig};
 
@@ -135,6 +135,28 @@ proptest! {
     ) {
         scan_all(&bytes, MAX_FRAME_LEN_DEFAULT);
         scan_all(&bytes, 1usize << max_shift);
+    }
+
+    /// The daemon's borrowed parser and `parse_request` agree on any
+    /// body: the same request (stream bytes borrowed from the body
+    /// instead of copied) or the same typed error. Every tag, valid or
+    /// not, leads a soup tail.
+    #[test]
+    fn the_borrowed_parser_agrees_with_parse_request(
+        tag in 0u8..16,
+        tail in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let body = [&[tag][..], &tail].concat();
+        let borrowed = match parse_inbound(&body) {
+            Ok(Inbound::StreamData { stream_id, bytes }) => {
+                // A view into the body, not a copy of it.
+                prop_assert!(std::ptr::eq(bytes.as_ptr_range().end, body.as_ptr_range().end));
+                Ok(Request::StreamData { stream_id, bytes: bytes.to_vec() })
+            }
+            Ok(Inbound::Request(req)) => Ok(req),
+            Err(e) => Err(e),
+        };
+        prop_assert_eq!(borrowed, parse_request(&body));
     }
 
     /// Requests round-trip byte-identically through encode → frame scan

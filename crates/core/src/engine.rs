@@ -348,7 +348,10 @@ impl Detector {
     /// Panics if the configuration is invalid or a query's `K` mismatches.
     pub fn new(cfg: DetectorConfig, queries: QuerySet) -> Detector {
         cfg.validate();
-        Detector { catalogue: Catalogue::shared(&cfg, &queries, None), state: StreamState::new(cfg) }
+        Detector {
+            catalogue: Catalogue::shared(&cfg, &queries, None),
+            state: StreamState::new(cfg),
+        }
     }
 
     /// Create a detector that shares a pre-built index with other
@@ -509,9 +512,8 @@ mod tests {
         let query_ids: Vec<u64> = (0..30).map(|i| i * 3 + 7).collect();
         for config in all_variants() {
             let family = Detector::family_for(&config);
-            let queries = QuerySet::from_queries(vec![Query::from_cell_ids(
-                1, &family, &query_ids,
-            )]);
+            let queries =
+                QuerySet::from_queries(vec![Query::from_cell_ids(1, &family, &query_ids)]);
             let mut det = Detector::new(config, queries);
             let dets = det.run(planted_stream(&query_ids));
             assert!(
@@ -540,8 +542,7 @@ mod tests {
             let queries =
                 QuerySet::from_queries(vec![Query::from_cell_ids(1, &family, &query_ids)]);
             let mut det = Detector::new(config, queries);
-            let frames: Vec<(u64, u64)> =
-                (0..150u64).map(|i| (i, 2_000_000 + i * 17)).collect();
+            let frames: Vec<(u64, u64)> = (0..150u64).map(|i| (i, 2_000_000 + i * 17)).collect();
             let dets = det.run(frames);
             assert!(dets.is_empty(), "false positives on clean stream: {dets:?}");
         }
@@ -595,10 +596,7 @@ mod tests {
         };
         let with_index = make(true);
         let without = make(false);
-        assert!(
-            with_index * 5 < without,
-            "index saved too little: {with_index} vs {without}"
-        );
+        assert!(with_index * 5 < without, "index saved too little: {with_index} vs {without}");
     }
 
     #[test]
@@ -611,7 +609,8 @@ mod tests {
         // Not subscribed yet: the copy at 20..40 goes unnoticed.
         let mut found = Vec::new();
         for i in 0..50u64 {
-            let id = if (20..40).contains(&i) { query_ids[(i - 20) as usize] } else { 7_000_000 + i };
+            let id =
+                if (20..40).contains(&i) { query_ids[(i - 20) as usize] } else { 7_000_000 + i };
             found.extend(det.push_keyframe(i, id));
         }
         assert!(found.is_empty());
@@ -619,7 +618,8 @@ mod tests {
         // Subscribe; a second occurrence is detected.
         det.subscribe(Query::from_cell_ids(9, &family, &query_ids));
         for i in 50..100u64 {
-            let id = if (60..80).contains(&i) { query_ids[(i - 60) as usize] } else { 7_000_000 + i };
+            let id =
+                if (60..80).contains(&i) { query_ids[(i - 60) as usize] } else { 7_000_000 + i };
             found.extend(det.push_keyframe(i, id));
         }
         assert!(found.iter().any(|d| d.query_id == 9), "subscribed query must be found");
@@ -665,7 +665,8 @@ mod tests {
     fn a_shared_index_over_another_catalogue_is_refused() {
         let config = cfg(Order::Sequential, Representation::Sketch, false);
         let family = Detector::family_for(&config);
-        let clip = |id: QueryId, n: u64| Query::from_cell_ids(id, &family, &(0..n).collect::<Vec<_>>());
+        let clip =
+            |id: QueryId, n: u64| Query::from_cell_ids(id, &family, &(0..n).collect::<Vec<_>>());
         let set = |queries: Vec<Query>| Arc::new(QuerySet::from_queries(queries));
         let held = set(vec![clip(1, 3), clip(2, 3)]);
         for (other, missing) in [
@@ -738,8 +739,7 @@ mod tests {
     fn k_mismatch_is_rejected() {
         let config = cfg(Order::Sequential, Representation::Bit, true);
         let wrong_family = MinHashFamily::new(K + 1, 0);
-        let queries =
-            QuerySet::from_queries(vec![Query::from_cell_ids(1, &wrong_family, &[1, 2])]);
+        let queries = QuerySet::from_queries(vec![Query::from_cell_ids(1, &wrong_family, &[1, 2])]);
         let _ = Detector::new(config, queries);
     }
 }

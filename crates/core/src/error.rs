@@ -67,18 +67,12 @@ mod tests {
 
     #[test]
     fn display_messages_name_the_offender() {
-        assert_eq!(
-            FleetError::StreamNotMonitored(7).to_string(),
-            "stream 7 is not monitored"
-        );
+        assert_eq!(FleetError::StreamNotMonitored(7).to_string(), "stream 7 is not monitored");
         assert_eq!(
             FleetError::StreamAlreadyMonitored(3).to_string(),
             "stream 3 is already monitored"
         );
-        assert_eq!(
-            FleetError::ShardDied { shard: 2 }.to_string(),
-            "fleet shard 2 worker died"
-        );
+        assert_eq!(FleetError::ShardDied { shard: 2 }.to_string(), "fleet shard 2 worker died");
         assert_eq!(
             FleetError::DrainTimedOut { detached: 1 }.to_string(),
             "fleet drain timed out with 1 worker(s) still running"

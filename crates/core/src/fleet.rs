@@ -635,7 +635,11 @@ impl Fleet {
         self.depart(stream_id, true)
     }
 
-    fn depart(&mut self, stream_id: StreamId, flush: bool) -> Result<Option<Departure>, FleetError> {
+    fn depart(
+        &mut self,
+        stream_id: StreamId,
+        flush: bool,
+    ) -> Result<Option<Departure>, FleetError> {
         let Some(shard) = self.streams.get(&stream_id).map(|route| route.shard) else {
             return Ok(None);
         };

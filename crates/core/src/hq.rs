@@ -621,11 +621,7 @@ impl HqIndex {
             } else {
                 let mq = self.meta[s];
                 // vdsms-lint: allow(no-alloc-hot-path) reason="caller-owned Vec reused across probes; non-empty only for windows related to a query"
-                hits.push(ProbeHit {
-                    query_id: mq.id,
-                    keyframes: mq.keyframes as usize,
-                    sig,
-                });
+                hits.push(ProbeHit { query_id: mq.id, keyframes: mq.keyframes as usize, sig });
             }
         }
         self.k as u64
@@ -679,9 +675,7 @@ mod tests {
     }
 
     fn query_set(f: &MinHashFamily, m: u32) -> QuerySet {
-        QuerySet::from_queries(
-            (0..m).map(|i| query(f, i, u64::from(i) * 1000, 40)).collect(),
-        )
+        QuerySet::from_queries((0..m).map(|i| query(f, i, u64::from(i) * 1000, 40)).collect())
     }
 
     /// Slab invariants: rows are a power of two wide at load ≤ ½; every
@@ -956,8 +950,7 @@ mod tests {
     fn identical_sketches_degrade_to_a_row_scan_not_a_wrong_answer() {
         let f = family();
         let m = 300u32;
-        let mut qs =
-            QuerySet::from_queries((0..m).map(|id| query(&f, id, 500, 30)).collect());
+        let mut qs = QuerySet::from_queries((0..m).map(|id| query(&f, id, 500, 30)).collect());
         let mut ix = HqIndex::build(K, &qs);
         check_integrity(&ix);
         let same = Sketch::from_ids(&f, 500..530);
@@ -1049,9 +1042,14 @@ mod tests {
     enum Step {
         /// Subscribe `id` with content `content` — unsubscribing it first
         /// if it is subscribed (re-inserting a removed id).
-        Insert { id: QueryId, content: u64 },
+        Insert {
+            id: QueryId,
+            content: u64,
+        },
         /// Unsubscribe `id`, subscribed or not.
-        Remove { id: QueryId },
+        Remove {
+            id: QueryId,
+        },
         /// Unsubscribe whichever query holds the last slot / slot 0.
         RemoveLastSlot,
         RemoveSlotZero,

@@ -244,7 +244,8 @@ mod tests {
             hits.into_iter().map(|h| (h.query_id, h.keyframes, h.sig)).collect()
         };
         let windows = stream.chunks(4).map(|w| Sketch::from_ids(&family, w.iter().copied()));
-        let (mut plane, mut reloaded_plane) = (CandidatePlane::default(), CandidatePlane::default());
+        let (mut plane, mut reloaded_plane) =
+            (CandidatePlane::default(), CandidatePlane::default());
         for sk in windows.chain(set.iter().map(|q| q.sketch.clone())) {
             assert_eq!(hits(&reloaded, &sk), hits(&original, &sk));
             plane.clear();

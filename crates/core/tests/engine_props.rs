@@ -7,10 +7,10 @@ use vdsms_sketch::MinHashFamily;
 
 fn arb_config() -> impl Strategy<Value = DetectorConfig> {
     (
-        16usize..128,                      // k
-        0.5f64..0.9,                       // delta
-        1.0f64..3.0,                       // lambda
-        1usize..8,                         // window_keyframes
+        16usize..128, // k
+        0.5f64..0.9,  // delta
+        1.0f64..3.0,  // lambda
+        1usize..8,    // window_keyframes
         prop_oneof![Just(Order::Sequential), Just(Order::Geometric)],
         prop_oneof![Just(Representation::Bit), Just(Representation::Sketch)],
         any::<bool>(),

@@ -135,14 +135,19 @@ fn run_reference(base: DetectorConfig, n_streams: u8, steps: &[Step]) -> (Vec<De
     let mut detectors: Vec<Detector> =
         (0..n_streams).map(|_| Detector::new(base, QuerySet::new())).collect();
     let tagged = |s: usize, found: Vec<Detection>| {
-        found.into_iter().map(move |detection| StreamDetection { stream_id: s as StreamId, detection })
+        found
+            .into_iter()
+            .map(move |detection| StreamDetection { stream_id: s as StreamId, detection })
     };
     let mut dets = Vec::new();
     for step in steps {
         match step {
             Step::Batch(batch) => {
                 for &(s, frame, cell) in batch {
-                    dets.extend(tagged(s as usize, detectors[s as usize].push_keyframe(frame, cell)));
+                    dets.extend(tagged(
+                        s as usize,
+                        detectors[s as usize].push_keyframe(frame, cell),
+                    ));
                 }
             }
             Step::Subscribe(q) => detectors.iter_mut().for_each(|d| d.subscribe(q.clone())),

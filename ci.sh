@@ -125,11 +125,11 @@ echo "== benchmark builds and smoke-runs (its own workspace) =="
 # benchmark/.cargo/config.toml is found from the working directory.
 (cd benchmark && cargo test -q --offline)
 
-echo "== rustfmt (crates/serve) =="
+echo "== rustfmt (crates/serve, crates/core) =="
 # rustfmt.toml records the wide style the code is written in. Only the
-# serve crate is held to it so far; the rest of the tree still has
-# unformatted hunks (`cargo fmt --check` lists them).
-cargo fmt --check -p vdsms-serve
+# serve and core crates are held to it so far; the rest of the tree
+# still has unformatted hunks (`cargo fmt --check` lists them).
+cargo fmt --check -p vdsms-serve -p vdsms-core
 
 echo "== clippy =="
 # Every member and target, tests and examples included. clippy.toml

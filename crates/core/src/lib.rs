@@ -30,6 +30,7 @@ pub mod bitsig;
 pub mod config;
 pub mod detection;
 pub mod engine;
+mod entry;
 pub mod error;
 pub mod fleet;
 pub mod geo_store;

@@ -22,9 +22,9 @@
 //! paths where a gone receiver is an expected state, not an error to
 //! handle (the `channel-protocol` lint rule flags bare discarded
 //! `send`s; this names the intent instead of suppressing the finding).
-//! The bounded [`SyncSender`] has the same method: the serve daemon's
-//! engine inbox is a small `sync_channel`, and its teardown paths send
-//! into it best-effort.
+//! The bounded [`SyncSender`] has the same method; its one user is the
+//! serve daemon's one-shot report (`sync_channel(1)`), which the command
+//! that stops the engine sends best-effort once the drain is done.
 
 use parking_lot::schedule;
 use std::sync::mpsc;

@@ -192,8 +192,9 @@ impl WindowRelations {
     }
 }
 
-/// Relation counts between two sketches' min-hash values: `(n_equal,
-/// n_less)` where `n_less` counts positions with `a < b`. This is the
+/// Relation counts between two sketches' min-hash values: `(n_less,
+/// n_equal)` where `n_less` counts positions with `a < b` — the order
+/// [`BitSig::counts`] returns them in. This is the
 /// Sketch representation's comparison primitive (`C_comp`), also used for
 /// its Lemma-2 pruning; a store passes a candidate's sketch and a query's
 /// values from the index's slab.
@@ -207,7 +208,7 @@ pub fn sketch_relations(a: &[u64], b: &[u64]) -> (usize, usize) {
         n_eq += usize::from(x == y);
         n_less += usize::from(x < y);
     }
-    (n_eq, n_less)
+    (n_less, n_eq)
 }
 
 #[cfg(test)]
@@ -222,7 +223,7 @@ mod tests {
         let f = MinHashFamily::new(100, 1);
         let a = Sketch::from_ids(&f, 0..50u64);
         let b = Sketch::from_ids(&f, 25..80u64);
-        let (n_eq, n_less) = sketch_relations(a.mins(), b.mins());
+        let (n_less, n_eq) = sketch_relations(a.mins(), b.mins());
         let sig = BitSig::encode(&a, &b);
         assert_eq!(n_eq, sig.count_equal());
         assert_eq!(n_less, sig.count_less());
